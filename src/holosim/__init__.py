@@ -57,7 +57,6 @@ from .errors import (
     InternalInvariantError,
     MachineFormatError,
     MergeIncompatible,
-    MissingInitialTape,
     ModelViolation,
     NonBlockRespecting,
     RunEndedEarly,
@@ -74,7 +73,6 @@ from .machine import (
     RunRecord,
     build_machine,
     initial_configuration,
-    initial_tape_accessor,
     normalize_input,
     parse_machine,
     probe_run_length,

@@ -16,15 +16,13 @@ of a head at the block boundary belongs to both neighbouring blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import MergeIncompatible, NonBlockRespecting
 from .machine import Configuration, MachineSpec, RunRecord
 
 POLICY_FULL = "full"
 POLICY_BOUNDARY = "boundary"
-
-InitialTape = Callable[[int, int], str]
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,12 @@ def screen_area(s: IntervalSummary) -> int:
 # building summaries from a recorded run
 
 
-def _head_track(run: RunRecord, L: int, R: int) -> tuple[
-    tuple[int, ...], tuple[int, ...], list[tuple[int, int]]
-]:
-    """Heads at L-1 and at R, plus per-tape hull of head positions over
-    configurations L-1..R, via the move trace alone."""
-    entry_heads = run.history[L - 1].heads
+def _head_hull(
+    run: RunRecord, entry_heads: Sequence[int], L: int, R: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Heads at R and the per-tape hull of head positions over
+    configurations L-1..R, from the heads at L-1 and the move trace
+    alone."""
     heads = list(entry_heads)
     lo = list(entry_heads)
     hi = list(entry_heads)
@@ -163,7 +161,7 @@ def _head_track(run: RunRecord, L: int, R: int) -> tuple[
                 lo[i] = heads[i]
             elif heads[i] > hi[i]:
                 hi[i] = heads[i]
-    return entry_heads, tuple(heads), [(lo[i], hi[i]) for i in range(run.machine.k)]
+    return tuple(heads), tuple(zip(lo, hi))
 
 
 def _windows_at(cfg: Configuration, spans: Sequence[tuple[int, int]]) -> tuple[TapeWindow, ...]:
@@ -178,16 +176,16 @@ def interval_summary(run: RunRecord, L: int, R: int) -> IntervalSummary:
     off the recorded history.  No window size limit is applied."""
     if not 1 <= L <= R <= run.t:
         raise ValueError(f"step interval [{L},{R}] outside [1,{run.t}]")
-    entry_heads, exit_heads, spans = _head_track(run, L, R)
     entry_cfg = run.history[L - 1]
     exit_cfg = run.history[R]
+    exit_heads, spans = _head_hull(run, entry_cfg.heads, L, R)
     return IntervalSummary(
         machine=run.machine,
         L=L,
         R=R,
         q_in=entry_cfg.state,
         q_out=exit_cfg.state,
-        heads_in=entry_heads,
+        heads_in=entry_cfg.heads,
         heads_out=exit_heads,
         entry=_windows_at(entry_cfg, spans),
         exit=_windows_at(exit_cfg, spans),
@@ -267,28 +265,16 @@ def check_block_respecting(run: RunRecord, b: int, c_int: int) -> BlockReport:
         raise ValueError(f"c_int must be >= 1, got {c_int}")
     decomp = decompose(run.t, b)
     limit = c_int * b
-    k = run.machine.k
-    heads = [0] * k
+    heads = (0,) * run.machine.k
     entries = []
-    step = 0
     for idx, (L, R) in enumerate(decomp.blocks, 1):
-        lo = list(heads)
-        hi = list(heads)
-        while step < R:
-            step += 1
-            moves = run.history.moves_at(step)
-            for i in range(k):
-                heads[i] += moves[i]
-                if heads[i] < lo[i]:
-                    lo[i] = heads[i]
-                elif heads[i] > hi[i]:
-                    hi[i] = heads[i]
-        widths = tuple(hi[i] - lo[i] + 1 for i in range(k))
+        heads, spans = _head_hull(run, heads, L, R)
+        widths = tuple(hi - lo + 1 for lo, hi in spans)
         entries.append(
             BlockCheck(
                 k=idx,
                 interval=(L, R),
-                spans=tuple((lo[i], hi[i]) for i in range(k)),
+                spans=spans,
                 widths=widths,
                 ok=all(w <= limit for w in widths),
             )
@@ -333,11 +319,7 @@ def _check_join(left: IntervalSummary, right: IntervalSummary) -> None:
                 )
 
 
-def merge(
-    left: IntervalSummary,
-    right: IntervalSummary,
-    initial_tape: InitialTape | None = None,
-) -> IntervalSummary:
+def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
     """Join two adjacent interval summaries.
 
     Full policy grows one window per tape over the union span.  The
@@ -347,9 +329,8 @@ def merge(
     content at entry time left.L-1 is exactly what right's entry window
     records at the shared boundary time; symmetrically, a cell outside
     the right window keeps its left-exit content through the right
-    interval.  initial_tape is therefore accepted but never consulted.
-    Boundary policy keeps the left operand's entry side and the right
-    operand's exit side unchanged.
+    interval.  Boundary policy keeps the left operand's entry side and
+    the right operand's exit side unchanged.
     """
     _check_join(left, right)
     if left.policy == POLICY_BOUNDARY:
@@ -403,13 +384,11 @@ def merge(
     )
 
 
-def fold_left_deep(
-    summaries: Sequence[IntervalSummary], initial_tape: InitialTape | None = None
-) -> IntervalSummary:
+def fold_left_deep(summaries: Sequence[IntervalSummary]) -> IntervalSummary:
     """Merge a block-ordered summary sequence strictly left to right."""
     if not summaries:
         raise ValueError("cannot fold an empty summary sequence")
     acc = summaries[0]
     for s in summaries[1:]:
-        acc = merge(acc, s, initial_tape)
+        acc = merge(acc, s)
     return acc

@@ -23,7 +23,6 @@ from .errors import (
     InternalInvariantError,
     MachineFormatError,
     MergeIncompatible,
-    MissingInitialTape,
     ModelViolation,
 )
 from .ledger import attach_ledger
@@ -417,7 +416,7 @@ def main(argv=None) -> int:
     except ModelViolation as exc:
         print(f"model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (InternalInvariantError, MergeIncompatible, MissingInitialTape) as exc:
+    except (InternalInvariantError, MergeIncompatible) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except HolosimError as exc:

@@ -98,15 +98,6 @@ class MergeIncompatible(HolosimError):
         super().__init__(f"incompatible summaries: {reason}")
 
 
-class MissingInitialTape(HolosimError):
-    """An operation needed initial tape contents that were not supplied.
-
-    merge accepts an accessor but can always fill windows from the two
-    summaries' own boundary data, so nothing raises this today; it
-    stays in the taxonomy for callers composing their own pipelines.
-    """
-
-
 class CodecError(HolosimError):
     """Malformed or truncated byte encoding."""
 

@@ -27,8 +27,8 @@ Conventions, fixed here and used by every metric downstream:
   direction bit per edge, the current node id, the step/leaf/offset
   counters, the run parameters t, b, T, a phase flag, and the per-tape
   administrative integers (head, live bounds, block-window bounds,
-  dirty hull, evicted-dirty hull).  Everything here is O(log) many
-  integers of O(log) bits, so max_book grows like log T.
+  evicted-dirty hull).  Everything here is O(log) many integers of
+  O(log) bits, so max_book grows like log T.
 * s_total = s_screen + s_book, recorded once per simulated step.
 """
 

@@ -5,6 +5,10 @@ A machine has k two-way-infinite tapes.  The input occupies cells
 reads the k cells under the heads, consults the total transition map,
 writes k symbols back, and moves each head by at most one cell.
 
+steps() is the one stepping loop: the oracle, the length probe, the
+streaming simulator and window replay all advance through it.  step()
+is a deliberately naive, pure reference for it.
+
 run() is the reference oracle: it executes the machine forwards,
 records a compact per-step trace plus periodic checkpoints, and can
 reproduce the configuration at any time on demand.  Everything else in
@@ -16,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MachineFormatError, StepFromHaltError
 
@@ -353,20 +358,6 @@ def initial_configuration(machine: MachineSpec, input_word: str | Sequence[str])
     )
 
 
-def initial_tape_accessor(
-    machine: MachineSpec, input_word: str | Sequence[str]
-) -> Callable[[int, int], str]:
-    """Time-zero tape contents as a (tape, cell) -> symbol function."""
-    syms = normalize_input(machine, input_word)
-
-    def at(tape: int, cell: int) -> str:
-        if tape == 0 and 0 <= cell < len(syms):
-            return syms[cell]
-        return machine.blank
-
-    return at
-
-
 def step(machine: MachineSpec, config: Configuration) -> Configuration:
     """One deterministic step.  Pure: the input configuration is kept
     intact.  Raises StepFromHaltError on accepting or rejecting states."""
@@ -396,6 +387,40 @@ def step(machine: MachineSpec, config: Configuration) -> Configuration:
         cells=tuple(new_cells),
         spans=tuple(new_spans),
     )
+
+
+def steps(
+    machine: MachineSpec,
+    state: str,
+    heads: list[int],
+    tapes: Sequence[dict[int, str]],
+) -> Iterator[TransitionValue]:
+    """The stepping kernel: apply the transition map from `state` until
+    a halting state, yielding each transition value taken (state after,
+    symbols written, head moves).
+
+    heads and the per-tape cell dicts are the caller's and are updated
+    in place before each yield; a blank write removes the cell, so dicts
+    that start with non-blank cells only keep that form.  The consumer
+    bounds the run by how many values it takes; exhaustion means the
+    machine halted.
+    """
+    blank = machine.blank
+    delta = machine.delta
+    accept, reject = machine.accept, machine.reject
+    tapes_k = range(machine.k)
+    while state != accept and state != reject:
+        value = delta[state, tuple([tapes[i].get(heads[i], blank) for i in tapes_k])]
+        state, writes, moves = value
+        for i in tapes_k:
+            w = writes[i]
+            h = heads[i]
+            if w == blank:
+                tapes[i].pop(h, None)
+            else:
+                tapes[i][h] = w
+            heads[i] = h + moves[i]
+        yield value
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +573,14 @@ class RunRecord:
         return self.history.final.state
 
 
+def _halt_reason(machine: MachineSpec, state: str) -> str:
+    if state == machine.accept:
+        return ACCEPT
+    if state == machine.reject:
+        return REJECT
+    return BUDGET
+
+
 def run(machine: MachineSpec, input_word: str | Sequence[str], max_steps: int) -> RunRecord:
     """Execute up to max_steps steps from the standard initial
     configuration, recording a replayable history.  Halting earlier is
@@ -555,34 +588,13 @@ def run(machine: MachineSpec, input_word: str | Sequence[str], max_steps: int) -
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     c0 = initial_configuration(machine, input_word)
-    syms = normalize_input(machine, input_word)
-    blank = machine.blank
-    delta = machine.delta
-    k = machine.k
-    state = c0.state
-    heads = list(c0.heads)
-    cells = [dict(tape) for tape in c0.cells]
-    trace: list[tuple[str, tuple[str, ...], tuple[int, ...]]] = []
-    reason = BUDGET
-    for _ in range(max_steps):
-        if machine.is_halting(state):
-            break
-        reads = tuple(cells[i].get(heads[i], blank) for i in range(k))
-        state, writes, moves = delta[(state, reads)]
-        for i in range(k):
-            if writes[i] == blank:
-                cells[i].pop(heads[i], None)
-            else:
-                cells[i][heads[i]] = writes[i]
-            heads[i] += moves[i]
-        trace.append((state, writes, moves))
-    if machine.is_halting(state):
-        reason = ACCEPT if state == machine.accept else REJECT
+    kernel = steps(machine, c0.state, list(c0.heads), [dict(tape) for tape in c0.cells])
+    trace = list(islice(kernel, max_steps))
     return RunRecord(
         machine=machine,
-        input=syms,
+        input=normalize_input(machine, input_word),
         t=len(trace),
-        halt_reason=reason,
+        halt_reason=_halt_reason(machine, trace[-1][0] if trace else c0.state),
         history=RunHistory(machine, c0, trace),
     )
 
@@ -594,30 +606,10 @@ def probe_run_length(
     steps it executes within the budget, plus the halt reason."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    syms = normalize_input(machine, input_word)
-    blank = machine.blank
-    delta = machine.delta
-    k = machine.k
-    state = machine.start
-    heads = [0] * k
-    cells: list[dict[int, str]] = [
-        {i: s for i, s in enumerate(syms) if s != blank} if j == 0 else {} for j in range(k)
-    ]
-    steps = 0
-    for _ in range(max_steps):
-        if machine.is_halting(state):
-            break
-        reads = tuple(cells[i].get(heads[i], blank) for i in range(k))
-        state, writes, moves = delta[(state, reads)]
-        for i in range(k):
-            if writes[i] == blank:
-                cells[i].pop(heads[i], None)
-            else:
-                cells[i][heads[i]] = writes[i]
-            heads[i] += moves[i]
-        steps += 1
-    if machine.is_halting(state):
-        reason = ACCEPT if state == machine.accept else REJECT
-    else:
-        reason = BUDGET
-    return steps, reason
+    c0 = initial_configuration(machine, input_word)
+    kernel = steps(machine, c0.state, list(c0.heads), [dict(tape) for tape in c0.cells])
+    state = c0.state
+    count = 0
+    for state, _, _ in islice(kernel, max_steps):
+        count += 1
+    return count, _halt_reason(machine, state)

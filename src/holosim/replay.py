@@ -13,11 +13,13 @@ silently reading a blank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .blocks import POLICY_FULL, IntervalSummary, TapeWindow
 from .errors import StepFromHaltError, WindowEscape
 from .machine import Configuration, MachineSpec
+from .machine import steps as step_kernel
 
 
 @dataclass(frozen=True)
@@ -76,29 +78,20 @@ def replay_block(
     ]
     blank = machine.blank
     heads_now = list(heads)
-    for j in range(steps):
-        if machine.is_halting(state):
-            raise StepFromHaltError(state)
-        reads = tuple(
-            tapes[i].get(heads_now[i], blank) for i in range(machine.k)
-        )
-        state, writes, moves = machine.delta[(state, reads)]
-        for i in range(machine.k):
-            if writes[i] == blank:
-                tapes[i].pop(heads_now[i], None)
-            else:
-                tapes[i][heads_now[i]] = writes[i]
-            h = heads_now[i] + moves[i]
-            lo, hi = spans[i]
-            if not lo <= h <= hi:
-                raise WindowEscape(i + 1, h)
-            heads_now[i] = h
+    done = 0
+    for state, _, _ in islice(step_kernel(machine, state, heads_now, tapes), steps):
+        done += 1
+        for i, (lo, hi) in enumerate(spans):
+            if not lo <= heads_now[i] <= hi:
+                raise WindowEscape(i + 1, heads_now[i])
         if emit is not None:
             emit(
                 _restricted_config(
-                    machine, time_base + j + 1, state, tuple(heads_now), tapes, spans
+                    machine, time_base + done, state, tuple(heads_now), tapes, spans
                 )
             )
+    if done < steps:
+        raise StepFromHaltError(state)
     exit_windows = tuple(
         TapeWindow(
             w.lo,

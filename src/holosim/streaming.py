@@ -39,7 +39,7 @@ from .errors import (
     StaleWindowReentry,
 )
 from .ledger import ScreenLedger, cells_for_bits, int_cells, ints_cells
-from .machine import Configuration, MachineSpec, normalize_input
+from .machine import Configuration, MachineSpec, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
 
@@ -55,8 +55,6 @@ class BoundaryDigest:
     q_out: str
     heads_in: tuple[int, ...]
     heads_out: tuple[int, ...]
-    entry_spans: tuple[tuple[int, int], ...]
-    exit_spans: tuple[tuple[int, int], ...]
     cost: int
 
 
@@ -69,9 +67,6 @@ class _TapeState:
         "live",
         "lo",
         "hi",
-        "head",
-        "dirty_lo",
-        "dirty_hi",
         "lost_lo",
         "lost_hi",
         "blk_lo",
@@ -88,16 +83,13 @@ class _TapeState:
         self.live: dict[int, str] = {} if first == blank else {0: first}
         self.lo = 0
         self.hi = 0
-        self.head = 0
         # empty hulls use lo > hi
-        self.dirty_lo, self.dirty_hi = 0, -1
         self.lost_lo, self.lost_hi = 0, -1
         self.blk_lo = 0
         self.blk_hi = 0
         self.snap: dict[int, str] = {}
 
-    def begin_block(self) -> None:
-        h = self.head
+    def begin_block(self, h: int) -> None:
         self.blk_lo = h
         self.blk_hi = h
         self.snap = {h: self.live.get(h, self.blank)}
@@ -155,6 +147,8 @@ class RollingState:
             c: s for c, s in enumerate(input_syms) if s != blank
         }
         self.state = machine.start
+        self.heads = [0] * machine.k
+        self.stepper = steps(machine, self.state, self.heads, [ts.live for ts in self.tapes])
         self.tau = 0
         self.pending: list[BoundaryDigest] = []
         self.pending_cost = 0
@@ -201,19 +195,9 @@ class RollingState:
     def _book_now(self) -> int:
         g = self.gamma
         values = [self.tau, self.leaf_id, self.t, self.b, self.T, len(self.pending)]
-        for ts in self.tapes:
+        for ts, head in zip(self.tapes, self.heads):
             values.extend(
-                (
-                    ts.head,
-                    ts.lo,
-                    ts.hi,
-                    ts.blk_lo,
-                    ts.blk_hi,
-                    ts.dirty_lo,
-                    ts.dirty_hi,
-                    ts.lost_lo,
-                    ts.lost_hi,
-                )
+                (head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi)
             )
         book = ints_cells(values, g)
         book += int_cells(self.next_id, g)
@@ -279,30 +263,12 @@ class RollingState:
             ts.snap[cell] = ts.live.get(cell, ts.blank)
 
     def _do_step(self, block_index: int) -> None:
-        machine = self.machine
-        if machine.is_halting(self.state):
+        value = next(self.stepper, None)
+        if value is None:
             raise RunEndedEarly(self.tau, self.t)
-        blank = machine.blank
-        tapes = self.tapes
-        reads = tuple(ts.live.get(ts.head, blank) for ts in tapes)
-        state, writes, moves = machine.delta[(self.state, reads)]
-        for i, ts in enumerate(tapes):
-            w = writes[i]
-            h = ts.head
-            if w == blank:
-                ts.live.pop(h, None)
-            else:
-                ts.live[h] = w
-            if w != ts.initial(h):
-                if ts.dirty_lo > ts.dirty_hi:
-                    ts.dirty_lo = ts.dirty_hi = h
-                else:
-                    ts.dirty_lo = min(ts.dirty_lo, h)
-                    ts.dirty_hi = max(ts.dirty_hi, h)
-            h += moves[i]
-            ts.head = h
+        for ts, h in zip(self.tapes, self.heads):
             self._arrive(ts, h, block_index)
-        self.state = state
+        self.state = value[0]
         self.tau += 1
 
     def _emit(self) -> None:
@@ -326,7 +292,7 @@ class RollingState:
             machine=machine,
             time=self.tau,
             state=self.state,
-            heads=tuple(ts.head for ts in self.tapes),
+            heads=tuple(self.heads),
             cells=tuple(cells),
             spans=tuple(spans),
         )
@@ -350,9 +316,9 @@ class RollingState:
         self.depth_now = depth
         self.leaf_id = k
         q_in = self.state
-        heads_in = tuple(ts.head for ts in self.tapes)
-        for ts in self.tapes:
-            ts.begin_block()
+        heads_in = tuple(self.heads)
+        for ts, h in zip(self.tapes, heads_in):
+            ts.begin_block(h)
         idx = self.machine.state_index
         self.forming_cost = ints_cells([L, idx[q_in], *heads_in], self.gamma)
         record = self.ledger.record if self.ledger is not None else None
@@ -370,8 +336,6 @@ class RollingState:
             self.retained_cost = sum(len(w) for w in entry_windows)
         if k == self.T:
             self.last_exit = tuple(self._window_of(ts, ts.live) for ts in self.tapes)
-        heads_out = tuple(ts.head for ts in self.tapes)
-        spans = tuple(w.span for w in entry_windows)
         self.forming_cost = 0
         return BoundaryDigest(
             L=L,
@@ -379,10 +343,8 @@ class RollingState:
             q_in=q_in,
             q_out=self.state,
             heads_in=heads_in,
-            heads_out=heads_out,
-            entry_spans=spans,
-            exit_spans=spans,
-            cost=self._digest_cost(q_in, heads_in, spans),
+            heads_out=tuple(self.heads),
+            cost=self._digest_cost(q_in, heads_in, [w.span for w in entry_windows]),
         )
 
     def _merge_digests(self, left: BoundaryDigest, right: BoundaryDigest) -> BoundaryDigest:
@@ -403,9 +365,7 @@ class RollingState:
             q_out=right.q_out,
             heads_in=left.heads_in,
             heads_out=right.heads_out,
-            entry_spans=left.entry_spans,
-            exit_spans=right.exit_spans,
-            cost=self._digest_cost(left.q_in, left.heads_in, left.entry_spans),
+            cost=left.cost,
         )
 
     def _eval_range(self, lo: int, hi: int, depth: int) -> BoundaryDigest:
@@ -417,9 +377,7 @@ class RollingState:
         left = self._eval_range(lo, mid, depth + 1)
         # boundary compatibility at park time: the digest's exit side
         # must be the live frontier, or the replay went off the rails
-        if left.q_out != self.state or left.heads_out != tuple(
-            ts.head for ts in self.tapes
-        ):
+        if left.q_out != self.state or left.heads_out != tuple(self.heads):
             raise InternalInvariantError(
                 f"digest parked at step {left.R} disagrees with the frontier"
             )
@@ -456,10 +414,6 @@ class RollingState:
             raise InternalInvariantError(
                 f"root digest covers [{digest.L},{digest.R}], expected [1,{self.t}]"
             )
-        if digest.entry_spans != tuple(w.span for w in self.retained_entry):
-            raise InternalInvariantError("root entry spans disagree with digest")
-        if digest.exit_spans != tuple(w.span for w in self.last_exit):
-            raise InternalInvariantError("root exit spans disagree with digest")
         self.root = root
         return root
 

@@ -32,7 +32,7 @@ from .codec import (
     encode_history,
     encode_uvarint,
 )
-from .errors import CodecError
+from .errors import CodecError, MachineFormatError
 from .machine import MachineSpec, parse_machine, serialize_machine
 from .replay import replay_all, replay_from_summary
 
@@ -75,7 +75,10 @@ def parse_witness(data: bytes) -> tuple[str, MachineSpec]:
         raise CodecError("truncated witness machine blob")
     if offset + blob_len != len(data):
         raise CodecError(f"{len(data) - offset - blob_len} trailing bytes after witness")
-    machine = parse_machine(blob.decode("utf-8"))
+    try:
+        machine = parse_machine(blob.decode("utf-8"))
+    except (UnicodeDecodeError, MachineFormatError) as exc:
+        raise CodecError(f"witness machine blob is not a machine: {exc}") from exc
     return _KINDS[tag], machine
 
 

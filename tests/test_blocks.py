@@ -194,7 +194,7 @@ def test_merge_fills_right_only_cells_without_initial_tape():
         range(left.entry[0].span[0], left.entry[0].span[1] + 1)
     )
     assert right_only, "cut points no longer produce right-only cells"
-    merged = hs.merge(left, right, initial_tape=None)
+    merged = hs.merge(left, right)
     assert merged == hs.interval_summary(rec, 17, 48)
 
 

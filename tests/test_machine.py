@@ -105,6 +105,9 @@ def test_run_against_reference_bundled(machines):
 
 
 def test_run_against_reference_random():
+    """run shares its stepping kernel with the streaming engine, so it
+    is checked step by step against both the list-tape interpreter and
+    a chain of the naive step(); probe_run_length shares it too."""
     rng = random.Random(999)
     checked = 0
     for _ in range(40):
@@ -113,9 +116,14 @@ def test_run_against_reference_random():
         rec = hs.run(m, word, max_steps=200)
         ref = list(reference_trace(m, word, 200))
         assert len(ref) == rec.t + 1
-        final = rec.history.final
-        time, state, heads, cells = ref[-1]
-        assert (final.state, final.heads, final.cells) == (state, heads, cells)
+        chained = hs.initial_configuration(m, word)
+        for cfg in rec.history.configurations():
+            if cfg.time > 0:
+                chained = hs.step(m, chained)
+            time, state, heads, cells = ref[cfg.time]
+            assert (cfg.state, cfg.heads, cfg.cells) == (state, heads, cells)
+            assert cfg == chained
+        assert hs.probe_run_length(m, word, 200) == (rec.t, rec.halt_reason)
         checked += 1
     assert checked == 40
 

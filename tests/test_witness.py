@@ -113,6 +113,14 @@ def test_malformed_witness_rejected():
         hs.parse_witness(good + b"\x00")
 
 
+def test_non_machine_blob_is_codec_error():
+    header = hs.build_witness(load_sample("writer2"), hs.KIND_POINTWISE).data[:3]
+    for blob in (b"\xff\xfe machine", b"not a machine"):
+        data = header + hs.encode_uvarint(len(blob)) + blob
+        with pytest.raises(hs.CodecError, match="not a machine"):
+            hs.parse_witness(data)
+
+
 def test_conditional_arity_checked():
     m = load_sample("writer2")
     rec = hs.run(m, "", max_steps=10)
