@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage or input format problems, 3 model
 violations detected while simulating (non-block-respecting runs, early
 halts, stale re-entries), 4 internal cross-check failures.  Step
-counts accept doubling notation: --t 2^12 means 4096.
+counts accept doubling notation: --t 2^12 means 4096, up to 2^40.
 """
 
 from __future__ import annotations
@@ -38,17 +38,24 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
+# Largest step count the CLI accepts; far beyond any run that fits in
+# memory, and it keeps 2^k arguments from building huge integers.
+MAX_STEPS = 2**40
+
 
 def parse_steps(text: str) -> int:
-    """Step count, plain or in 2^k notation."""
+    """Step count in [1, MAX_STEPS], plain or in 2^k notation."""
     text = text.strip()
     if "^" in text:
-        base, _, exp = text.partition("^")
-        value = int(base) ** int(exp)
+        base_text, _, exp_text = text.partition("^")
+        base, exp = int(base_text), int(exp_text)
+        if exp < 0 or (abs(base) > 1 and exp > MAX_STEPS.bit_length()):
+            raise ValueError(f"step count {text!r} is outside [1, {MAX_STEPS}]")
+        value = base**exp
     else:
         value = int(text)
-    if value < 1:
-        raise ValueError(f"step count must be >= 1, got {value}")
+    if not 1 <= value <= MAX_STEPS:
+        raise ValueError(f"step count {text!r} is outside [1, {MAX_STEPS}]")
     return value
 
 

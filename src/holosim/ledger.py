@@ -38,13 +38,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .codec import zigzag
+
 SYMBOL_CELL = 1
 
 
 def bits_of(value: int) -> int:
     """Bits in the zigzag folding of value; zero still takes one bit."""
-    folded = 2 * value if value >= 0 else -2 * value - 1
-    return max(1, folded.bit_length())
+    return max(1, zigzag(value).bit_length())
 
 
 @lru_cache(maxsize=None)

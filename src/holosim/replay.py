@@ -39,9 +39,7 @@ def _restricted_config(
     tapes: list[dict[int, str]],
     spans: tuple[tuple[int, int], ...],
 ) -> Configuration:
-    cells = tuple(
-        {c: s for c, s in tape.items() if s != machine.blank} for tape in tapes
-    )
+    cells = tuple([tape.copy() for tape in tapes])
     return Configuration(
         machine=machine, time=time, state=state, heads=heads, cells=cells, spans=spans
     )
@@ -73,10 +71,11 @@ def replay_block(
     for i, (h, w) in enumerate(zip(heads, windows)):
         if not w.covers(h):
             raise WindowEscape(i + 1, h)
-    tapes: list[dict[int, str]] = [
-        {w.lo + j: sym for j, sym in enumerate(w.symbols)} for w in windows
-    ]
     blank = machine.blank
+    tapes: list[dict[int, str]] = [
+        {w.lo + j: sym for j, sym in enumerate(w.symbols) if sym != blank}
+        for w in windows
+    ]
     heads_now = list(heads)
     done = 0
     for state, _, _ in islice(step_kernel(machine, state, heads_now, tapes), steps):
@@ -140,8 +139,15 @@ def replay_all(
     machine: MachineSpec, summary: IntervalSummary
 ) -> tuple[Configuration, ...]:
     """Every configuration of the summarized interval, entry through
-    exit, each reconstructed by a fresh replay from the entry data."""
-    return tuple(
-        replay_from_summary(machine, summary, tau)
-        for tau in range(summary.L - 1, summary.R + 1)
+    exit, from one replay of the entry data."""
+    configs = [replay_from_summary(machine, summary, summary.L - 1)]
+    replay_block(
+        machine,
+        summary.q_in,
+        summary.heads_in,
+        summary.entry,
+        steps=summary.steps,
+        emit=configs.append,
+        time_base=summary.L - 1,
     )
+    return tuple(configs)

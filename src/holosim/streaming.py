@@ -4,7 +4,8 @@ The simulator walks the balanced block tree depth first without ever
 materializing it.  At any instant it holds:
 
 * one live window per tape: a contiguous cell range of capacity
-  c_int * b containing the head, backed by a dict of non-blank cells;
+  c_int * b containing the head, backed by the tape's reported
+  contents (see below);
 * a pending stack of boundary digests, one per left sibling on the
   root-to-current path, so at most tree-depth many;
 * the entry snapshot of the block currently being replayed;
@@ -19,14 +20,18 @@ Machines whose runs are block respecting at the chosen b and c_int
 never trigger either condition and their emitted configurations match
 direct simulation exactly.
 
-Emitted configurations carry the live-window bounds as their spans.
-Cells outside every span are reported as the initial tape, which is
+Each tape keeps one dict of non-blank cells, the reported tape: the
+live contents inside the window and the initial tape outside it.  An
+evicted cell reverts to its initial symbol, so emitting a configuration
+is one dict copy per tape.  Emitted configurations carry the
+live-window bounds as their spans.  The cells outside every span are
 correct whenever no dirty cell has been evicted; after a dirty
 eviction only the in-span cells are trustworthy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,6 +64,10 @@ class BoundaryDigest:
 
 
 class _TapeState:
+    """One tape's window [lo, hi] and its reported tape `live`: the
+    non-blank cells of the live contents inside the window and of
+    `initial` outside it.  The stepping kernel writes `live` in place."""
+
     __slots__ = (
         "index",
         "blank",
@@ -74,13 +83,12 @@ class _TapeState:
         "snap",
     )
 
-    def __init__(self, index: int, blank: str, cap: int, initial: Callable[[int], str]):
+    def __init__(self, index: int, blank: str, cap: int, initial: dict[int, str]):
         self.index = index
         self.blank = blank
         self.cap = cap
         self.initial = initial
-        first = initial(0)
-        self.live: dict[int, str] = {} if first == blank else {0: first}
+        self.live = dict(initial)
         self.lo = 0
         self.hi = 0
         # empty hulls use lo > hi
@@ -119,7 +127,6 @@ class RollingState:
         if c_int < 1:
             raise ValueError(f"c_int must be >= 1, got {c_int}")
         self.machine = machine
-        self.input = normalize_input(machine, input_word)
         self.t = t
         self.b = b
         self.c_int = c_int
@@ -131,21 +138,15 @@ class RollingState:
         self.gamma = len(machine.work_alphabet)
 
         blank = machine.blank
-        input_syms = self.input
-
-        def tape_one_initial(cell: int, _syms=input_syms, _blank=blank) -> str:
-            return _syms[cell] if 0 <= cell < len(_syms) else _blank
-
-        def blank_initial(cell: int, _blank=blank) -> str:
-            return _blank
-
+        tape_one = {
+            c: sym
+            for c, sym in enumerate(normalize_input(machine, input_word))
+            if sym != blank
+        }
         self.tapes = [
-            _TapeState(i, blank, self.cap, tape_one_initial if i == 0 else blank_initial)
+            _TapeState(i, blank, self.cap, tape_one if i == 0 else {})
             for i in range(machine.k)
         ]
-        self.input_nonblank = {
-            c: s for c, s in enumerate(input_syms) if s != blank
-        }
         self.state = machine.start
         self.heads = [0] * machine.k
         self.stepper = steps(machine, self.state, self.heads, [ts.live for ts in self.tapes])
@@ -229,9 +230,6 @@ class RollingState:
         else:
             if ts.lost_lo <= cell <= ts.lost_hi:
                 raise StaleWindowReentry(ts.index + 1, cell, block_index)
-            sym = ts.initial(cell)
-            if sym != ts.blank:
-                ts.live[cell] = sym
             if cell < ts.lo:
                 ts.lo = cell
             else:
@@ -242,13 +240,17 @@ class RollingState:
                     raise NonBlockRespecting(
                         block_index, ts.index + 1, ts.hi - ts.lo + 1, ts.cap
                     )
-                held = ts.live.pop(evict, ts.blank)
-                if held != ts.initial(evict):
+                initial = ts.initial.get(evict, ts.blank)
+                if ts.live.get(evict, ts.blank) != initial:
                     if ts.lost_lo > ts.lost_hi:
                         ts.lost_lo = ts.lost_hi = evict
                     else:
                         ts.lost_lo = min(ts.lost_lo, evict)
                         ts.lost_hi = max(ts.lost_hi, evict)
+                    if initial == ts.blank:
+                        del ts.live[evict]
+                    else:
+                        ts.live[evict] = initial
                     if self.ledger is not None:
                         self.ledger.note_dirty_eviction()
                 if evict == ts.lo:
@@ -272,29 +274,13 @@ class RollingState:
         self.tau += 1
 
     def _emit(self) -> None:
-        machine = self.machine
-        blank = machine.blank
-        cells = []
-        spans = []
-        for ts in self.tapes:
-            if ts.index == 0 and self.input_nonblank:
-                merged = {
-                    c: s
-                    for c, s in self.input_nonblank.items()
-                    if not ts.lo <= c <= ts.hi
-                }
-                merged.update(ts.live)
-            else:
-                merged = dict(ts.live)
-            cells.append(merged)
-            spans.append((ts.lo, ts.hi))
         config = Configuration(
-            machine=machine,
+            machine=self.machine,
             time=self.tau,
             state=self.state,
             heads=tuple(self.heads),
-            cells=tuple(cells),
-            spans=tuple(spans),
+            cells=tuple([ts.live.copy() for ts in self.tapes]),
+            spans=tuple([(ts.lo, ts.hi) for ts in self.tapes]),
         )
         self.sink(config)  # type: ignore[misc]
 
@@ -423,12 +409,7 @@ def default_block_length(t: int) -> int:
     depth."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    r = int(t**0.5)
-    while r * r < t:
-        r += 1
-    while (r - 1) * (r - 1) >= t:
-        r -= 1
-    return r
+    return math.isqrt(t - 1) + 1
 
 
 def holo_run(

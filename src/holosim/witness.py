@@ -11,8 +11,7 @@ interval and emits encoded configurations:
   restricted to the summary's windows.
 * history (tag 0x2B): conditional input is (encoded full-policy
   summary,); output is the encoded configuration sequence from entry
-  (time L-1) through exit (time R), each element produced by a fresh
-  replay from the entry data.
+  (time L-1) through exit (time R).
 
 Program layout: magic 0x57, version, kind tag, then the machine's
 canonical text serialization as a length-prefixed UTF-8 blob.

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import holosim as hs
-from holosim.cli import auto_input, main, parse_grid, parse_steps
+from holosim.cli import MAX_STEPS, auto_input, main, parse_grid, parse_steps
 from holosim.samples import counter_input
 
 
@@ -20,6 +20,16 @@ def test_parse_steps():
         parse_steps("0")
     with pytest.raises(ValueError):
         parse_steps("-4")
+    assert parse_steps("2^40") == MAX_STEPS
+    # rejected before the power is built, so 2^99999999 returns at once
+    for text in ("2^41", "2^1100", "2^99999999", str(MAX_STEPS + 1), "0^-1"):
+        with pytest.raises(ValueError):
+            parse_steps(text)
+
+
+def test_simulate_huge_t_is_usage_error(capsys):
+    assert main(["simulate", "counter", "--t", "2^1100"]) == 2
+    assert "outside" in capsys.readouterr().err
 
 
 def test_parse_grid():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
 import holosim as hs
 from holosim.samples import counter_input, load_sample, palin_input
+from support import random_machine
 
 
 def _oracle_and_stream(machine, word, t, b, c_int=2):
@@ -184,9 +186,57 @@ def test_ledger_series_screen_not_above_total():
 
 
 def test_block_length_default_is_sqrt_ceiling():
-    for t in (1, 2, 3, 4, 5, 15, 16, 17, 100, 1023, 1024, 1025):
+    for t in (1, 2, 3, 4, 5, 15, 16, 17, 100, 1023, 1024, 1025, 2**200 + 1, 2**1100):
         b = hs.default_block_length(t)
         assert (b - 1) ** 2 < t <= b * b
+    assert hs.default_block_length(2**200) == 2**100
+
+
+def _outside(cells, span):
+    lo, hi = span
+    return {c: s for c, s in cells.items() if not lo <= c <= hi}
+
+
+def test_stream_matches_oracle_random_machines():
+    """Random machines on non-empty inputs, at window sizes small enough
+    to evict clean and dirty cells: each emission equals the oracle
+    inside its spans (outright if nothing dirty was evicted), reports
+    the initial tape outside them, and the root equals the one-pass
+    boundary summary."""
+    rng = random.Random(2026)
+    done = dirty_runs = 0
+    while done < 60:
+        m = random_machine(rng)
+        if not m.input_alphabet:
+            continue
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(rng.randint(1, 8)))
+        rec = hs.run(m, word, max_steps=rng.choice([30, 60, 90]))
+        if rec.t < 2:
+            continue
+        t, b, c_int = rec.t, rng.randint(1, 4), rng.randint(1, 2)
+        emitted = []
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+        try:
+            root = hs.holo_run(
+                m, word, t, b=b, c_int=c_int, sink=emitted.append, ledger=ledger
+            )
+        except hs.ModelViolation:
+            continue
+        initial = rec.history[0]
+        assert [cfg.time for cfg in emitted] == list(range(1, t + 1))
+        for cfg in emitted:
+            oracle = rec.history[cfg.time]
+            assert cfg.restricted(cfg.spans) == oracle.restricted(cfg.spans)
+            if ledger.dirty_evictions == 0:
+                assert cfg == oracle
+            for i, span in enumerate(cfg.spans):
+                assert _outside(cfg.cells[i], span) == _outside(initial.cells[i], span)
+        d = hs.decompose(t, b)
+        expect = hs.direct_summary(rec, d, 1, d.T, c_int, hs.POLICY_BOUNDARY)
+        assert hs.encode_summary(root) == hs.encode_summary(expect)
+        dirty_runs += ledger.dirty_evictions > 0
+        done += 1
+    assert dirty_runs > 0
 
 
 def test_single_block_run():
