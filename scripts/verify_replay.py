@@ -18,8 +18,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import holosim as hs
-from holosim.machine import HistoryCursor, probe_run_length
+from holosim.errors import InternalInvariantError
+from holosim.machine import probe_run_length
 from holosim.samples import counter_input, load_sample, palin_input
+from holosim.streaming import VerifySink
 
 INPUT_FOR = {
     "writer2": lambda t: "",
@@ -46,30 +48,23 @@ def main(argv=None) -> int:
         print(f"machine halts ({reason}) after {t} steps, using t={t}")
 
     oracle = hs.run(m, word, max_steps=t)
-    cursor = HistoryCursor(oracle.history)
-    stats = {"steps": 0, "strict": 0, "windowed": 0}
-
-    def sink(config):
-        cursor.advance_to(config.time)
-        want = cursor.snapshot()
-        stats["steps"] += 1
-        stats["strict"] += config == want
-        stats["windowed"] += config.restricted(config.spans) == want.restricted(
-            config.spans
-        )
-
+    sink = VerifySink(oracle.history)
     ledger = hs.attach_ledger(m, t, b)
-    root = hs.holo_run(m, word, t, b=b, c_int=args.c_int, sink=sink, ledger=ledger)
+    try:
+        root = hs.holo_run(m, word, t, b=b, c_int=args.c_int, sink=sink, ledger=ledger)
+    except InternalInvariantError as exc:
+        print(f"{exc}\nMISMATCH")
+        return 1
 
     digest = hashlib.sha256(hs.encode_summary(root)).hexdigest()
     print(f"t={t} b={b} T={hs.decompose(t, b).T} root=sha256:{digest[:16]}")
     print(
-        f"emissions: {stats['steps']} of {t}, "
-        f"bit-exact {stats['strict']}, window-exact {stats['windowed']}"
+        f"emissions: {sink.compared} of {t}, "
+        f"bit-exact {sink.strict}, window-exact {sink.compared}"
     )
     print(f"  ledger: {ledger.summary_line()}")
 
-    ok = stats["steps"] == t and stats["windowed"] == t
+    ok = sink.compared == t
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
 

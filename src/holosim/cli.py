@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import POLICY_BOUNDARY, POLICY_FULL, decompose
+from .blocks import POLICY_BOUNDARY, POLICY_FULL, check_block_respecting, decompose
 from .codec import encode_history, encode_summary
 from .ctree import build_tree, label_tree, time_to_leaf, tree_to_json
 from .errors import (
@@ -26,11 +26,11 @@ from .errors import (
     ModelViolation,
 )
 from .ledger import attach_ledger
-from .machine import HistoryCursor, MachineSpec, parse_machine, probe_run_length, run
+from .machine import MachineSpec, parse_machine, probe_run_length, run
 from .samples import SAMPLE_NAMES, counter_input, palin_input, sample_text
 from .scaling import area_law_study, render_scaling_svg, report_to_csv
 from .spacetime import build_dag, dag_to_dot, dag_to_json
-from .streaming import default_block_length, holo_run, reconstruct_at
+from .streaming import VerifySink, default_block_length, holo_run, reconstruct_at
 from .witness import KIND_HISTORY, KIND_POINTWISE, build_witness
 
 EXIT_OK = 0
@@ -133,28 +133,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-class _VerifySink:
-    """Streams the oracle cursor alongside the emissions and compares
-    each emitted configuration inside its own spans."""
-
-    def __init__(self, history):
-        self.cursor = HistoryCursor(history)
-        self.compared = 0
-        self.strict_all = True
-
-    def __call__(self, config) -> None:
-        self.cursor.advance_to(config.time)
-        oracle = self.cursor.snapshot()
-        if config.restricted(config.spans) != oracle.restricted(config.spans):
-            raise InternalInvariantError(
-                f"emission at t={config.time} disagrees with direct simulation "
-                f"inside its window"
-            )
-        if config != oracle:
-            self.strict_all = False
-        self.compared += 1
-
-
 def cmd_simulate(args) -> int:
     machine = load_machine_arg(args.machine)
     if args.t == "auto":
@@ -177,7 +155,7 @@ def cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_MODEL
-        sink = _VerifySink(oracle.history)
+        sink = VerifySink(oracle.history)
     root = holo_run(machine, word, t, b=b, c_int=args.c_int, sink=sink, ledger=ledger)
     blob = encode_summary(root)
     print(
@@ -186,7 +164,7 @@ def cmd_simulate(args) -> int:
         f"root=sha256:{_sha16(blob)}"
     )
     if args.verify:
-        mode = "strict" if sink.strict_all else "windowed"
+        mode = "strict" if sink.strict == sink.compared else "windowed"
         print(
             f"verified {sink.compared} emissions against direct simulation ({mode}); "
             f"dirty evictions: {ledger.dirty_evictions}"
@@ -206,8 +184,6 @@ def cmd_check_blocks(args) -> int:
     word = _resolve_input(args, machine, t)
     record = run(machine, word, max_steps=t)
     b = args.b if args.b is not None else default_block_length(record.t)
-    from .blocks import check_block_respecting
-
     report = check_block_respecting(record, b, args.c_int)
     for e in report.entries:
         widest = max(e.widths)

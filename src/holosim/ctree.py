@@ -19,9 +19,11 @@ from .blocks import (
     POLICY_FULL,
     BlockDecomposition,
     IntervalSummary,
+    decompose,
     leaf_summary,
     merge,
 )
+from .codec import encode_summary
 from .machine import RunRecord
 
 ENTER = "enter"
@@ -173,7 +175,7 @@ def label_tree(
     the oracle history and internal nodes by merging their children."""
     if run.t != tree.t:
         raise ValueError(f"tree is over t={tree.t} but run has t={run.t}")
-    decomp = decompose_of(tree)
+    decomp = decompose(tree.t, tree.b)
     labels: dict[int, IntervalSummary] = {}
 
     def fill(node_id: int) -> IntervalSummary:
@@ -189,12 +191,6 @@ def label_tree(
 
     fill(0)
     return replace(tree, labels=labels)
-
-
-def decompose_of(tree: CausalTree) -> BlockDecomposition:
-    from .blocks import decompose
-
-    return decompose(tree.t, tree.b)
 
 
 @dataclass(frozen=True)
@@ -229,8 +225,6 @@ def radial_profile(tree: CausalTree) -> RadialProfile:
 def tree_to_json(tree: CausalTree) -> dict:
     """JSON-ready structure; audit labels ride along as hex-encoded
     summary bytes when present."""
-    from .codec import encode_summary
-
     nodes = []
     for n in tree.nodes:
         entry: dict = {

@@ -44,7 +44,7 @@ from .errors import (
     StaleWindowReentry,
 )
 from .ledger import ScreenLedger, cells_for_bits, int_cells, ints_cells
-from .machine import Configuration, MachineSpec, normalize_input, steps
+from .machine import Configuration, HistoryCursor, MachineSpec, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
 
@@ -467,6 +467,36 @@ class CountingSink:
         return len(self.counts) == t and all(v == 1 for v in self.counts.values())
 
 
+class VerifySink:
+    """Sink that checks each emission against the oracle history in
+    place: state and heads outright, cells inside the emission's spans.
+    `strict` counts the emissions whose tapes match outright too."""
+
+    def __init__(self, history):
+        self.cursor = HistoryCursor(history)
+        self.compared = 0
+        self.strict = 0
+
+    def __call__(self, config: Configuration) -> None:
+        cursor = self.cursor
+        cursor.advance_to(config.time)
+        exact = True
+        windowed = config.state == cursor.state and list(config.heads) == cursor.heads
+        for got, want, (lo, hi) in zip(config.cells, cursor.cells, config.spans):
+            if got != want:
+                exact = False
+                windowed = windowed and all(
+                    got.get(c) == want.get(c) for c in range(lo, hi + 1)
+                )
+        if not windowed:
+            raise InternalInvariantError(
+                f"emission at t={config.time} disagrees with direct simulation "
+                f"inside its window"
+            )
+        self.compared += 1
+        self.strict += exact
+
+
 def reconstruct_at(
     machine: MachineSpec,
     input_word,
@@ -475,12 +505,16 @@ def reconstruct_at(
     b: int | None = None,
     c_int: int = 2,
 ) -> Configuration:
-    """Stream the run and return the emitted configuration at time tau,
-    1 <= tau <= t."""
+    """Return the configuration a streamed t-step run emits at time tau,
+    1 <= tau <= t.  Only [1, tau] is streamed, in the t-step run's
+    blocks; t only fixes the default b, and a halt or window violation
+    after tau goes unreported."""
     if not 1 <= tau <= t:
         raise ValueError(f"tau {tau} outside [1, {t}]")
+    if b is None:
+        b = default_block_length(t)
     sink = CaptureSink(tau)
-    holo_run(machine, input_word, t, b=b, c_int=c_int, sink=sink)
+    holo_run(machine, input_word, tau, b=b, c_int=c_int, sink=sink)
     if sink.config is None:
         raise InternalInvariantError(f"time {tau} was never emitted")
     return sink.config

@@ -10,6 +10,7 @@ import pytest
 
 import holosim as hs
 from holosim.samples import counter_input, load_sample, palin_input
+from holosim.streaming import VerifySink
 from support import random_machine
 
 
@@ -140,6 +141,47 @@ def test_counting_sink_all_once():
     assert sink.all_once(t)
 
 
+def _flip_cell(cfg, cell):
+    """cfg with tape 1's cell set to another non-blank symbol."""
+    m = cfg.machine
+    tape = dict(cfg.cells[0])
+    tape[cell] = next(s for s in m.work_alphabet if s not in (m.blank, tape.get(cell)))
+    return replace(cfg, cells=(tape, *cfg.cells[1:]))
+
+
+def _verify_counter(mutate_at_100=lambda c: c):
+    """VerifySink over a strict counter run whose emission at time 100
+    is passed through mutate_at_100."""
+    m = load_sample("counter")
+    rec, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
+    sink = VerifySink(rec.history)
+    for cfg in emitted:
+        sink(mutate_at_100(cfg) if cfg.time == 100 else cfg)
+    return sink
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: _flip_cell(c, c.heads[0]),
+        lambda c: replace(c, state=c.machine.reject),
+        lambda c: replace(c, heads=(c.heads[0] + 1,)),
+    ],
+    ids=["cell-in-span", "state", "head"],
+)
+def test_verify_sink_rejects_wrong_emission(mutate):
+    with pytest.raises(hs.InternalInvariantError, match="t=100 disagrees"):
+        _verify_counter(mutate)
+
+
+def test_verify_sink_counts_strict_emissions():
+    sink = _verify_counter()
+    assert sink.compared == sink.strict == 256
+    # a wrong cell outside every span shows only in the strict count
+    sink = _verify_counter(lambda c: _flip_cell(c, c.spans[0][1] + 1))
+    assert sink.compared == 256 and sink.strict == 255
+
+
 def test_reconstruct_at_matches_oracle():
     m = load_sample("counter")
     word = counter_input(8)
@@ -152,6 +194,17 @@ def test_reconstruct_at_matches_oracle():
         hs.reconstruct_at(m, word, t, 0)
     with pytest.raises(ValueError):
         hs.reconstruct_at(m, word, t, t + 1)
+    # only the prefix up to tau is streamed, so a huge t costs nothing
+    assert hs.reconstruct_at(m, word, 2**40, 5) == hs.run(m, word, max_steps=5).history[5]
+    # ... and emits what the full t-step walk emits at tau, spans and
+    # evicted cells included
+    m = load_sample("sweep")
+    t, b = 300, 10
+    emitted = []
+    hs.holo_run(m, "", t, b=b, sink=emitted.append)
+    for want in emitted:
+        got = hs.reconstruct_at(m, "", t, want.time, b=b)
+        assert got == want and got.spans == want.spans
 
 
 def test_pending_stack_bounded_by_depth():
