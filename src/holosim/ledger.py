@@ -6,7 +6,10 @@ Conventions, fixed here and used by every metric downstream:
   alphabet Gamma.  A stored symbol costs 1 cell.
 * A stored integer v costs the number of Gamma-cells needed to hold its
   zigzag folding: ceil(bits(zigzag(v)) / log2(|Gamma|)) with a minimum
-  of one bit.  The ceiling is computed exactly (no float comparison).
+  of one bit.  The ceiling is computed exactly (no float comparison)
+  once per bit length: each gamma has one bit-length table, grown to
+  the longest folding seen, so it holds O(log |v|) entries, and every
+  integer is converted by one lookup in it.
 * The read-only input word is the problem statement, not working
   storage, and is never metered.  Pulling an input symbol into the live
   window charges the window's cell, which is already inside the
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .codec import zigzag
 
@@ -44,11 +46,12 @@ SYMBOL_CELL = 1
 
 
 def bits_of(value: int) -> int:
-    """Bits in the zigzag folding of value; zero still takes one bit."""
+    """Bits in the zigzag folding of value; zero still takes one bit.
+    Equal to (value if value >= 0 else ~value).bit_length() + 1, the
+    form the bit-length table is indexed by."""
     return max(1, zigzag(value).bit_length())
 
 
-@lru_cache(maxsize=None)
 def cells_for_bits(bits: int, gamma: int) -> int:
     """Smallest c with gamma**c >= 2**bits, computed exactly."""
     if gamma < 2:
@@ -63,12 +66,28 @@ def cells_for_bits(bits: int, gamma: int) -> int:
     return c
 
 
+_TABLES: dict[int, list[int]] = {}
+
+
+def cells_table(gamma: int, bits: int) -> list[int]:
+    """The bit-length table of alphabet size gamma, grown to hold
+    `bits`: entry n is cells_for_bits(n, gamma), the cells of an int
+    whose zigzag folding has n bits.  Entry 0 is unused."""
+    table = _TABLES.get(gamma)
+    if table is None:
+        table = _TABLES[gamma] = [0]
+    while len(table) <= bits:
+        table.append(cells_for_bits(len(table), gamma))
+    return table
+
+
 def int_cells(value: int, gamma: int) -> int:
-    return cells_for_bits(bits_of(value), gamma)
+    bits = (value if value >= 0 else ~value).bit_length() + 1
+    return cells_table(gamma, bits)[bits]
 
 
 def ints_cells(values, gamma: int) -> int:
-    return sum(cells_for_bits(bits_of(v), gamma) for v in values)
+    return sum(int_cells(v, gamma) for v in values)
 
 
 @dataclass
@@ -109,6 +128,8 @@ class ScreenLedger:
     dirty_evictions: int = 0
     steps_recorded: int = 0
     series: list[LedgerRow] = field(default_factory=list)
+    # this run's bit-length table, set by the engine for its t
+    cell_table: list[int] = field(default_factory=list, repr=False, compare=False)
 
     def record(self, tau: int, screen: int, book: int) -> None:
         total = screen + book

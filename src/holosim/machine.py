@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import MachineFormatError, StepFromHaltError
@@ -130,7 +130,7 @@ def build_machine(
         sample = None
         keys = set(delta)
         for q in nonhalt:
-            for combo in _symbol_combos(work, k):
+            for combo in product(work, repeat=k):
                 if (q, combo) not in keys:
                     sample = (q, combo)
                     break
@@ -152,15 +152,6 @@ def build_machine(
         blank=blank,
         delta=dict(delta),
     )
-
-
-def _symbol_combos(work: tuple[str, ...], k: int) -> Iterator[tuple[str, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for rest in _symbol_combos(work, k - 1):
-        for s in work:
-            yield rest + (s,)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +185,7 @@ def parse_machine(text: str) -> MachineSpec:
                 raise MachineFormatError(f"duplicate {keyword} directive", lineno)
             header[keyword] = tokens[1]
         elif keyword == "tapes":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise MachineFormatError("tapes takes one positive integer", lineno)
             if keyword in header:
                 raise MachineFormatError("duplicate tapes directive", lineno)

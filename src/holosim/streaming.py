@@ -43,7 +43,7 @@ from .errors import (
     RunEndedEarly,
     StaleWindowReentry,
 )
-from .ledger import ScreenLedger, cells_for_bits, int_cells, ints_cells
+from .ledger import ScreenLedger, cells_table, ints_cells
 from .machine import Configuration, HistoryCursor, MachineSpec, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
@@ -165,6 +165,10 @@ class RollingState:
         if ledger is not None:
             ledger.T = self.T
             ledger.arena_cells = machine.k * self.cap
+            # every integer metered per step lies in [-t, t], since heads
+            # move one cell a step and windows hold only visited cells,
+            # and the path has at most t.bit_length() edges
+            ledger.cell_table = cells_table(self.gamma, t.bit_length() + 1)
 
     # ---- space accounting -------------------------------------------------
 
@@ -184,28 +188,34 @@ class RollingState:
             values.append(hi)
         return ints_cells(values, self.gamma)
 
-    def _screen_now(self) -> int:
-        screen = self.machine.k * self.cap
-        screen += self.pending_cost
-        screen += self.retained_cost
-        screen += self.forming_cost
-        for ts in self.tapes:
-            screen += len(ts.snap)
-        return screen
-
-    def _book_now(self) -> int:
+    def _leaf_meter(self, ledger: ScreenLedger) -> tuple[int, int]:
+        """The screen and book cells that stay fixed through a leaf: the
+        stack parks and pops, block 1's windows are retained, and the
+        node id and path change only between leaves."""
         g = self.gamma
-        values = [self.tau, self.leaf_id, self.t, self.b, self.T, len(self.pending)]
-        for ts, head in zip(self.tapes, self.heads):
-            values.extend(
-                (head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi)
-            )
-        book = ints_cells(values, g)
-        book += int_cells(self.next_id, g)
+        screen = self.machine.k * self.cap
+        screen += self.pending_cost + self.retained_cost + self.forming_cost
+        book = ints_cells(
+            (self.leaf_id, self.t, self.b, self.T, len(self.pending), self.next_id), g
+        )
         if self.depth_now >= 1:
-            book += cells_for_bits(self.depth_now, g)  # path direction bits
+            book += ledger.cell_table[self.depth_now]  # path direction bits
         book += 1  # phase flag
-        return book
+        return screen, book
+
+    def _meter(self, ledger: ScreenLedger, screen: int, book: int) -> None:
+        """Record this step's row: the leaf's fixed cells plus tau, each
+        tape's entry snapshot and its administrative integers (head, live
+        bounds, block-window bounds, evicted-dirty hull), each converted
+        by one lookup in the bit-length table."""
+        cells = ledger.cell_table
+        tau = self.tau
+        book += cells[tau.bit_length() + 1]
+        for ts, head in zip(self.tapes, self.heads):
+            screen += len(ts.snap)
+            for v in (head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
+                book += cells[(v if v >= 0 else ~v).bit_length() + 1]
+        ledger.record(tau, screen, book)
 
     def _audit(self) -> None:
         recount = sum(d.cost for d in self.pending)
@@ -307,13 +317,15 @@ class RollingState:
             ts.begin_block(h)
         idx = self.machine.state_index
         self.forming_cost = ints_cells([L, idx[q_in], *heads_in], self.gamma)
-        record = self.ledger.record if self.ledger is not None else None
+        ledger = self.ledger
+        if ledger is not None:
+            screen, book = self._leaf_meter(ledger)
         for _ in range(L, R + 1):
             self._do_step(k)
             if self.sink is not None:
                 self._emit()
-            if record is not None:
-                record(self.tau, self._screen_now(), self._book_now())
+            if ledger is not None:
+                self._meter(ledger, screen, book)
             if self.tau % self.audit_stride == 0:
                 self._audit()
         entry_windows = tuple(self._window_of(ts, ts.snap) for ts in self.tapes)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
-from holosim.ledger import bits_of, cells_for_bits, int_cells, ints_cells
-from holosim.samples import counter_input, load_sample
+from holosim.ledger import bits_of, cells_for_bits, cells_table, int_cells, ints_cells
+from holosim.samples import counter_input, load_sample, palin_input
+from support import random_machine
 
 
 def test_bits_of_pinned():
@@ -49,6 +52,14 @@ def test_cells_for_bits_is_exact_ceiling(bits, gamma):
 def test_int_cells_monotone_in_alphabet(v):
     assert int_cells(v, 4) <= int_cells(v, 2)
     assert int_cells(v, 2) >= 1
+
+
+@given(st.integers(min_value=-(10**12), max_value=10**12), st.integers(min_value=2, max_value=17))
+def test_table_lookup_equals_exact_conversion(v, gamma):
+    bits = bits_of(v)
+    assert (v if v >= 0 else ~v).bit_length() + 1 == bits
+    assert cells_table(gamma, bits)[bits] == cells_for_bits(bits, gamma)
+    assert int_cells(v, gamma) == cells_for_bits(bits, gamma)
 
 
 def test_ints_cells_is_sum():
@@ -125,3 +136,97 @@ def test_dirty_evictions_counted_only_when_lossy():
     led2 = hs.attach_ledger(m_counter, 256, 16)
     hs.holo_run(m_counter, counter_input(9), 256, b=16, ledger=led2)
     assert led2.dirty_evictions == 0
+
+
+# -- the per-step meter against the per-step formulas it replaced ----------
+
+
+def _reference_row(engine: hs.RollingState) -> hs.LedgerRow:
+    """Screen and book cells of the engine's current step, recounted from
+    scratch and converted through bits_of and cells_for_bits rather than
+    the bit-length table."""
+
+    def cells(v):
+        return cells_for_bits(bits_of(v), engine.gamma)
+
+    screen = engine.machine.k * engine.cap
+    screen += engine.pending_cost + engine.retained_cost + engine.forming_cost
+    values = [engine.tau, engine.leaf_id, engine.t, engine.b, engine.T, len(engine.pending)]
+    for ts, head in zip(engine.tapes, engine.heads):
+        screen += len(ts.snap)
+        values.extend((head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi))
+    book = sum(cells(v) for v in values) + cells(engine.next_id)
+    if engine.depth_now >= 1:
+        book += cells_for_bits(engine.depth_now, engine.gamma)  # path direction bits
+    book += 1  # phase flag
+    return hs.LedgerRow(engine.tau, screen, book)
+
+
+def _metered_and_reference(machine, word, t, b, c_int=2):
+    """Run the engine with a ledger and a sink that recounts each step;
+    the sink runs after the step and before the ledger records it.  A
+    model violation ends both series at the same step."""
+    ledger = hs.attach_ledger(machine, t, b, c_int=c_int, keep_series=True)
+    expected: list[hs.LedgerRow] = []
+    engine = hs.RollingState(
+        machine, word, t, b, c_int, lambda config: expected.append(_reference_row(engine)), ledger
+    )
+    try:
+        engine.run()
+    except hs.ModelViolation:
+        pass
+    return ledger, expected
+
+
+@pytest.mark.parametrize(
+    "name, word, t, b",
+    [
+        ("writer2", "", 2, 1),
+        ("counter", counter_input(9), 600, 5),
+        ("palin", palin_input(500), 500, 17),
+        ("sweep", "", 400, 7),
+    ],
+    ids=["writer2", "counter", "palin", "sweep"],
+)
+def test_meter_matches_reference_bundled(name, word, t, b):
+    ledger, expected = _metered_and_reference(load_sample(name), word, t, b)
+    assert len(ledger.series) == t
+    assert ledger.series == expected
+    if name == "sweep":
+        assert ledger.dirty_evictions > 0
+    if t > 2:
+        assert ledger.max_pending >= 3
+
+
+def test_meter_matches_reference_random_machines():
+    rng = random.Random(5)
+    deep = dirty = rows = 0
+    for _ in range(40):
+        m = random_machine(rng)
+        word = "".join(rng.choice(m.input_alphabet or ("",)) for _ in range(rng.randint(0, 5)))
+        t, _ = hs.probe_run_length(m, word, 200)
+        if t < 1:
+            continue
+        ledger, expected = _metered_and_reference(m, word, t, rng.randint(1, 4), rng.randint(1, 2))
+        assert ledger.series == expected
+        rows += len(expected)
+        deep += ledger.max_pending >= 3
+        dirty += ledger.dirty_evictions > 0
+    assert deep and dirty and rows > 1000
+
+
+@pytest.mark.parametrize(
+    "name, word, maxima, argmax_total",
+    [
+        ("counter", counter_input(20), (247, 68, 314), 8177),
+        ("palin", palin_input(2**13), (656, 86, 738), 4180),
+        ("sweep", "", (578, 162, 737), 7735),
+    ],
+    ids=["counter", "palin", "sweep"],
+)
+def test_ledger_figures_at_benchmark_size(name, word, maxima, argmax_total):
+    m = load_sample(name)
+    ledger = hs.attach_ledger(m, 2**13, 91)
+    hs.holo_run(m, word, 2**13, b=91, ledger=ledger)
+    assert (ledger.max_screen, ledger.max_book, ledger.max_total) == maxima
+    assert ledger.argmax_total == argmax_total

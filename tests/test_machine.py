@@ -54,6 +54,22 @@ def test_parse_rejects_partial_delta():
         hs.parse_machine(text)
 
 
+def test_parse_rejects_tape_counts_int_cannot_read():
+    # '²'.isdigit() holds but int('²') raises ValueError
+    for count in ("²", "٣", "-1", "1.5"):
+        with pytest.raises(hs.MachineFormatError, match="tapes"):
+            hs.parse_machine(WRITER2_TEXT.replace("tapes 1", f"tapes {count}"))
+
+
+def test_parse_reports_missing_delta_for_many_tapes():
+    # the first missing read tuple is found without recursing once per tape
+    no_delta = "\n".join(
+        line for line in WRITER2_TEXT.splitlines() if not line.startswith("delta")
+    )
+    with pytest.raises(hs.MachineFormatError, match="not total"):
+        hs.parse_machine(no_delta.replace("tapes 1", "tapes 2000"))
+
+
 def test_parse_rejects_duplicate_directive():
     with pytest.raises(hs.MachineFormatError, match="duplicate"):
         hs.parse_machine(WRITER2_TEXT + "\nstart q1\n")
