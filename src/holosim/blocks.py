@@ -11,15 +11,22 @@ boundary policy.
 Window convention: the cells a block touches are the head positions
 over configurations L-1 through R inclusive, so the resting position
 of a head at the block boundary belongs to both neighbouring blocks.
+
+Summaries are read off one HistoryCursor walking the oracle history:
+entry windows at L-1, then the cursor advances to R for the exit
+windows.  leaf_summaries walks a single cursor through every block in
+time order, so each boundary configuration is built once.  Windows are
+read and merged by slicing symbol tuples, not cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .errors import MergeIncompatible, NonBlockRespecting
-from .machine import Configuration, MachineSpec, RunRecord
+from .machine import HistoryCursor, MachineSpec, RunRecord
 
 POLICY_FULL = "full"
 POLICY_BOUNDARY = "boundary"
@@ -164,11 +171,35 @@ def _head_hull(
     return tuple(heads), tuple(zip(lo, hi))
 
 
-def _windows_at(cfg: Configuration, spans: Sequence[tuple[int, int]]) -> tuple[TapeWindow, ...]:
-    out = []
-    for i, (lo, hi) in enumerate(spans):
-        out.append(TapeWindow(lo, hi, tuple(cfg.symbol_at(i, c) for c in range(lo, hi + 1))))
-    return tuple(out)
+def _summarize(run: RunRecord, cursor: HistoryCursor, R: int) -> IntervalSummary:
+    """Full-policy summary of [cursor.time + 1, R]; leaves the cursor
+    at R."""
+    L = cursor.time + 1
+    q_in = cursor.state
+    heads_in = tuple(cursor.heads)
+    heads_out, spans = _head_hull(run, heads_in, L, R)
+    blank = run.machine.blank
+
+    def windows() -> tuple[TapeWindow, ...]:
+        return tuple(
+            TapeWindow(lo, hi, tuple(map(tape.get, range(lo, hi + 1), repeat(blank))))
+            for tape, (lo, hi) in zip(cursor.cells, spans)
+        )
+
+    entry = windows()
+    cursor.advance_to(R)
+    return IntervalSummary(
+        machine=run.machine,
+        L=L,
+        R=R,
+        q_in=q_in,
+        q_out=cursor.state,
+        heads_in=heads_in,
+        heads_out=heads_out,
+        entry=entry,
+        exit=windows(),
+        policy=POLICY_FULL,
+    )
 
 
 def interval_summary(run: RunRecord, L: int, R: int) -> IntervalSummary:
@@ -176,21 +207,18 @@ def interval_summary(run: RunRecord, L: int, R: int) -> IntervalSummary:
     off the recorded history.  No window size limit is applied."""
     if not 1 <= L <= R <= run.t:
         raise ValueError(f"step interval [{L},{R}] outside [1,{run.t}]")
-    entry_cfg = run.history[L - 1]
-    exit_cfg = run.history[R]
-    exit_heads, spans = _head_hull(run, entry_cfg.heads, L, R)
-    return IntervalSummary(
-        machine=run.machine,
-        L=L,
-        R=R,
-        q_in=entry_cfg.state,
-        q_out=exit_cfg.state,
-        heads_in=entry_cfg.heads,
-        heads_out=exit_heads,
-        entry=_windows_at(entry_cfg, spans),
-        exit=_windows_at(exit_cfg, spans),
-        policy=POLICY_FULL,
-    )
+    return _summarize(run, run.history.cursor_at(L - 1), R)
+
+
+def _within_limit(s: IntervalSummary, c_int: int, b: int) -> IntervalSummary:
+    """s itself if every entry window holds at most c_int * b cells."""
+    if c_int < 1:
+        raise ValueError(f"c_int must be >= 1, got {c_int}")
+    limit = c_int * b
+    for i, w in enumerate(s.entry):
+        if len(w) > limit:
+            raise NonBlockRespecting((s.L - 1) // b + 1, i + 1, len(w), limit)
+    return s
 
 
 def leaf_summary(
@@ -202,17 +230,17 @@ def leaf_summary(
     L, R = block
     if not 1 <= L <= R <= run.t:
         raise ValueError(f"block [{L},{R}] outside [1,{run.t}]")
-    if c_int < 1:
-        raise ValueError(f"c_int must be >= 1, got {c_int}")
-    if b is None:
-        b = R - L + 1
-    limit = c_int * b
-    s = interval_summary(run, L, R)
-    block_index = (L - 1) // b + 1
-    for i, w in enumerate(s.entry):
-        if len(w) > limit:
-            raise NonBlockRespecting(block_index, i + 1, len(w), limit)
-    return s
+    return _within_limit(interval_summary(run, L, R), c_int, R - L + 1 if b is None else b)
+
+
+def leaf_summaries(
+    run: RunRecord, decomp: BlockDecomposition, c_int: int
+) -> Iterator[IntervalSummary]:
+    """leaf_summary of every block of decomp (a decomposition of run.t),
+    in time order, from one cursor walk over the history."""
+    cursor = run.history.cursor()
+    for _, R in decomp.blocks:
+        yield _within_limit(_summarize(run, cursor, R), c_int, decomp.b)
 
 
 def direct_summary(
@@ -312,11 +340,27 @@ def _check_join(left: IntervalSummary, right: IntervalSummary) -> None:
         )
     # both sides snapshot time left.R, so they must agree where they overlap
     for i, (xw, ew) in enumerate(zip(left.exit, right.entry)):
-        for c in range(max(xw.lo, ew.lo), min(xw.hi, ew.hi) + 1):
-            if xw.symbol_at(c) != ew.symbol_at(c):
-                raise MergeIncompatible(
-                    f"window contents disagree at tape {i + 1} cell {c}"
-                )
+        lo, hi = max(xw.lo, ew.lo), min(xw.hi, ew.hi)
+        if lo > hi:
+            continue
+        if xw.symbols[lo - xw.lo : hi + 1 - xw.lo] != ew.symbols[lo - ew.lo : hi + 1 - ew.lo]:
+            c = next(c for c in range(lo, hi + 1) if xw.symbol_at(c) != ew.symbol_at(c))
+            raise MergeIncompatible(f"window contents disagree at tape {i + 1} cell {c}")
+
+
+def _overlay(top: TapeWindow, under: TapeWindow) -> TapeWindow:
+    """One window over the union of two touching or overlapping spans:
+    top's symbols where top covers a cell, under's elsewhere."""
+    if len(top) == 0:
+        return under
+    if len(under) == 0:
+        return top
+    syms = (
+        under.symbols[: max(0, top.lo - under.lo)]
+        + top.symbols
+        + under.symbols[max(0, top.hi + 1 - under.lo) :]
+    )
+    return TapeWindow(min(top.lo, under.lo), max(top.hi, under.hi), syms)
 
 
 def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
@@ -349,27 +393,14 @@ def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
 
     entry_windows = []
     exit_windows = []
-    for i in range(left.machine.k):
-        lw, rw = left.entry[i], right.entry[i]
-        lx, rx = left.exit[i], right.exit[i]
-        if len(lw) == 0 and len(rw) == 0:
-            entry_windows.append(EMPTY_WINDOW)
-            exit_windows.append(EMPTY_WINDOW)
-            continue
+    for i, (lw, rw) in enumerate(zip(left.entry, right.entry)):
         if len(lw) > 0 and len(rw) > 0 and max(lw.lo, rw.lo) > min(lw.hi, rw.hi) + 1:
             raise MergeIncompatible(
                 f"tape {i + 1} windows [{lw.lo},{lw.hi}] and [{rw.lo},{rw.hi}] "
                 f"touch nowhere, so their union has a gap"
             )
-        lo = min(w.lo for w in (lw, rw) if len(w) > 0)
-        hi = max(w.hi for w in (lw, rw) if len(w) > 0)
-        entry_syms = []
-        exit_syms = []
-        for c in range(lo, hi + 1):
-            entry_syms.append(lw.symbol_at(c) if lw.covers(c) else rw.symbol_at(c))
-            exit_syms.append(rx.symbol_at(c) if rx.covers(c) else lx.symbol_at(c))
-        entry_windows.append(TapeWindow(lo, hi, tuple(entry_syms)))
-        exit_windows.append(TapeWindow(lo, hi, tuple(exit_syms)))
+        entry_windows.append(_overlay(lw, rw))
+        exit_windows.append(_overlay(right.exit[i], left.exit[i]))
     return IntervalSummary(
         machine=left.machine,
         L=left.L,

@@ -8,6 +8,13 @@ version byte, then their fields in declared order.  States and symbols
 are encoded as indices into the machine's canonical state order and
 declared work alphabet, so decoding needs the machine at hand.
 
+Symbol runs move through C-level calls: encoding joins the bytes of a
+per-machine table (MachineSpec.symbol_codes, symbol -> uvarint index),
+and decoding takes a run of single-byte indices as one slice, falling
+back to the varint loop only where a continuation byte appears
+(alphabets over 128 symbols, or corrupt input).  The layout below is
+the same either way.
+
 Record layouts (version 1):
 
   summary        0x53 | L | R | q_in | q_out |
@@ -24,7 +31,8 @@ parse back unambiguously because every field is length-driven.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import compress, repeat
+from typing import Iterable, Sequence
 
 from .blocks import EMPTY_WINDOW, POLICY_BOUNDARY, POLICY_FULL, IntervalSummary, TapeWindow
 from .errors import CodecError
@@ -95,18 +103,25 @@ def _expect(data: bytes, offset: int, magic: int, what: str) -> int:
     return offset + 2
 
 
-def _symbol_indices(machine: MachineSpec, symbols: Sequence[str]) -> bytes:
-    gidx = machine.symbol_index
-    return b"".join(encode_uvarint(gidx[s]) for s in symbols)
+def _symbol_indices(machine: MachineSpec, symbols: Iterable[str]) -> bytes:
+    return b"".join(map(machine.symbol_codes.__getitem__, symbols))
 
 
 def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
+    alphabet = machine.work_alphabet
+    run = data[offset : offset + count]
+    if len(run) == count and run.isascii():
+        # every byte is a whole uvarint
+        if run and max(run) >= len(alphabet):
+            idx = next(i for i in run if i >= len(alphabet))
+            raise CodecError(f"symbol index {idx} out of range")
+        return tuple(map(alphabet.__getitem__, run)), offset + count
     syms = []
     for _ in range(count):
         idx, offset = decode_uvarint(data, offset)
-        if idx >= len(machine.work_alphabet):
+        if idx >= len(alphabet):
             raise CodecError(f"symbol index {idx} out of range")
-        syms.append(machine.work_alphabet[idx])
+        syms.append(alphabet[idx])
     return tuple(syms), offset
 
 
@@ -220,9 +235,7 @@ def encode_configuration(c: Configuration) -> bytes:
             hi = max(tape)
             out += encode_svarint(lo)
             out += encode_uvarint(hi - lo + 1)
-            out += _symbol_indices(
-                m, tuple(tape.get(cell, m.blank) for cell in range(lo, hi + 1))
-            )
+            out += _symbol_indices(m, map(tape.get, range(lo, hi + 1), repeat(m.blank)))
         else:
             out += encode_svarint(0)
             out += encode_uvarint(0)
@@ -243,7 +256,7 @@ def decode_configuration(
         lo, offset = decode_svarint(data, offset)
         length, offset = decode_uvarint(data, offset)
         syms, offset = _decode_symbols(data, offset, machine, length)
-        tape = {lo + j: s for j, s in enumerate(syms) if s != machine.blank}
+        tape = dict(compress(zip(range(lo, lo + length), syms), map(machine.blank.__ne__, syms)))
         heads.append(head)
         cells.append(tape)
         if length:

@@ -6,6 +6,9 @@ for the root.  A depth-first traversal of the tree visits each leaf
 once and emits one event per simulated step, which is the order the
 streaming simulator works in; the (leaf, offset) pair of an emission
 is in arithmetic bijection with the step time.
+
+Audit labelling follows the same order: leaves come off one cursor
+walking the oracle history forward, because DFS order is time order.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .blocks import (
     BlockDecomposition,
     IntervalSummary,
     decompose,
-    leaf_summary,
+    leaf_summaries,
     merge,
 )
 from .codec import encode_summary
@@ -172,16 +175,17 @@ def label_tree(
     tree: CausalTree, run: RunRecord, c_int: int, policy: str = POLICY_FULL
 ) -> CausalTree:
     """Audit mode: compute every node's interval summary, leaves from
-    the oracle history and internal nodes by merging their children."""
+    one forward walk over the oracle history (DFS meets them in time
+    order) and internal nodes by merging their children."""
     if run.t != tree.t:
         raise ValueError(f"tree is over t={tree.t} but run has t={run.t}")
-    decomp = decompose(tree.t, tree.b)
+    leaves = leaf_summaries(run, decompose(tree.t, tree.b), c_int)
     labels: dict[int, IntervalSummary] = {}
 
     def fill(node_id: int) -> IntervalSummary:
         node = tree.node(node_id)
         if node.is_leaf:
-            s = leaf_summary(run, decomp.block(node.leaf_lo), c_int, tree.b)
+            s = next(leaves)
             if policy == POLICY_BOUNDARY:
                 s = replace(s, policy=POLICY_BOUNDARY)
         else:

@@ -35,6 +35,10 @@ ACCEPT = "accept"
 REJECT = "reject"
 BUDGET = "budget"
 
+# Bundled and random test machines use at most 3 tapes.  The cap keeps
+# |Gamma|^k, the size of a total transition map, a number we can form.
+MAX_TAPES = 64
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -64,6 +68,13 @@ class MachineSpec:
     def symbol_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.work_alphabet)}
 
+    @cached_property
+    def symbol_codes(self) -> dict[str, bytes]:
+        """Each symbol's index as the codec writes it, a uvarint."""
+        from .codec import encode_uvarint  # codec imports this module
+
+        return {s: encode_uvarint(i) for s, i in self.symbol_index.items()}
+
     def is_halting(self, state: str) -> bool:
         return state == self.accept or state == self.reject
 
@@ -92,8 +103,8 @@ def build_machine(
     unknown symbols, a non-total transition map, moves outside
     {-1, 0, +1}, or transitions out of a halting state.
     """
-    if k < 1:
-        raise MachineFormatError(f"tapes must be >= 1, got {k}")
+    if not 1 <= k <= MAX_TAPES:
+        raise MachineFormatError(f"tapes must be in [1, {MAX_TAPES}], got {k}")
     work = tuple(work_alphabet)
     if len(set(work)) != len(work):
         raise MachineFormatError("duplicate symbol in work_alphabet")
@@ -187,9 +198,13 @@ def parse_machine(text: str) -> MachineSpec:
         elif keyword == "tapes":
             if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise MachineFormatError("tapes takes one positive integer", lineno)
+            count = tokens[1].lstrip("0") or "0"
+            # digit count first: int() refuses very long digit strings
+            if len(count) > len(str(MAX_TAPES)) or int(count) > MAX_TAPES:
+                raise MachineFormatError(f"tapes takes at most {MAX_TAPES}", lineno)
             if keyword in header:
                 raise MachineFormatError("duplicate tapes directive", lineno)
-            header[keyword] = int(tokens[1])
+            header[keyword] = int(count)
         elif keyword in ("input_alphabet", "work_alphabet"):
             if keyword in header:
                 raise MachineFormatError(f"duplicate {keyword} directive", lineno)
@@ -423,16 +438,17 @@ class HistoryCursor:
 
     Keeps one mutable tape image and advances it step by step, so a
     full forward scan costs O(1) amortized per step instead of one
-    snapshot per step.
+    snapshot per step.  It starts at time 0, or at a given checkpoint.
     """
 
-    def __init__(self, history: "RunHistory"):
+    def __init__(self, history: "RunHistory", start: Configuration | None = None):
+        c = history._checkpoints[0] if start is None else start
         self._h = history
-        self.time = 0
-        self.state = history._state0
-        self.heads = list(history._heads0)
-        self.cells = [dict(tape) for tape in history._cells0]
-        self.spans = [list(span) for span in history._spans0]
+        self.time = c.time
+        self.state = c.state
+        self.heads = list(c.heads)
+        self.cells = [dict(tape) for tape in c.cells]
+        self.spans = [list(span) for span in c.spans]
 
     def read(self, tape: int, cell: int) -> str:
         return self.cells[tape].get(cell, self._h.machine.blank)
@@ -490,19 +506,27 @@ class RunHistory:
         self.machine = machine
         self.t = len(trace)
         self._trace = trace
-        self._state0 = c0.state
-        self._heads0 = c0.heads
-        self._cells0 = c0.cells
-        self._spans0 = c0.spans
         self._stride = max(1, math.isqrt(self.t)) if self.t else 1
-        self._checkpoints: dict[int, Configuration] = {0: c0}
+        self._checkpoints: list[Configuration] = [c0]
         cur = self.cursor()
         while cur.time + self._stride <= self.t:
             cur.advance_to(cur.time + self._stride)
-            self._checkpoints[cur.time] = cur.snapshot()
+            self._checkpoints.append(cur.snapshot())
 
     def cursor(self) -> HistoryCursor:
         return HistoryCursor(self)
+
+    def cursor_at(self, tau: int) -> HistoryCursor:
+        """A cursor at time tau, advanced from the nearest checkpoint at
+        or before it."""
+        cur = HistoryCursor(self, self._checkpoint_for(tau))
+        cur.advance_to(tau)
+        return cur
+
+    def _checkpoint_for(self, tau: int) -> Configuration:
+        if not 0 <= tau <= self.t:
+            raise IndexError(f"time {tau} outside [0, {self.t}]")
+        return self._checkpoints[tau // self._stride]
 
     def moves_at(self, step: int) -> tuple[int, ...]:
         """Head moves applied by 1-based step number."""
@@ -519,22 +543,8 @@ class RunHistory:
         return self.t + 1
 
     def __getitem__(self, tau: int) -> Configuration:
-        if not 0 <= tau <= self.t:
-            raise IndexError(f"time {tau} outside [0, {self.t}]")
-        base = (tau // self._stride) * self._stride
-        while base not in self._checkpoints:
-            base -= self._stride
-        cfg = self._checkpoints[base]
-        if base == tau:
-            return cfg
-        cur = HistoryCursor(self)
-        cur.time = cfg.time
-        cur.state = cfg.state
-        cur.heads = list(cfg.heads)
-        cur.cells = [dict(tape) for tape in cfg.cells]
-        cur.spans = [list(span) for span in cfg.spans]
-        cur.advance_to(tau)
-        return cur.snapshot()
+        cfg = self._checkpoint_for(tau)
+        return cfg if cfg.time == tau else self.cursor_at(tau).snapshot()
 
     def configurations(self) -> Iterator[Configuration]:
         cur = self.cursor()

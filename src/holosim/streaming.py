@@ -328,6 +328,15 @@ class RollingState:
                 self._meter(ledger, screen, book)
             if self.tau % self.audit_stride == 0:
                 self._audit()
+        if self.sink is not None:
+            for ts in self.tapes:
+                if ts.lost_lo <= ts.lost_hi:
+                    # dirty evictions delete cells from live, and CPython
+                    # copies a dict with many deleted slots key by key, so
+                    # every emission would: compact it in place
+                    compact = ts.live.copy()
+                    ts.live.clear()
+                    ts.live.update(compact)
         entry_windows = tuple(self._window_of(ts, ts.snap) for ts in self.tapes)
         if k == 1:
             self.retained_entry = entry_windows

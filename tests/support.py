@@ -139,6 +139,30 @@ def random_machine(rng: random.Random, k: int | None = None) -> MachineSpec:
     )
 
 
+def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSpec:
+    """A one-tape total machine over n_symbols work symbols, so that
+    symbol indices from 128 up take two-byte varints.  Half its writes
+    pick one of the four highest indices; it never halts."""
+    work = ["_"] + [f"x{i}" for i in range(1, n_symbols)]
+    states = ("go", "s0")
+    delta = {}
+    for q in states:
+        for s in work:
+            w = work[-1 - rng.randrange(4)] if rng.random() < 0.5 else rng.choice(work)
+            delta[(q, (s,))] = (rng.choice(states), (w,), (rng.choice((-1, 0, 1)),))
+    return build_machine(
+        name=f"wide{rng.randrange(10**6)}",
+        k=1,
+        start="go",
+        accept="yes",
+        reject="no",
+        input_alphabet=work[1:3] + work[-2:],
+        work_alphabet=work,
+        blank="_",
+        delta=delta,
+    )
+
+
 def random_window(rng: random.Random, machine: MachineSpec, span=None) -> TapeWindow:
     if span is None:
         if rng.random() < 0.1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -277,3 +278,128 @@ def test_direct_summary_consistency(data):
     got = hs.direct_summary(rec, d, k_lo, k_hi, c_int, hs.POLICY_FULL)
     leaves = [hs.leaf_summary(rec, d.block(k), c_int, b) for k in range(k_lo, k_hi + 1)]
     assert got == hs.fold_left_deep(leaves)
+
+
+# ---------------------------------------------------------------------------
+# differential: merge against a cell-by-cell reference
+
+
+def _ref_merge(left, right):
+    """The full-policy merge written cell by cell: overlap check, then
+    left entry over right entry and right exit over left exit."""
+    for i, (xw, ew) in enumerate(zip(left.exit, right.entry)):
+        for c in range(max(xw.lo, ew.lo), min(xw.hi, ew.hi) + 1):
+            if xw.symbol_at(c) != ew.symbol_at(c):
+                raise hs.MergeIncompatible(f"window contents disagree at tape {i + 1} cell {c}")
+    entry, exit_ = [], []
+    for lw, rw, lx, rx in zip(left.entry, right.entry, left.exit, right.exit):
+        if len(lw) == 0 and len(rw) == 0:
+            entry.append(hs.TapeWindow(0, -1, ()))
+            exit_.append(hs.TapeWindow(0, -1, ()))
+            continue
+        lo = min(w.lo for w in (lw, rw) if len(w) > 0)
+        hi = max(w.hi for w in (lw, rw) if len(w) > 0)
+        cells = range(lo, hi + 1)
+        entry.append(hs.TapeWindow(lo, hi, tuple(
+            lw.symbol_at(c) if lw.covers(c) else rw.symbol_at(c) for c in cells)))
+        exit_.append(hs.TapeWindow(lo, hi, tuple(
+            rx.symbol_at(c) if rx.covers(c) else lx.symbol_at(c) for c in cells)))
+    return dataclasses.replace(
+        left, R=right.R, q_out=right.q_out, heads_out=right.heads_out,
+        entry=tuple(entry), exit=tuple(exit_),
+    )
+
+
+def _random_span_pair(rng):
+    """Spans of the left and right operand on one tape: overlapping,
+    touching on either side, one inside the other, or with one or both
+    empty."""
+    kind = rng.choice(("overlap", "touch-left", "touch-right", "nested", "covering",
+                       "left-empty", "right-empty", "both-empty"))
+    lo = rng.randint(-20, 20)
+    hi = lo + rng.randint(0, 6)
+    if kind == "both-empty":
+        return (0, -1), (0, -1)
+    if kind == "left-empty":
+        return (0, -1), (lo, hi)
+    if kind == "right-empty":
+        return (lo, hi), (0, -1)
+    if kind == "touch-left":  # right operand ends where left begins
+        return (lo, hi), (lo - rng.randint(1, 5), lo - 1)
+    if kind == "touch-right":
+        return (lo, hi), (hi + 1, hi + rng.randint(1, 5))
+    if kind == "nested":
+        a = rng.randint(lo, hi)
+        return (lo, hi), (a, rng.randint(a, hi))
+    if kind == "covering":
+        return (lo, hi), (lo - rng.randint(0, 4), hi + rng.randint(0, 4))
+    a = rng.randint(lo, hi)
+    return (lo, hi), (a, a + rng.randint(0, 8))
+
+
+def _random_adjacent_pair(rng, m):
+    """Two adjacent full-policy summaries whose exit and entry windows
+    at the shared time agree wherever they overlap."""
+    def window(span, contents):
+        lo, hi = span
+        return hs.TapeWindow(lo, hi, tuple(contents[c] for c in range(lo, hi + 1)))
+
+    def fresh():
+        return {c: rng.choice(m.work_alphabet) for c in range(-40, 40)}
+
+    spans = [_random_span_pair(rng) for _ in range(m.k)]
+    shared = [fresh() for _ in range(m.k)]  # tape contents at time left.R
+    L, M = rng.randint(1, 50), rng.randint(0, 30)
+    heads = tuple(rng.randint(-20, 20) for _ in range(m.k))
+    q = rng.choice(m.states)
+    left = hs.IntervalSummary(
+        machine=m, L=L, R=L + M, q_in=rng.choice(m.states), q_out=q,
+        heads_in=tuple(rng.randint(-20, 20) for _ in range(m.k)), heads_out=heads,
+        entry=tuple(window(ls, fresh()) for ls, _ in spans),
+        exit=tuple(window(ls, shared[i]) for i, (ls, _) in enumerate(spans)),
+    )
+    right = hs.IntervalSummary(
+        machine=m, L=L + M + 1, R=L + M + 1 + rng.randint(0, 30),
+        q_in=q, q_out=rng.choice(m.states),
+        heads_in=heads, heads_out=tuple(rng.randint(-20, 20) for _ in range(m.k)),
+        entry=tuple(window(rs, shared[i]) for i, (_, rs) in enumerate(spans)),
+        exit=tuple(window(rs, fresh()) for _, rs in spans),
+    )
+    return left, right
+
+
+def test_merge_matches_cell_by_cell_reference():
+    rng = random.Random(2718)
+    pool = [random_machine(rng) for _ in range(12)]
+    for _ in range(600):
+        m = rng.choice(pool)
+        left, right = _random_adjacent_pair(rng, m)
+        assert hs.merge(left, right) == _ref_merge(left, right)
+
+
+def test_merge_mismatch_names_first_differing_cell():
+    rng = random.Random(1414)
+    pool = [random_machine(rng) for _ in range(12)]
+    checked = 0
+    while checked < 200:
+        m = rng.choice(pool)
+        left, right = _random_adjacent_pair(rng, m)
+        i = rng.randrange(m.k)
+        xw, ew = left.exit[i], right.entry[i]
+        overlap = range(max(xw.lo, ew.lo), min(xw.hi, ew.hi) + 1)
+        if not overlap:
+            continue
+        # change one or more cells of the right entry inside the overlap
+        syms = list(ew.symbols)
+        for c in rng.sample(list(overlap), rng.randint(1, len(overlap))):
+            others = [s for s in m.work_alphabet if s != syms[c - ew.lo]]
+            syms[c - ew.lo] = rng.choice(others)
+        entry = list(right.entry)
+        entry[i] = hs.TapeWindow(ew.lo, ew.hi, tuple(syms))
+        broken = dataclasses.replace(right, entry=tuple(entry))
+        with pytest.raises(hs.MergeIncompatible) as want:
+            _ref_merge(left, broken)
+        with pytest.raises(hs.MergeIncompatible) as got:
+            hs.merge(left, broken)
+        assert str(got.value) == str(want.value)
+        checked += 1

@@ -75,6 +75,17 @@ def test_malformed_machine_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_wide_machine_file_is_usage_error(tmp_path, capsys):
+    wide = tmp_path / "wide.tm"
+    text = hs.serialize_machine(hs.load_sample("writer2")).replace("tapes 1", "tapes 20000")
+    wide.write_text(
+        "\n".join(line for line in text.splitlines() if not line.startswith("delta")),
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(wide), "", "--t", "4"]) == 2
+    assert "tapes takes at most" in capsys.readouterr().err
+
+
 def test_bad_input_word_is_usage_error(capsys):
     assert main(["run", "palin", "abc"]) == 2
 

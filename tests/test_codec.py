@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
-from support import random_configuration, random_machine, random_summary
+from holosim.codec import MAGIC_CONFIGURATION, MAGIC_HISTORY, MAGIC_SUMMARY, VERSION
+from support import random_configuration, random_machine, random_summary, wide_alphabet_machine
 
 
 def test_uvarint_forced_bytes():
@@ -177,3 +178,124 @@ def test_encoding_injective_over_corpus():
                 assert seen[blob] == key
             seen[blob] = key
     assert len(seen) > 350
+
+
+# ---------------------------------------------------------------------------
+# differential: the codec's table-driven symbol runs against per-symbol
+# reference encoders, written the way the codec first encoded them
+
+
+def _ref_symbols(m, symbols) -> bytes:
+    return b"".join(hs.encode_uvarint(m.symbol_index[s]) for s in symbols)
+
+
+def _ref_window(m, w) -> bytes:
+    lo = 0 if len(w) == 0 else w.lo
+    return hs.encode_svarint(lo) + hs.encode_uvarint(len(w)) + _ref_symbols(m, w.symbols)
+
+
+def _ref_summary(s) -> bytes:
+    m = s.machine
+    out = bytearray((MAGIC_SUMMARY, VERSION))
+    out += hs.encode_uvarint(s.L) + hs.encode_uvarint(s.R)
+    out += hs.encode_uvarint(m.state_index[s.q_in]) + hs.encode_uvarint(m.state_index[s.q_out])
+    for i in range(m.k):
+        out += hs.encode_svarint(s.heads_in[i]) + hs.encode_svarint(s.heads_out[i])
+        out += _ref_window(m, s.entry[i]) + _ref_window(m, s.exit[i])
+    out.append({hs.POLICY_FULL: 0x00, hs.POLICY_BOUNDARY: 0x01}[s.policy])
+    return bytes(out)
+
+
+def _ref_configuration(c) -> bytes:
+    m = c.machine
+    out = bytearray((MAGIC_CONFIGURATION, VERSION))
+    out += hs.encode_uvarint(c.time) + hs.encode_uvarint(m.state_index[c.state])
+    for i in range(m.k):
+        out += hs.encode_svarint(c.heads[i])
+        tape = c.cells[i]
+        if tape:
+            lo, hi = min(tape), max(tape)
+            out += hs.encode_svarint(lo) + hs.encode_uvarint(hi - lo + 1)
+            out += _ref_symbols(m, [tape.get(cell, m.blank) for cell in range(lo, hi + 1)])
+        else:
+            out += hs.encode_svarint(0) + hs.encode_uvarint(0)
+    return bytes(out)
+
+
+def _ref_history(configs) -> bytes:
+    out = bytearray((MAGIC_HISTORY, VERSION))
+    out += hs.encode_uvarint(len(configs))
+    for c in configs:
+        blob = _ref_configuration(c)
+        out += hs.encode_uvarint(len(blob)) + blob
+    return bytes(out)
+
+
+def _check_against_reference(s, configs):
+    m = s.machine
+    blob = hs.encode_summary(s)
+    assert blob == _ref_summary(s)
+    assert hs.decode_summary_exact(blob, m) == s
+    for c in configs:
+        blob = hs.encode_configuration(c)
+        assert blob == _ref_configuration(c)
+        assert hs.decode_configuration_exact(blob, m) == c
+    blob = hs.encode_history(configs)
+    assert blob == _ref_history(configs)
+    assert hs.decode_history_exact(blob, m) == tuple(configs)
+
+
+def test_encoders_match_reference_random():
+    rng = random.Random(4711)
+    for _ in range(80):
+        m = random_machine(rng)
+        for _ in range(5):
+            configs = [random_configuration(rng, m) for _ in range(rng.randint(0, 3))]
+            _check_against_reference(random_summary(rng, m), configs)
+
+
+def test_encoders_match_reference_bundled(machines):
+    cases = {"writer2": "", "counter": hs.counter_input(6), "palin": "0110", "sweep": ""}
+    for name, word in cases.items():
+        rec = hs.run(machines[name], word, max_steps=200)
+        configs = list(rec.history.configurations())
+        d = hs.decompose(rec.t, 8)
+        for k in range(1, d.T + 1):
+            s = hs.direct_summary(rec, d, 1, k, rec.t + 2, hs.POLICY_BOUNDARY)
+            L, R = d.block(k)
+            _check_against_reference(s, configs[L - 1 : R + 1])
+        _check_against_reference(hs.interval_summary(rec, 1, rec.t), configs)
+
+
+def test_wide_alphabet_round_trips_with_two_byte_indices():
+    """Indices from 128 up take two bytes each, so the decoder's
+    single-byte fast path must hand those runs to the varint loop."""
+    rng = random.Random(130)
+    two_byte = 0
+    for _ in range(4):
+        m = wide_alphabet_machine(rng)
+        assert len(m.work_alphabet) == 130
+        high = set(m.work_alphabet[128:])
+        rec = hs.run(m, [m.input_alphabet[-1]] * 3, max_steps=120)
+        configs = list(rec.history.configurations())
+        _check_against_reference(hs.interval_summary(rec, 1, rec.t), configs)
+        _check_against_reference(hs.interval_summary(rec, 40, 90), configs[39:91])
+        two_byte += sum(1 for c in configs if high & set(c.cells[0].values()))
+        for _ in range(40):
+            s = random_summary(rng, m)
+            _check_against_reference(s, [random_configuration(rng, m) for _ in range(3)])
+    assert two_byte > 100
+
+
+def test_out_of_range_symbol_index_rejected():
+    m = hs.load_sample("writer2")  # work alphabet: 1 _
+    # configuration at time 0, state 0, one tape: head 0, lo 0, three cells
+    head = bytes((MAGIC_CONFIGURATION, VERSION, 0, 0, 0, 0, 3))
+    assert hs.decode_configuration_exact(head + bytes((0, 1, 0)), m).cells == ({0: "1", 2: "1"},)
+    # the message names the first index out of range, single- or two-byte
+    for syms, bad in ((bytes((0, 5, 9)), 5), (bytes((2, 1, 0)), 2), (bytes((1, 0x83, 0x01)), 131)):
+        with pytest.raises(hs.CodecError, match=rf"symbol index {bad} out of range"):
+            hs.decode_configuration_exact(head + syms, m)
+    # a two-byte run where one byte is expected is truncated, not misread
+    with pytest.raises(hs.CodecError, match="truncated"):
+        hs.decode_configuration_exact(head + bytes((0, 0x80)), m)

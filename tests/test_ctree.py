@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -200,3 +201,78 @@ def test_random_fold_against_label_root():
         leaves = [hs.leaf_summary(rec, d.block(k), c_int, b) for k in range(1, d.T + 1)]
         assert labeled.labels[0] == hs.fold_left_deep(leaves)
         done += 1
+
+
+def _check_labels_against_oracle(rec, b, c_int):
+    """Leaves must equal leaf_summary of their block and every internal
+    node direct_summary of its leaf range, under both policies."""
+    d = hs.decompose(rec.t, b)
+    tree = hs.build_tree(d)
+    for policy in (hs.POLICY_FULL, hs.POLICY_BOUNDARY):
+        labeled = hs.label_tree(tree, rec, c_int, policy)
+        for node in labeled.nodes:
+            got = labeled.labels[node.id]
+            if node.is_leaf:
+                leaf = hs.leaf_summary(rec, d.block(node.leaf_lo), c_int, b)
+                want = dataclasses.replace(leaf, policy=policy)
+            else:
+                want = hs.direct_summary(rec, d, node.leaf_lo, node.leaf_hi, c_int, policy)
+            assert got == want and got.policy == policy
+
+
+def test_label_tree_matches_leaf_and_direct_summaries_bundled(machines):
+    cases = [("writer2", "", 2, 1), ("counter", hs.counter_input(6), 400, 16),
+             ("palin", "0110110", 300, 12), ("sweep", "", 300, 10)]
+    for name, word, steps, b in cases:
+        rec = hs.run(machines[name], word, max_steps=steps)
+        for bb in (b, b + 3):
+            _check_labels_against_oracle(rec, bb, 4)
+
+
+def test_label_tree_matches_leaf_and_direct_summaries_random():
+    from support import random_machine
+
+    rng = random.Random(8128)
+    done = 0
+    while done < 25:
+        m = random_machine(rng)
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(5)) if m.input_alphabet else ""
+        rec = hs.run(m, word, max_steps=rng.choice([30, 60]))
+        if rec.t < 4:
+            continue
+        _check_labels_against_oracle(rec, rng.randint(1, rec.t // 2), rec.t + 2)
+        done += 1
+
+
+def test_label_tree_non_block_respecting_matches_leaf_summary():
+    """label_tree raises NonBlockRespecting with the block, tape, span
+    and limit that leaf_summary reports for the first failing block."""
+    from support import random_machine
+
+    rng = random.Random(3141)
+    raised = passed = 0
+    while raised < 20 or passed < 20:
+        m = random_machine(rng)
+        rec = hs.run(m, "", max_steps=rng.choice([57, 60]))
+        if rec.t < 8:
+            continue
+        b = rng.randint(2, 6)
+        d = hs.decompose(rec.t, b)
+        want = None
+        for k in range(1, d.T + 1):
+            try:
+                hs.leaf_summary(rec, d.block(k), 1, b)
+            except hs.NonBlockRespecting as exc:
+                want = exc
+                assert (exc.block, exc.limit) == (k, b)
+                break
+        if want is None:
+            # the short final block is held to c_int * b, like the others
+            hs.label_tree(hs.build_tree(d), rec, 1)
+            passed += 1
+            continue
+        with pytest.raises(hs.NonBlockRespecting) as got:
+            hs.label_tree(hs.build_tree(d), rec, 1)
+        fields = ("block", "tape", "span", "limit")
+        assert [getattr(got.value, f) for f in fields] == [getattr(want, f) for f in fields]
+        raised += 1

@@ -14,21 +14,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holosim as hs
-from support import random_configuration, random_machine, random_summary
+from support import random_configuration, random_machine, random_summary, wide_alphabet_machine
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 MUTATIONS_PER_SEED = 15
 
+_WIDE_RUNS = [
+    hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=40)
+    for m in (wide_alphabet_machine(random.Random(seed)) for seed in (1, 2))
+]
+
 
 def _encodings(rng: random.Random):
     """A random machine and one valid encoding per decoder, with the
-    decoder as f(data, machine)."""
-    m = random_machine(rng)
-    configs = [random_configuration(rng, m) for _ in range(rng.randint(0, 3))]
+    decoder as f(data, machine).  One time in three the machine has a
+    130-symbol alphabet and the encodings come from a run of it, so
+    symbol runs mix one- and two-byte indices."""
+    if rng.random() < 1 / 3:
+        rec = _WIDE_RUNS[rng.randrange(len(_WIDE_RUNS))]
+        m, history = rec.machine, rec.history
+        L = rng.randint(1, rec.t)
+        summary = hs.interval_summary(rec, L, rng.randint(L, rec.t))
+        config = history[rng.randint(0, history.t)]
+        configs = [history[rng.randint(0, history.t)] for _ in range(rng.randint(0, 3))]
+    else:
+        m = random_machine(rng)
+        summary = random_summary(rng, m)
+        config = random_configuration(rng, m)
+        configs = [random_configuration(rng, m) for _ in range(rng.randint(0, 3))]
     witness = hs.build_witness(m, rng.choice((hs.KIND_POINTWISE, hs.KIND_HISTORY)))
     return m, [
-        (hs.encode_summary(random_summary(rng, m)), hs.decode_summary_exact),
-        (hs.encode_configuration(random_configuration(rng, m)), hs.decode_configuration_exact),
+        (hs.encode_summary(summary), hs.decode_summary_exact),
+        (hs.encode_configuration(config), hs.decode_configuration_exact),
         (hs.encode_history(configs), hs.decode_history_exact),
         (witness.data, lambda data, machine: hs.parse_witness(data)),
     ]

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import holosim as hs
+from holosim.machine import MAX_TAPES
 from support import random_machine, reference_trace
 
 WRITER2_TEXT = """
@@ -61,13 +62,32 @@ def test_parse_rejects_tape_counts_int_cannot_read():
             hs.parse_machine(WRITER2_TEXT.replace("tapes 1", f"tapes {count}"))
 
 
+def _without_delta(text: str) -> str:
+    return "\n".join(line for line in text.splitlines() if not line.startswith("delta"))
+
+
 def test_parse_reports_missing_delta_for_many_tapes():
     # the first missing read tuple is found without recursing once per tape
-    no_delta = "\n".join(
-        line for line in WRITER2_TEXT.splitlines() if not line.startswith("delta")
-    )
     with pytest.raises(hs.MachineFormatError, match="not total"):
-        hs.parse_machine(no_delta.replace("tapes 1", "tapes 2000"))
+        hs.parse_machine(_without_delta(WRITER2_TEXT).replace("tapes 1", f"tapes {MAX_TAPES}"))
+
+
+@pytest.mark.parametrize(
+    "count",
+    [MAX_TAPES + 1, 20000, 10**6, "0" * 5000 + "65", "9" * 5000],
+    ids=["cap+1", "20000", "10^6", "zero-padded", "5000-digits"],
+)
+def test_parse_caps_tape_count(count):
+    # |Gamma|^k from an uncapped count overflowed int-to-str conversion in
+    # the "not total" message (ValueError) and grew with the count
+    text = _without_delta(WRITER2_TEXT).replace("tapes 1", f"tapes {count}")
+    with pytest.raises(hs.MachineFormatError, match=rf"line 3: tapes takes at most {MAX_TAPES}"):
+        hs.parse_machine(text)
+
+
+def test_build_machine_caps_tape_count():
+    with pytest.raises(hs.MachineFormatError, match="tapes"):
+        hs.build_machine("wide", MAX_TAPES + 1, "q0", "acc", "rej", ["1"], ["1", "_"], "_", {})
 
 
 def test_parse_rejects_duplicate_directive():

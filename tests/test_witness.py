@@ -121,6 +121,18 @@ def test_non_machine_blob_is_codec_error():
             hs.parse_witness(data)
 
 
+def test_wide_machine_blob_is_codec_error():
+    # a tape count past the cap, in a blob with no delta rows
+    text = hs.serialize_machine(load_sample("writer2"))
+    blob = "\n".join(
+        line for line in text.replace("tapes 1", "tapes 20000").splitlines()
+        if not line.startswith("delta")
+    ).encode("utf-8")
+    header = hs.build_witness(load_sample("writer2"), hs.KIND_HISTORY).data[:3]
+    with pytest.raises(hs.CodecError, match="tapes takes at most"):
+        hs.parse_witness(header + hs.encode_uvarint(len(blob)) + blob)
+
+
 def test_conditional_arity_checked():
     m = load_sample("writer2")
     rec = hs.run(m, "", max_steps=10)
