@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .blocks import POLICY_BOUNDARY, POLICY_FULL, check_block_respecting, decompose
-from .codec import encode_history, encode_summary
+from .codec import HistoryWriter, encode_summary
 from .ctree import build_tree, label_tree, time_to_leaf, tree_to_json
 from .errors import (
     CodecError,
@@ -127,7 +127,10 @@ def cmd_run(args) -> int:
     record = run(machine, args.input, max_steps=args.max_steps)
     print(f"t={record.t} {record.halt_reason}")
     if args.emit_history:
-        data = encode_history(tuple(record.history.configurations()))
+        writer = HistoryWriter(record.t + 1)
+        for config in record.history.configurations():
+            writer.add(config)
+        data = writer.getvalue()
         Path(args.emit_history).write_bytes(data)
         print(f"history: {len(data)} bytes -> {args.emit_history}")
     return EXIT_OK

@@ -10,10 +10,10 @@ declared work alphabet, so decoding needs the machine at hand.
 
 Symbol runs move through C-level calls: encoding joins the bytes of a
 per-machine table (MachineSpec.symbol_codes, symbol -> uvarint index),
-and decoding takes a run of single-byte indices as one slice, falling
-back to the varint loop only where a continuation byte appears
-(alphabets over 128 symbols, or corrupt input).  The layout below is
-the same either way.
+and decoding takes a run of single-byte indices as one slice mapped
+through one itemgetter call, falling back to the varint loop only
+where a continuation byte appears (alphabets over 128 symbols, or
+corrupt input).  The layout below is the same either way.
 
 Record layouts (version 1):
 
@@ -32,6 +32,7 @@ parse back unambiguously because every field is length-driven.
 from __future__ import annotations
 
 from itertools import compress, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .blocks import EMPTY_WINDOW, POLICY_BOUNDARY, POLICY_FULL, IntervalSummary, TapeWindow
@@ -115,6 +116,8 @@ def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
         if run and max(run) >= len(alphabet):
             idx = next(i for i in run if i >= len(alphabet))
             raise CodecError(f"symbol index {idx} out of range")
+        if count > 1:
+            return itemgetter(*run)(alphabet), offset + count
         return tuple(map(alphabet.__getitem__, run)), offset + count
     syms = []
     for _ in range(count):
@@ -283,14 +286,33 @@ def decode_configuration_exact(data: bytes, machine: MachineSpec) -> Configurati
     return c
 
 
-def encode_history(configs: Sequence[Configuration]) -> bytes:
-    out = bytearray((MAGIC_HISTORY, VERSION))
-    out += encode_uvarint(len(configs))
-    for c in configs:
+class HistoryWriter:
+    """A history record written one configuration at a time, for
+    producers that know the count up front and should not hold every
+    configuration at once.  encode_history is this over a sequence."""
+
+    def __init__(self, count: int):
+        self._count = count
+        self._written = 0
+        self._out = bytearray((MAGIC_HISTORY, VERSION)) + encode_uvarint(count)
+
+    def add(self, c: Configuration) -> None:
         blob = encode_configuration(c)
-        out += encode_uvarint(len(blob))
-        out += blob
-    return bytes(out)
+        self._out += encode_uvarint(len(blob))
+        self._out += blob
+        self._written += 1
+
+    def getvalue(self) -> bytes:
+        if self._written != self._count:
+            raise ValueError(f"history declares {self._count} entries, {self._written} written")
+        return bytes(self._out)
+
+
+def encode_history(configs: Sequence[Configuration]) -> bytes:
+    writer = HistoryWriter(len(configs))
+    for c in configs:
+        writer.add(c)
+    return writer.getvalue()
 
 
 def decode_history(

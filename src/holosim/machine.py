@@ -9,10 +9,12 @@ steps() is the one stepping loop: the oracle, the length probe, the
 streaming simulator and window replay all advance through it.  step()
 is a deliberately naive, pure reference for it.
 
-run() is the reference oracle: it executes the machine forwards,
-records a compact per-step trace plus periodic checkpoints, and can
-reproduce the configuration at any time on demand.  Everything else in
-the toolkit is validated against these histories.
+run() is the reference oracle: it executes the machine forwards once
+and records a compact per-step trace.  Its history reproduces the
+configuration at any time on demand, taking a checkpoint every
+~sqrt(t) steps on the first random access that needs one; forward
+walks read the trace alone.  Everything else in the toolkit is
+validated against these histories.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ def serialize_machine(machine: MachineSpec) -> str:
 # configurations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Configuration:
     """Instantaneous description at a given time.
 
@@ -303,6 +305,10 @@ class Configuration:
     this record is authoritative for: the visited span for oracle
     histories, the replay window for reconstructions.  spans and the
     machine reference do not take part in equality.
+
+    A slotted record, not a frozen one: every emission and replay step
+    builds one, and a frozen dataclass sets each field through
+    object.__setattr__.  Treat it as a value all the same.
     """
 
     machine: MachineSpec = field(compare=False, repr=False)
@@ -491,10 +497,12 @@ class HistoryCursor:
 class RunHistory:
     """Random access to every configuration of a recorded run.
 
-    Stores the initial configuration, a compact per-step trace of
-    (state after, symbols written, head moves), and full checkpoints
-    every ~sqrt(t) steps.  history[tau] replays forward from the
-    nearest checkpoint.
+    Stores the initial configuration and a compact per-step trace of
+    (state after, symbols written, head moves).  Full checkpoints every
+    ~sqrt(t) steps are taken on first need: history[tau] and
+    cursor_at(tau) extend them up to tau, each one built at most once,
+    then replay forward from the nearest.  Forward walks (cursor(),
+    configurations()) start from time 0 and never build one.
     """
 
     def __init__(
@@ -508,10 +516,6 @@ class RunHistory:
         self._trace = trace
         self._stride = max(1, math.isqrt(self.t)) if self.t else 1
         self._checkpoints: list[Configuration] = [c0]
-        cur = self.cursor()
-        while cur.time + self._stride <= self.t:
-            cur.advance_to(cur.time + self._stride)
-            self._checkpoints.append(cur.snapshot())
 
     def cursor(self) -> HistoryCursor:
         return HistoryCursor(self)
@@ -526,7 +530,14 @@ class RunHistory:
     def _checkpoint_for(self, tau: int) -> Configuration:
         if not 0 <= tau <= self.t:
             raise IndexError(f"time {tau} outside [0, {self.t}]")
-        return self._checkpoints[tau // self._stride]
+        index = tau // self._stride
+        checkpoints = self._checkpoints
+        if index >= len(checkpoints):
+            cur = HistoryCursor(self, checkpoints[-1])
+            while len(checkpoints) <= index:
+                cur.advance_to(cur.time + self._stride)
+                checkpoints.append(cur.snapshot())
+        return checkpoints[index]
 
     def moves_at(self, step: int) -> tuple[int, ...]:
         """Head moves applied by 1-based step number."""
@@ -568,10 +579,6 @@ class RunRecord:
     t: int
     halt_reason: str  # accept, reject or budget
     history: RunHistory = field(compare=False, repr=False)
-
-    @property
-    def final_state(self) -> str:
-        return self.history.final.state
 
 
 def _halt_reason(machine: MachineSpec, state: str) -> str:

@@ -135,19 +135,31 @@ def replay_from_summary(
     return result.config
 
 
-def replay_all(
-    machine: MachineSpec, summary: IntervalSummary
-) -> tuple[Configuration, ...]:
-    """Every configuration of the summarized interval, entry through
-    exit, from one replay of the entry data."""
-    configs = [replay_from_summary(machine, summary, summary.L - 1)]
+def replay_each(
+    machine: MachineSpec,
+    summary: IntervalSummary,
+    emit: Callable[[Configuration], None],
+) -> None:
+    """Pass every configuration of the summarized interval, entry
+    through exit, to emit in time order, from one replay of the entry
+    data.  Nothing is kept between calls."""
+    emit(replay_from_summary(machine, summary, summary.L - 1))
     replay_block(
         machine,
         summary.q_in,
         summary.heads_in,
         summary.entry,
         steps=summary.steps,
-        emit=configs.append,
+        emit=emit,
         time_base=summary.L - 1,
     )
+
+
+def replay_all(
+    machine: MachineSpec, summary: IntervalSummary
+) -> tuple[Configuration, ...]:
+    """Every configuration of the summarized interval, entry through
+    exit, from one replay of the entry data."""
+    configs: list[Configuration] = []
+    replay_each(machine, summary, configs.append)
     return tuple(configs)

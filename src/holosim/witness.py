@@ -25,15 +25,15 @@ from typing import Sequence
 from .codec import (
     MAGIC_WITNESS,
     VERSION,
+    HistoryWriter,
     decode_summary_exact,
     decode_uvarint,
     encode_configuration,
-    encode_history,
     encode_uvarint,
 )
 from .errors import CodecError, MachineFormatError
 from .machine import MachineSpec, parse_machine, serialize_machine
-from .replay import replay_all, replay_from_summary
+from .replay import replay_each, replay_from_summary
 
 KIND_POINTWISE = "pointwise"
 KIND_HISTORY = "history"
@@ -104,4 +104,7 @@ def run_witness(
             f"history witness takes (summary,), got {len(conditional)} items"
         )
     summary = decode_summary_exact(conditional[0], machine)
-    return encode_history(replay_all(machine, summary))
+    # each configuration is encoded as the replay emits it and then dropped
+    writer = HistoryWriter(summary.steps + 1)
+    replay_each(machine, summary, writer.add)
+    return writer.getvalue()

@@ -63,6 +63,17 @@ def test_run_emit_history(tmp_path, capsys):
     assert configs[-1].state == m.accept
 
 
+def test_run_emit_history_bytes(tmp_path, capsys):
+    """The history is encoded as the walk yields it, into the same bytes
+    as encoding the whole list."""
+    dest = tmp_path / "hist.bin"
+    word = hs.counter_input(5)
+    assert main(["run", "counter", word, "--emit-history", str(dest)]) == 0
+    rec = hs.run(hs.load_sample("counter"), word, max_steps=10**6)
+    assert dest.read_bytes() == hs.encode_history(list(rec.history.configurations()))
+    assert f"t={rec.t} accept" in capsys.readouterr().out
+
+
 def test_unknown_machine_is_usage_error(capsys):
     assert main(["run", "nonesuch"]) == 2
     assert "bundled" in capsys.readouterr().err

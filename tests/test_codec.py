@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
-from holosim.codec import MAGIC_CONFIGURATION, MAGIC_HISTORY, MAGIC_SUMMARY, VERSION
+from holosim.codec import (
+    MAGIC_CONFIGURATION,
+    MAGIC_HISTORY,
+    MAGIC_SUMMARY,
+    VERSION,
+    HistoryWriter,
+    _decode_symbols,
+)
 from support import random_configuration, random_machine, random_summary, wide_alphabet_machine
 
 
@@ -299,3 +306,48 @@ def test_out_of_range_symbol_index_rejected():
     # a two-byte run where one byte is expected is truncated, not misread
     with pytest.raises(hs.CodecError, match="truncated"):
         hs.decode_configuration_exact(head + bytes((0, 0x80)), m)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_short_symbol_runs_decode(wide):
+    """Runs of 0, 1 and 2 symbols, at the edge of the decoder's
+    one-call mapping of single-byte runs: each comes back as a tuple of
+    symbols, and out-of-range indices keep their message."""
+    m = wide_alphabet_machine(random.Random(3)) if wide else hs.load_sample("counter")
+    alphabet = m.work_alphabet
+    n = len(alphabet)
+    picks = [0, 1, min(n - 1, 127)] + ([128, n - 1] if wide else [n - 1])
+    runs = [()] + [(i,) for i in picks] + [(i, j) for i in picks for j in picks]
+    for run in runs:
+        data = b"\x07" + b"".join(hs.encode_uvarint(i) for i in run) + b"\x07"
+        syms, end = _decode_symbols(data, 1, m, len(run))
+        assert type(syms) is tuple
+        assert syms == tuple(alphabet[i] for i in run)
+        assert end == len(data) - 1
+    for run, bad in (((n,), n), ((0, n), n), ((n + 3, 0), n + 3)):
+        data = b"".join(hs.encode_uvarint(i) for i in run)
+        with pytest.raises(hs.CodecError, match=rf"^symbol index {bad} out of range$"):
+            _decode_symbols(data, 0, m, len(run))
+    with pytest.raises(hs.CodecError, match="truncated"):
+        _decode_symbols(b"\x00", 0, m, 2)
+
+
+def test_history_writer_matches_the_record_layout(machines):
+    """magic, version, count, then each configuration length-prefixed;
+    a writer that is given fewer or more entries than it declared
+    refuses to produce bytes."""
+    rec = hs.run(machines["counter"], hs.counter_input(4), max_steps=40)
+    configs = list(rec.history.configurations())
+    blobs = [hs.encode_configuration(c) for c in configs]
+    want = bytes((MAGIC_HISTORY, VERSION)) + hs.encode_uvarint(len(configs))
+    want += b"".join(hs.encode_uvarint(len(b)) + b for b in blobs)
+    writer = HistoryWriter(len(configs))
+    for c in configs:
+        writer.add(c)
+    assert writer.getvalue() == want == hs.encode_history(configs)
+    for declared, given in ((2, 1), (0, 1)):
+        writer = HistoryWriter(declared)
+        for c in configs[:given]:
+            writer.add(c)
+        with pytest.raises(ValueError, match=f"declares {declared} entries, {given} written"):
+            writer.getvalue()

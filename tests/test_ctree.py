@@ -11,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
+from holosim.blocks import leaf_summaries
 from holosim.ctree import ENTER, EXIT, LEAF_EMIT
+from holosim.streaming import VerifySink
 
 
 def test_split_left_count():
@@ -276,3 +278,19 @@ def test_label_tree_non_block_respecting_matches_leaf_summary():
         fields = ("block", "tape", "span", "limit")
         assert [getattr(got.value, f) for f in fields] == [getattr(want, f) for f in fields]
         raised += 1
+
+
+def test_audit_walks_take_no_checkpoints(machines):
+    """label_tree, leaf_summaries and a VerifySink pass read the oracle
+    history forwards, so none of them makes it take a checkpoint."""
+    m = machines["counter"]
+    word = hs.counter_input(10)
+    rec = hs.run(m, word, max_steps=512)
+    decomp = hs.decompose(rec.t, 32)
+    labeled = hs.label_tree(hs.build_tree(decomp), rec, 4)
+    assert len(list(leaf_summaries(rec, decomp, 4))) == decomp.T
+    sink = VerifySink(rec.history)
+    hs.holo_run(m, word, rec.t, sink=sink)
+    assert sink.compared == sink.strict == rec.t
+    assert len(rec.history._checkpoints) == 1
+    assert labeled.labels[0] == hs.interval_summary(rec, 1, rec.t)

@@ -4,6 +4,7 @@ reference interpreter, and history random access."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -230,3 +231,83 @@ def test_palin_decides_palindromes(machines):
         rec = hs.run(m, word, max_steps=10_000)
         expected = "accept" if word == word[::-1] else "reject"
         assert rec.halt_reason == expected, word
+
+
+def _full(cfg):
+    return (cfg.time, cfg.state, cfg.heads, cfg.cells, cfg.spans)
+
+
+def _check_random_order_access(rec, rng):
+    """history[tau] and cursor_at(tau), asked with t first, then 0, the
+    middle, random times and then descending, equal the forward walk;
+    checkpoints are built lazily, at most once each, at multiples of
+    the stride."""
+    history = rec.history
+    walk = [_full(c) for c in history.configurations()]
+    assert len(history._checkpoints) == 1
+    t = rec.t
+    order = [t, 0, t // 2] + [rng.randint(0, t) for _ in range(8)] + list(range(t, -1, -max(1, t // 9)))
+    asked = 0
+    kept: list = []
+    for tau in order:
+        assert _full(history[tau]) == walk[tau]
+        assert _full(history.cursor_at(tau).snapshot()) == walk[tau]
+        asked = max(asked, tau)
+        assert len(history._checkpoints) == asked // history._stride + 1
+        assert all(a is b for a, b in zip(history._checkpoints, kept))
+        kept = list(history._checkpoints)
+    assert [c.time for c in kept] == list(range(0, t + 1, history._stride))
+    assert _full(history.final) == walk[t]
+    with pytest.raises(IndexError):
+        history[t + 1]
+    with pytest.raises(IndexError):
+        history.cursor_at(-1)
+
+
+def test_history_random_order_access_bundled(machines):
+    rng = random.Random(8)
+    cases = [
+        ("writer2", "", 100),
+        ("sweep", "", 0),
+        ("sweep", "", 1),
+        ("sweep", "", 3),
+        ("sweep", "", 300),
+        ("counter", hs.counter_input(6), 500),
+        ("palin", "0110", 100),
+    ]
+    for name, word, budget in cases:
+        _check_random_order_access(hs.run(machines[name], word, max_steps=budget), rng)
+
+
+def test_history_random_order_access_random_machines():
+    rng = random.Random(4242)
+    for i in range(60):
+        m = random_machine(rng)
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(rng.randint(0, 6))) if m.input_alphabet else ""
+        budget = (0, 1, 2, 5)[i] if i < 4 else rng.randint(0, 150)
+        _check_random_order_access(hs.run(m, word, max_steps=budget), rng)
+
+
+def test_forward_walks_take_no_checkpoints(machines):
+    rec = hs.run(machines["counter"], hs.counter_input(8), max_steps=400)
+    assert len(rec.history._checkpoints) == 1
+    cursor = rec.history.cursor()
+    cursor.advance_to(rec.t)
+    assert sum(1 for _ in rec.history.configurations()) == rec.t + 1
+    assert len(rec.history._checkpoints) == 1
+    rec.history[rec.t]
+    assert len(rec.history._checkpoints) == rec.t // rec.history._stride + 1
+
+
+def test_run_peak_heap_holds_no_checkpoints(machines):
+    """sweep writes a new cell every step, so whole-tape checkpoints
+    every ~sqrt(t) steps would hold O(t^1.5) cells (15.9 MB here)."""
+    m = machines["sweep"]
+    tracemalloc.start()
+    try:
+        rec = hs.run(m, "", max_steps=2**13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.t == 2**13
+    assert peak < 2**20
