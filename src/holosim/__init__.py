@@ -38,14 +38,12 @@ from .codec import (
 )
 from .ctree import (
     CausalTree,
-    RadialProfile,
     TraversalStep,
     TreeNode,
     build_tree,
     dfs_order,
     label_tree,
     leaf_to_time,
-    radial_profile,
     split_left_count,
     time_to_leaf,
     tree_depth_for,
@@ -90,9 +88,8 @@ from .scaling import (
     fit_loglog,
     render_scaling_svg,
     report_to_csv,
-    volume_vs_screen,
 )
-from .spacetime import SpacetimeDAG, build_dag, dag_from_json, dag_to_dot, dag_to_json
+from .spacetime import SpacetimeDAG, build_dag, dag_to_dot, dag_to_json
 from .streaming import (
     CaptureSink,
     CountingSink,

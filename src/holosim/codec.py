@@ -181,11 +181,15 @@ def decode_summary(
     heads_out = []
     entry = []
     exit_ = []
-    for _ in range(machine.k):
+    for i in range(1, machine.k + 1):
         h_in, offset = decode_svarint(data, offset)
         h_out, offset = decode_svarint(data, offset)
         ew, offset = _decode_window(data, offset, machine)
         xw, offset = _decode_window(data, offset, machine)
+        if not ew.lo <= h_in <= ew.hi:
+            raise CodecError(f"tape {i}: entry head {h_in} outside window {ew.span}")
+        if not xw.lo <= h_out <= xw.hi:
+            raise CodecError(f"tape {i}: exit head {h_out} outside window {xw.span}")
         heads_in.append(h_in)
         heads_out.append(h_out)
         entry.append(ew)

@@ -197,35 +197,6 @@ def label_tree(
     return replace(tree, labels=labels)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Interval lengths by tree depth, root outward, with the check
-    that block counts halve (rounded up) from parent to child."""
-
-    levels: tuple[tuple[int, ...], ...]
-    decay_ok: bool
-
-
-def radial_profile(tree: CausalTree) -> RadialProfile:
-    by_depth: dict[int, list[int]] = {}
-    for node in tree.nodes:
-        L, R = node.interval
-        by_depth.setdefault(node.depth, []).append(R - L + 1)
-    decay_ok = True
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        bound = split_left_count(node.leaf_count)
-        for child_id in (node.left, node.right):
-            child = tree.node(child_id)  # type: ignore[arg-type]
-            if child.leaf_count > bound:
-                decay_ok = False
-    return RadialProfile(
-        levels=tuple(tuple(by_depth[d]) for d in sorted(by_depth)),
-        decay_ok=decay_ok,
-    )
-
-
 def tree_to_json(tree: CausalTree) -> dict:
     """JSON-ready structure; audit labels ride along as hex-encoded
     summary bytes when present."""

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import RunEndedEarly
 from .ledger import attach_ledger
 from .machine import MachineSpec
@@ -50,14 +48,26 @@ class ScalingReport:
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line through (log x, log y); returns slope,
-    intercept and RMS residual in log space."""
+    intercept and RMS residual in log space.
+
+    Closed form over centred sums; raises ValueError for fewer than 2
+    points or fewer than 2 distinct x, where no slope is determined."""
     if len(xs) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(xs)}")
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    if len(set(lx)) < 2:
+        raise ValueError("need at least 2 distinct x values to fit")
+    n = len(lx)
+    mx = math.fsum(lx) / n
+    my = math.fsum(ly) / n
+    dx = [x - mx for x in lx]
+    sxx = math.fsum(d * d for d in dx)
+    sxy = math.fsum(d * (y - my) for d, y in zip(dx, ly, strict=True))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    sq = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(lx, ly))
+    return slope, intercept, math.sqrt(sq / n)
 
 
 def area_law_study(
@@ -72,8 +82,10 @@ def area_law_study(
 
     input_for_t maps each t to the input word; inputs should keep the
     machine running for at least t steps.  A grid point where the
-    machine halts early is rerun at the true length; other failures
-    are recorded per point and do not abort the study.
+    machine halts early is rerun at the true length, and adds no row if
+    that length already has one; other failures are recorded per point
+    and do not abort the study.  The fit needs rows at 2 distinct t and
+    is None otherwise.
     """
     rows: list[ScalingRow] = []
     failures: list[tuple[int, str]] = []
@@ -88,6 +100,8 @@ def area_law_study(
                 t = stop.steps_done
                 if t < 1:
                     raise
+                if any(r.t == t for r in rows):
+                    continue
                 b = b_for_t(t) if b_for_t is not None else default_block_length(t)
                 ledger = attach_ledger(machine, t, b, c_int, keep_series)
                 holo_run(machine, word, t, b=b, c_int=c_int, ledger=ledger)
@@ -120,15 +134,6 @@ def area_law_study(
         exponent=exponent,
         intercept=intercept,
         residual=residual,
-    )
-
-
-def volume_vs_screen(report: ScalingReport) -> tuple[tuple[int, int, int, float], ...]:
-    """(t, volume, max_screen, max_screen / sqrt(volume)) per row; the
-    last column staying bounded is the square-root law in ratio form."""
-    return tuple(
-        (r.t, r.volume, r.max_screen, r.max_screen / math.sqrt(r.volume))
-        for r in report.rows
     )
 
 

@@ -80,25 +80,6 @@ def dag_to_json(dag: SpacetimeDAG) -> dict:
     }
 
 
-def dag_from_json(data: dict) -> SpacetimeDAG:
-    t = int(data["t"])
-    k = int(data["k"])
-    edges = tuple((int(a), int(b), int(i)) for a, b, i in data["data_edges"])
-    dag = SpacetimeDAG(t=t, k=k, data_edges=edges)
-    declared = data.get("control_edge_count")
-    if declared is not None and int(declared) != dag.control_edge_count:
-        raise ValueError(
-            f"control edge count {declared} inconsistent with t={t}, k={k}"
-        )
-    declared = data.get("volume")
-    if declared is not None and int(declared) != dag.volume:
-        raise ValueError(f"volume {declared} inconsistent with t={t}, k={k}")
-    for a, b, i in edges:
-        if not (0 <= a < b < t and 1 <= i <= k):
-            raise ValueError(f"data edge ({a}, {b}, {i}) out of range")
-    return dag
-
-
 def dag_to_dot(dag: SpacetimeDAG) -> str:
     """Graphviz text; events as t{tau}h{tape}, data edges dashed."""
     lines = ["digraph spacetime {", "  rankdir=LR;"]

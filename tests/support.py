@@ -165,20 +165,17 @@ def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSp
 
 def random_window(rng: random.Random, machine: MachineSpec, span=None) -> TapeWindow:
     if span is None:
-        if rng.random() < 0.1:
-            return TapeWindow(0, -1, ())
         lo = rng.randint(-30, 30)
         hi = lo + rng.randint(0, 8)
     else:
         lo, hi = span
-        if hi < lo:
-            return TapeWindow(0, -1, ())
     syms = tuple(rng.choice(machine.work_alphabet) for _ in range(hi - lo + 1))
     return TapeWindow(lo, hi, syms)
 
 
 def random_summary(rng: random.Random, machine: MachineSpec) -> IntervalSummary:
-    """Structurally valid summary; not necessarily realizable by a run."""
+    """Structurally valid summary, heads inside their windows; not
+    necessarily realizable by a run."""
     L = rng.randint(1, 1000)
     R = L + rng.randint(0, 200)
     policy = POLICY_FULL if rng.random() < 0.5 else POLICY_BOUNDARY
@@ -192,14 +189,16 @@ def random_summary(rng: random.Random, machine: MachineSpec) -> IntervalSummary:
             xw = random_window(rng, machine)
         entry.append(ew)
         exit_.append(xw)
+    heads_in = tuple(rng.randint(w.lo, w.hi) for w in entry)
+    heads_out = tuple(rng.randint(w.lo, w.hi) for w in exit_)
     return IntervalSummary(
         machine=machine,
         L=L,
         R=R,
         q_in=rng.choice(machine.states),
         q_out=rng.choice(machine.states),
-        heads_in=tuple(rng.randint(-50, 50) for _ in range(machine.k)),
-        heads_out=tuple(rng.randint(-50, 50) for _ in range(machine.k)),
+        heads_in=heads_in,
+        heads_out=heads_out,
         entry=tuple(entry),
         exit=tuple(exit_),
         policy=policy,

@@ -248,6 +248,17 @@ def test_scaling_csv_and_svg(tmp_path, capsys):
     assert "exponent=" in capsys.readouterr().out
 
 
+def test_scaling_writer2_fits_nothing(capsys):
+    """A machine that halts before every grid point yields one row at
+    its true length and no exponent line."""
+    code = main(["scaling", "writer2", "--grid", "2^10..2^12"])
+    assert code == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines == [hs.CSV_HEADER, "writer2,2,2,1,1,2,10,27,37,,"]
+    assert captured.err == ""
+
+
 def test_export_dag_json(capsys):
     code = main(["export-dag", "writer2"])
     assert code == 0

@@ -4,6 +4,7 @@ and malformed input rejection."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -159,6 +160,24 @@ def test_truncated_summary_rejected(counter_run):
     for cut in (1, 2, len(blob) // 2, len(blob) - 1):
         with pytest.raises(hs.CodecError):
             hs.decode_summary_exact(blob[:cut], counter_run.machine)
+
+
+@pytest.mark.parametrize("policy", [hs.POLICY_FULL, hs.POLICY_BOUNDARY])
+def test_heads_outside_windows_rejected(counter_run, policy):
+    """A head off its window would escape only later, during replay;
+    decoding refuses it up front, on either side and either edge."""
+    m = counter_run.machine
+    s = hs.direct_summary(counter_run, hs.decompose(counter_run.t, 16), 3, 9, 4, policy)
+    hs.decode_summary_exact(hs.encode_summary(s), m)
+    (ew,), (xw,) = s.entry, s.exit
+    for bad, side in (
+        (replace(s, heads_in=(ew.lo - 1,)), "entry"),
+        (replace(s, heads_in=(ew.hi + 1,)), "entry"),
+        (replace(s, heads_out=(xw.lo - 1,)), "exit"),
+        (replace(s, heads_out=(xw.hi + 1,)), "exit"),
+    ):
+        with pytest.raises(hs.CodecError, match=f"{side} head"):
+            hs.decode_summary_exact(hs.encode_summary(bad), m)
 
 
 def test_out_of_range_indices_rejected(counter_run):

@@ -157,15 +157,6 @@ def test_label_tree_boundary_policy(counter_run):
     assert root.exit == last.exit
 
 
-def test_radial_profile_decay(counter_run):
-    for b in (8, 16, 50):
-        tree = hs.build_tree(hs.decompose(counter_run.t, b))
-        prof = hs.radial_profile(tree)
-        assert prof.decay_ok
-        assert len(prof.levels) == tree.depth + 1
-        assert prof.levels[0] == (counter_run.t,)
-
-
 def test_tree_json_round_shape(counter_run):
     tree = hs.build_tree(hs.decompose(64, 8))
     data = hs.tree_to_json(tree)

@@ -71,10 +71,15 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 
 
 def _value_or_codec_error(decode, data: bytes, machine) -> None:
+    """A decoded summary is also one replay can start from: every head
+    lies inside its entry and exit windows."""
     try:
-        decode(data, machine)
+        value = decode(data, machine)
     except hs.CodecError:
-        pass
+        return
+    if isinstance(value, hs.IntervalSummary):
+        for h, w in zip(value.heads_in + value.heads_out, value.entry + value.exit):
+            assert w.covers(h), (h, w.span)
 
 
 @settings(max_examples=100)

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,42 @@ def test_fit_needs_two_points():
         hs.fit_loglog([4.0], [2.0])
 
 
+def test_fit_needs_two_distinct_x():
+    # one distinct x leaves the slope undetermined
+    with pytest.raises(ValueError, match="distinct"):
+        hs.fit_loglog([2, 2, 2], [10, 10, 10])
+
+
+def test_fit_matches_numpy_polyfit():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(1913)
+    for _ in range(250):
+        n = rng.randint(2, 12)
+        xs = [rng.uniform(1.0, 1e6) for _ in range(n)]
+        ys = [rng.uniform(1.0, 1e4) for _ in range(n)]
+        lx, ly = np.log(xs), np.log(ys)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        rms = np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2))
+        got = hs.fit_loglog(xs, ys)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx((slope, intercept, rms), rel=1e-9, abs=1e-8)
+
+
+def test_import_loads_no_numpy():
+    """The package and its CLI run on the standard library alone."""
+    src = Path(hs.__file__).resolve().parents[1]
+    code = (
+        "import sys, holosim, holosim.cli\n"
+        "holosim.fit_loglog([2, 4, 8], [3, 5, 9])\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_area_law_study_counter_small_grid():
     m = load_sample("counter")
     grid = [1 << 8, 1 << 9, 1 << 10, 1 << 11]
@@ -59,6 +100,16 @@ def test_area_law_study_reruns_early_halt():
     assert report.failures == ()
     assert len(report.rows) == 1
     assert report.rows[0].t == true_t
+
+
+def test_area_law_study_one_row_per_true_length():
+    """writer2 halts at t = 2 whatever t is asked for: every grid point
+    reruns at t = 2, which gives one row and no fit."""
+    m = load_sample("writer2")
+    report = hs.area_law_study(m, lambda t: "", [1 << 10, 1 << 11, 1 << 12])
+    assert report.failures == ()
+    assert [r.t for r in report.rows] == [2]
+    assert (report.exponent, report.intercept, report.residual) == (None, None, None)
 
 
 def test_area_law_study_isolates_failures():
@@ -110,16 +161,6 @@ def test_csv_empty_fit_fields():
     )
     lines = hs.report_to_csv(report).strip().splitlines()
     assert lines[1].endswith(",,")
-
-
-def test_volume_vs_screen_ratio():
-    m = load_sample("counter")
-    report = hs.area_law_study(m, lambda t: counter_input(12), [256, 1024])
-    rows = hs.volume_vs_screen(report)
-    assert len(rows) == 2
-    for (t, volume, max_screen, ratio), src in zip(rows, report.rows):
-        assert t == src.t and volume == src.volume and max_screen == src.max_screen
-        assert ratio == pytest.approx(max_screen / math.sqrt(volume))
 
 
 def test_svg_is_deterministic_and_self_contained():

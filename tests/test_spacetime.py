@@ -1,9 +1,8 @@
 """Spacetime DAG: hand-checked small cases, an independent scan, and
-export round-trips."""
+dot export."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import holosim as hs
@@ -74,31 +73,6 @@ def test_dag_reference_scan_random():
         dag = hs.build_dag(rec)
         assert set(dag.data_edges) == _reference_data_edges(m, word, rec.t)
         assert dag.control_edge_count == (rec.t - 1) * m.k * m.k
-
-
-def test_json_round_trip(machines):
-    rec = hs.run(machines["palin"], "0110", max_steps=100)
-    dag = hs.build_dag(rec)
-    data = json.loads(json.dumps(hs.dag_to_json(dag)))
-    again = hs.dag_from_json(data)
-    assert again == dag
-
-
-def test_json_rejects_inconsistencies(machines):
-    rec = hs.run(machines["writer2"], "", max_steps=10)
-    data = hs.dag_to_json(hs.build_dag(rec))
-    bad = dict(data, volume=99)
-    try:
-        hs.dag_from_json(bad)
-        assert False, "inconsistent volume accepted"
-    except ValueError:
-        pass
-    bad = dict(data, data_edges=[[5, 1, 1]])
-    try:
-        hs.dag_from_json(bad)
-        assert False, "out-of-range edge accepted"
-    except ValueError:
-        pass
 
 
 def test_dot_output(machines):
