@@ -254,11 +254,12 @@ def cmd_witness(args) -> int:
 def cmd_scaling(args) -> int:
     machine = load_machine_arg(args.machine)
     grid = parse_grid(args.grid)
-    t_max = max(grid)
-    word = _resolve_input(args, machine, t_max)
+    word = args.input
+    # auto sizes the word per grid point: a word sized for the largest t
+    # overfills the window at small t
     report = area_law_study(
         machine,
-        lambda _t: word,
+        (lambda t: auto_input(machine, t)) if word == "auto" else (lambda _t: word),
         grid,
         c_int=args.c_int,
     )

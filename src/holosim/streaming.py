@@ -27,12 +27,21 @@ is one dict copy per tape.  Emitted configurations carry the
 live-window bounds as their spans.  The cells outside every span are
 correct whenever no dirty cell has been evicted; after a dirty
 eviction only the in-span cells are trustworthy.
+
+One loop per leaf takes the leaf's steps from the stepping kernel and,
+after each, compares every head with its block hull, the cells the head
+has visited since the block began.  A head inside the hull costs that
+one comparison: heads move one cell a step, so the hull is exactly the
+visited set and already snapshotted, and an eviction inside the hull
+raises NonBlockRespecting, so the hull lies inside the live window.
+Only a head that steps off its hull goes through the window discipline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable
 
 from .blocks import POLICY_BOUNDARY, IntervalSummary, TapeWindow, decompose
@@ -66,7 +75,12 @@ class BoundaryDigest:
 class _TapeState:
     """One tape's window [lo, hi] and its reported tape `live`: the
     non-blank cells of the live contents inside the window and of
-    `initial` outside it.  The stepping kernel writes `live` in place."""
+    `initial` outside it.  The stepping kernel writes `live` in place.
+
+    [blk_lo, blk_hi] is the block hull, the cells visited since the
+    block began, and `snap` their entry symbols.  The hull only grows
+    one cell at a time and never loses a cell to eviction, so a head
+    inside it needs no window, hull or snapshot update."""
 
     __slots__ = (
         "index",
@@ -231,21 +245,38 @@ class RollingState:
                     f"retained window cost drifted: tracked {self.retained_cost}, "
                     f"recounted {recount} at step {self.tau}"
                 )
+        # the leaf loop skips every head inside its block hull, which is
+        # sound only while the hull is the snapshotted, in-window range
+        # of the cells visited in the block, head included
+        for ts in self.tapes:
+            h = self.heads[ts.index]
+            if not (
+                ts.lo <= ts.blk_lo <= h <= ts.blk_hi <= ts.hi
+                and len(ts.snap) == ts.blk_hi - ts.blk_lo + 1
+            ):
+                raise InternalInvariantError(
+                    f"tape {ts.index + 1}: block hull [{ts.blk_lo},{ts.blk_hi}] "
+                    f"with {len(ts.snap)} snapshot cells and head {h} does not "
+                    f"fit window [{ts.lo},{ts.hi}] at step {self.tau}"
+                )
 
     # ---- tape discipline --------------------------------------------------
 
     def _arrive(self, ts: _TapeState, cell: int, block_index: int) -> None:
-        if ts.lo <= cell <= ts.hi:
-            pass
-        else:
+        """A head stepped just off its block hull: grow the hull by the
+        cell and snapshot it.  Off the window, first refuse a discarded
+        cell, then take the cell into the window; the window then holds
+        at most one cell too many, evicted from the far end."""
+        if not ts.lo <= cell <= ts.hi:
             if ts.lost_lo <= cell <= ts.lost_hi:
                 raise StaleWindowReentry(ts.index + 1, cell, block_index)
             if cell < ts.lo:
                 ts.lo = cell
+                evict = ts.hi
             else:
                 ts.hi = cell
-            while ts.hi - ts.lo + 1 > ts.cap:
-                evict = ts.lo if cell == ts.hi else ts.hi
+                evict = ts.lo
+            if ts.hi - ts.lo + 1 > ts.cap:
                 if ts.blk_lo <= evict <= ts.blk_hi:
                     raise NonBlockRespecting(
                         block_index, ts.index + 1, ts.hi - ts.lo + 1, ts.cap
@@ -254,9 +285,10 @@ class RollingState:
                 if ts.live.get(evict, ts.blank) != initial:
                     if ts.lost_lo > ts.lost_hi:
                         ts.lost_lo = ts.lost_hi = evict
-                    else:
-                        ts.lost_lo = min(ts.lost_lo, evict)
-                        ts.lost_hi = max(ts.lost_hi, evict)
+                    elif evict < ts.lost_lo:
+                        ts.lost_lo = evict
+                    elif evict > ts.lost_hi:
+                        ts.lost_hi = evict
                     if initial == ts.blank:
                         del ts.live[evict]
                     else:
@@ -269,30 +301,9 @@ class RollingState:
                     ts.hi -= 1
         if cell < ts.blk_lo:
             ts.blk_lo = cell
-        elif cell > ts.blk_hi:
+        else:
             ts.blk_hi = cell
-        if cell not in ts.snap:
-            ts.snap[cell] = ts.live.get(cell, ts.blank)
-
-    def _do_step(self, block_index: int) -> None:
-        value = next(self.stepper, None)
-        if value is None:
-            raise RunEndedEarly(self.tau, self.t)
-        for ts, h in zip(self.tapes, self.heads):
-            self._arrive(ts, h, block_index)
-        self.state = value[0]
-        self.tau += 1
-
-    def _emit(self) -> None:
-        config = Configuration(
-            machine=self.machine,
-            time=self.tau,
-            state=self.state,
-            heads=tuple(self.heads),
-            cells=tuple([ts.live.copy() for ts in self.tapes]),
-            spans=tuple([(ts.lo, ts.hi) for ts in self.tapes]),
-        )
-        self.sink(config)  # type: ignore[misc]
+        ts.snap[cell] = ts.live.get(cell, ts.blank)
 
     # ---- tree walk --------------------------------------------------------
 
@@ -300,7 +311,7 @@ class RollingState:
         return TapeWindow(
             ts.blk_lo,
             ts.blk_hi,
-            tuple(contents.get(c, ts.blank) for c in range(ts.blk_lo, ts.blk_hi + 1)),
+            tuple(map(contents.get, range(ts.blk_lo, ts.blk_hi + 1), repeat(ts.blank))),
         )
 
     def _run_leaf(self, k: int, depth: int) -> BoundaryDigest:
@@ -320,16 +331,36 @@ class RollingState:
         ledger = self.ledger
         if ledger is not None:
             screen, book = self._leaf_meter(ledger)
-        for _ in range(L, R + 1):
-            self._do_step(k)
-            if self.sink is not None:
-                self._emit()
+        sink = self.sink
+        tapes = self.tapes
+        heads = self.heads
+        for value in islice(self.stepper, R - L + 1):
+            for ts in tapes:
+                h = heads[ts.index]
+                # inside its block hull a head changes nothing
+                if h < ts.blk_lo or h > ts.blk_hi:
+                    self._arrive(ts, h, k)
+            self.state = value[0]
+            self.tau += 1
+            if sink is not None:
+                sink(
+                    Configuration(
+                        self.machine,
+                        self.tau,
+                        self.state,
+                        tuple(heads),
+                        tuple([ts.live.copy() for ts in tapes]),
+                        tuple([(ts.lo, ts.hi) for ts in tapes]),
+                    )
+                )
             if ledger is not None:
                 self._meter(ledger, screen, book)
             if self.tau % self.audit_stride == 0:
                 self._audit()
-        if self.sink is not None:
-            for ts in self.tapes:
+        if self.tau != R:
+            raise RunEndedEarly(self.tau, self.t)
+        if sink is not None:
+            for ts in tapes:
                 if ts.lost_lo <= ts.lost_hi:
                     # dirty evictions delete cells from live, and CPython
                     # copies a dict with many deleted slots key by key, so

@@ -8,7 +8,7 @@ import pytest
 
 import holosim as hs
 from holosim.cli import MAX_STEPS, auto_input, main, parse_grid, parse_steps
-from holosim.samples import counter_input
+from holosim.samples import counter_input, load_sample, palin_input
 
 
 def test_parse_steps():
@@ -246,6 +246,22 @@ def test_scaling_csv_and_svg(tmp_path, capsys):
     assert len(lines) == 4
     assert svg_file.read_text().startswith("<svg")
     assert "exponent=" in capsys.readouterr().out
+
+
+def test_scaling_palin_auto_sizes_input_per_point(capsys):
+    """auto sizes palin's word for each grid point, as criterion 3 does;
+    one word sized for the largest t overfills the window at small t."""
+    code = main(["scaling", "palin", "auto", "--grid", "2^10..2^13"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    grid = [1 << e for e in range(10, 14)]
+    report = hs.area_law_study(load_sample("palin"), palin_input, grid)
+    assert len(report.rows) == 4 and not report.failures
+    csv_text = hs.report_to_csv(report)
+    assert captured.out == csv_text + (
+        f"exponent={report.exponent:.4f} residual={report.residual:.4f} points=4\n"
+    )
 
 
 def test_scaling_writer2_fits_nothing(capsys):

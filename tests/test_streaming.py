@@ -11,7 +11,7 @@ import pytest
 import holosim as hs
 from holosim.samples import counter_input, load_sample, palin_input
 from holosim.streaming import VerifySink
-from support import random_machine
+from support import random_machine, reference_trace
 
 
 def _oracle_and_stream(machine, word, t, b, c_int=2):
@@ -109,8 +109,7 @@ def test_non_block_respecting_small_capacity():
     m = load_sample("sweep")
     with pytest.raises(hs.NonBlockRespecting) as exc:
         hs.holo_run(m, "", 64, b=1, c_int=1)
-    assert exc.value.limit == 1
-    assert exc.value.span > exc.value.limit
+    assert vars(exc.value) == {"block": 1, "tape": 1, "span": 2, "limit": 1}
 
 
 def test_stale_window_reentry():
@@ -121,7 +120,7 @@ def test_stale_window_reentry():
     rec = hs.run(m, word, max_steps=10**6)
     with pytest.raises(hs.StaleWindowReentry) as exc:
         hs.holo_run(m, word, rec.t, b=8, c_int=2)
-    assert exc.value.tape == 1
+    assert vars(exc.value) == {"tape": 1, "cell": 73, "block": 14}
 
 
 def test_capture_sink_exactly_once():
@@ -290,6 +289,126 @@ def test_stream_matches_oracle_random_machines():
         dirty_runs += ledger.dirty_evictions > 0
         done += 1
     assert dirty_runs > 0
+
+
+def _reference_stream(machine, word, t, b, c_int):
+    """The plain window discipline over the test-side interpreter:
+    every head passes through the full arrival check at every step.
+    Returns each emission as (time, state, heads, cells, spans), the
+    number of dirty evictions, and the ModelViolation raised or None."""
+    blank, cap = machine.blank, c_int * b
+    initial = [{c: s for c, s in enumerate(word) if s != blank}] + [{}] * (machine.k - 1)
+    lo, hi = [0] * machine.k, [0] * machine.k
+    lost_lo, lost_hi = [0] * machine.k, [-1] * machine.k
+    blk_lo, blk_hi = [0] * machine.k, [0] * machine.k
+    emitted, dirty = [], 0
+    trace = reference_trace(machine, word, t)
+    _, _, prev_heads, _ = next(trace)
+    try:
+        for tau, state, heads, cells in trace:
+            block = (tau - 1) // b + 1
+            if (tau - 1) % b == 0:
+                blk_lo, blk_hi = list(prev_heads), list(prev_heads)
+            for i, cell in enumerate(heads):
+                if not lo[i] <= cell <= hi[i]:
+                    if lost_lo[i] <= cell <= lost_hi[i]:
+                        raise hs.StaleWindowReentry(i + 1, cell, block)
+                    if cell < lo[i]:
+                        lo[i] = cell
+                    else:
+                        hi[i] = cell
+                    while hi[i] - lo[i] + 1 > cap:
+                        evict = lo[i] if cell == hi[i] else hi[i]
+                        if blk_lo[i] <= evict <= blk_hi[i]:
+                            raise hs.NonBlockRespecting(block, i + 1, hi[i] - lo[i] + 1, cap)
+                        if cells[i].get(evict, blank) != initial[i].get(evict, blank):
+                            if lost_lo[i] > lost_hi[i]:
+                                lost_lo[i] = lost_hi[i] = evict
+                            else:
+                                lost_lo[i] = min(lost_lo[i], evict)
+                                lost_hi[i] = max(lost_hi[i], evict)
+                            dirty += 1
+                        if evict == lo[i]:
+                            lo[i] += 1
+                        else:
+                            hi[i] -= 1
+                blk_lo[i] = min(blk_lo[i], cell)
+                blk_hi[i] = max(blk_hi[i], cell)
+            reported = tuple(
+                {c: s for c, s in initial[i].items() if not lo[i] <= c <= hi[i]}
+                | {c: s for c, s in cells[i].items() if lo[i] <= c <= hi[i]}
+                for i in range(machine.k)
+            )
+            spans = tuple(zip(lo, hi))
+            emitted.append((tau, state, heads, reported, spans))
+            prev_heads = heads
+        if len(emitted) < t:
+            raise hs.RunEndedEarly(len(emitted), t)
+    except hs.ModelViolation as exc:
+        return emitted, dirty, exc
+    return emitted, dirty, None
+
+
+def test_stream_matches_reference_discipline_random_machines():
+    """The leaf loop skips heads inside their block hull; on random
+    machines at tight windows, violations included, it emits, evicts and
+    raises exactly as the full arrival check on every head would."""
+    rng = random.Random(4242)
+    outcomes = {}
+    dirty_runs = 0
+    for _ in range(150):
+        m = random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 90), rng.randint(1, 4), rng.randint(1, 2)
+        want, want_dirty, want_exc = _reference_stream(m, word, t, b, c_int)
+        got = []
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+        got_exc = root = None
+        try:
+            root = hs.holo_run(m, word, t, b=b, c_int=c_int, sink=got.append, ledger=ledger)
+        except hs.ModelViolation as exc:
+            got_exc = exc
+        assert [(c.time, c.state, c.heads, c.cells, c.spans) for c in got] == want
+        assert ledger.dirty_evictions == want_dirty
+        assert type(got_exc) is type(want_exc)
+        if want_exc is None:
+            rec = hs.run(m, word, max_steps=t)
+            d = hs.decompose(t, b)
+            expect = hs.direct_summary(rec, d, 1, d.T, c_int, hs.POLICY_BOUNDARY)
+            assert hs.encode_summary(root) == hs.encode_summary(expect)
+        else:
+            assert vars(got_exc) == vars(want_exc) and str(got_exc) == str(want_exc)
+        outcomes[type(want_exc)] = outcomes.get(type(want_exc), 0) + 1
+        dirty_runs += want_dirty > 0
+    assert set(outcomes) == {
+        type(None),
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+    assert dirty_runs > 0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda ts, heads: setattr(ts, "blk_hi", ts.hi + 1),
+        lambda ts, heads: setattr(ts, "blk_lo", ts.lo - 1),
+        lambda ts, heads: ts.snap.popitem(),
+        lambda ts, heads: heads.__setitem__(ts.index, ts.blk_hi + 1),
+    ],
+    ids=["hull-above-window", "hull-below-window", "snapshot-short", "head-off-hull"],
+)
+def test_audit_checks_block_hull(corrupt):
+    """The audit holds the invariant the leaf loop's skip relies on."""
+    m = load_sample("counter")
+    engine = hs.RollingState(m, counter_input(8), 100, 10)
+    engine.run()
+    engine._audit()
+    corrupt(engine.tapes[0], engine.heads)
+    with pytest.raises(hs.InternalInvariantError, match="block hull"):
+        engine._audit()
 
 
 def test_single_block_run():
