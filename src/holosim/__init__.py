@@ -8,8 +8,6 @@ programs that re-expand any summarized interval on demand.
 from .blocks import (
     POLICY_BOUNDARY,
     POLICY_FULL,
-    BlockDecomposition,
-    BlockReport,
     IntervalSummary,
     TapeWindow,
     check_block_respecting,
@@ -37,9 +35,6 @@ from .codec import (
     encode_uvarint,
 )
 from .ctree import (
-    CausalTree,
-    TraversalStep,
-    TreeNode,
     build_tree,
     dfs_order,
     label_tree,
@@ -71,14 +66,13 @@ from .machine import (
     RunRecord,
     build_machine,
     initial_configuration,
-    normalize_input,
     parse_machine,
     probe_run_length,
     run,
     serialize_machine,
     step,
 )
-from .replay import ReplayExit, replay_all, replay_block, replay_from_summary
+from .replay import replay_all, replay_block, replay_from_summary
 from .samples import SAMPLE_NAMES, counter_input, load_sample, palin_input, sample_text
 from .scaling import (
     CSV_HEADER,
@@ -89,7 +83,7 @@ from .scaling import (
     render_scaling_svg,
     report_to_csv,
 )
-from .spacetime import SpacetimeDAG, build_dag, dag_to_dot, dag_to_json
+from .spacetime import build_dag, dag_to_dot, dag_to_json
 from .streaming import (
     CaptureSink,
     CountingSink,
@@ -101,7 +95,6 @@ from .streaming import (
 from .witness import (
     KIND_HISTORY,
     KIND_POINTWISE,
-    WitnessProgram,
     build_witness,
     parse_witness,
     run_witness,

@@ -33,6 +33,17 @@ Conventions, fixed here and used by every metric downstream:
   evicted-dirty hull).  Everything here is O(log) many integers of
   O(log) bits, so max_book grows like log T.
 * s_total = s_screen + s_book, recorded once per simulated step.
+
+The ledger consumes four engine events and meters each cell where it
+can change.  At run start it takes T and the arena size and builds its
+bit-length table.  At each leaf start it counts the cells fixed through
+the leaf: arena, stack, retained and forming summaries, tree position,
+counters and run parameters.  After a tape's block begins and after
+each head arrival off its block hull it recounts that tape's entry
+snapshot and administrative integers (live bounds, block-window
+bounds, evicted-dirty hull), the only moments they change, and keeps
+running totals over the tapes.  A step then adds the clock and each
+head: k + 1 table lookups and one call.
 """
 
 from __future__ import annotations
@@ -105,9 +116,10 @@ class LedgerRow:
 class ScreenLedger:
     """Per-step space series and maxima for one streaming run.
 
-    Created by attach_ledger, filled in by holo_run.  keep_series=True
-    retains one LedgerRow per step for plotting; large runs should
-    leave it off and use the maxima.
+    Created by attach_ledger for one (t, b, c_int), filled in by a
+    holo_run with those parameters through the events below.
+    keep_series=True retains one LedgerRow per step for plotting; large
+    runs should leave it off and use the maxima.
     """
 
     gamma: int
@@ -128,10 +140,67 @@ class ScreenLedger:
     dirty_evictions: int = 0
     steps_recorded: int = 0
     series: list[LedgerRow] = field(default_factory=list)
-    # this run's bit-length table, set by the engine for its t
-    cell_table: list[int] = field(default_factory=list, repr=False, compare=False)
+    # this run's bit-length table, built at run start for its t
+    cell_table: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    # cached cells: per tape, its administrative integers and entry
+    # snapshot; over the run, the cells that stay fixed through a step
+    _tape_book: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tape_screen: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _screen: int = field(default=0, init=False, repr=False, compare=False)
+    _book: int = field(default=0, init=False, repr=False, compare=False)
 
-    def record(self, tau: int, screen: int, book: int) -> None:
+    # ---- engine events ----------------------------------------------------
+
+    def start_run(self, run) -> None:
+        """Run start: T, the arena of k tapes times c_int * b cells, and
+        the bit-length table.  Every integer metered lies in [-t, t],
+        since heads move one cell a step and windows hold only visited
+        cells, and the path has at most t.bit_length() edges."""
+        self.T = run.T
+        self.arena_cells = len(run.tapes) * run.cap
+        self.cell_table = cells_table(self.gamma, self.t.bit_length() + 1)
+        self._tape_book = [0] * len(run.tapes)
+        self._tape_screen = [0] * len(run.tapes)
+
+    def start_leaf(self, run) -> None:
+        """Leaf start, after every tape's block has begun: count the
+        cells that stay fixed through the leaf (the stack parks and pops
+        and block 1's windows are retained only between leaves, and the
+        node id and path change only there) and recount every tape."""
+        screen = self.arena_cells + run.pending_cost + run.retained_cost + run.forming_cost
+        book = ints_cells(
+            (run.leaf_id, self.t, self.b, self.T, len(run.pending), run.next_id), self.gamma
+        )
+        if run.depth_now >= 1:
+            book += self.cell_table[run.depth_now]  # path direction bits
+        book += 1  # phase flag
+        self._screen = screen + sum(self._tape_screen)
+        self._book = book + sum(self._tape_book)
+        for ts in run.tapes:
+            self.refresh_tape(ts)
+
+    def refresh_tape(self, ts) -> None:
+        """A tape's window, hull or lost hull moved: recount its entry
+        snapshot and administrative integers and update the totals."""
+        cells = self.cell_table
+        book = 0
+        for v in (ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
+            book += cells[(v if v >= 0 else ~v).bit_length() + 1]
+        i = ts.index
+        self._book += book - self._tape_book[i]
+        self._tape_book[i] = book
+        screen = len(ts.snap)
+        self._screen += screen - self._tape_screen[i]
+        self._tape_screen[i] = screen
+
+    def step(self, tau: int, heads) -> None:
+        """Record step tau: the cached cells plus the clock and each
+        head, one table lookup each."""
+        cells = self.cell_table
+        book = self._book + cells[tau.bit_length() + 1]
+        for h in heads:
+            book += cells[(h if h >= 0 else ~h).bit_length() + 1]
+        screen = self._screen
         total = screen + book
         if screen > self.max_screen:
             self.max_screen = screen
@@ -152,6 +221,24 @@ class ScreenLedger:
 
     def note_dirty_eviction(self) -> None:
         self.dirty_evictions += 1
+
+    # ---- direct use -------------------------------------------------------
+
+    def record(self, tau: int, screen: int, book: int) -> None:
+        """Record one row given outright, bypassing the caches."""
+        total = screen + book
+        if screen > self.max_screen:
+            self.max_screen = screen
+            self.argmax_screen = tau
+        if book > self.max_book:
+            self.max_book = book
+            self.argmax_book = tau
+        if total > self.max_total:
+            self.max_total = total
+            self.argmax_total = tau
+        self.steps_recorded += 1
+        if self.keep_series:
+            self.series.append(LedgerRow(tau, screen, book))
 
     def summary_line(self) -> str:
         return (

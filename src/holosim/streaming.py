@@ -35,6 +35,12 @@ one comparison: heads move one cell a step, so the hull is exactly the
 visited set and already snapshotted, and an eviction inside the hull
 raises NonBlockRespecting, so the hull lies inside the live window.
 Only a head that steps off its hull goes through the window discipline.
+
+An attached ScreenLedger is told of the run start, each leaf start,
+each arrival off a hull and each step, and meters nothing else: the
+cells that change only at the first three are cached there, so a step
+costs it k + 1 table lookups and one call.  The loop picks the metered
+arrival once per leaf, so bare, sink and replay runs pay nothing for it.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .errors import (
     RunEndedEarly,
     StaleWindowReentry,
 )
-from .ledger import ScreenLedger, cells_table, ints_cells
+from .ledger import ScreenLedger, ints_cells
 from .machine import Configuration, HistoryCursor, MachineSpec, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
@@ -177,12 +183,12 @@ class RollingState:
         self.audit_stride = max(1, int(t**0.5))
         self.root: IntervalSummary | None = None
         if ledger is not None:
-            ledger.T = self.T
-            ledger.arena_cells = machine.k * self.cap
-            # every integer metered per step lies in [-t, t], since heads
-            # move one cell a step and windows hold only visited cells,
-            # and the path has at most t.bit_length() edges
-            ledger.cell_table = cells_table(self.gamma, t.bit_length() + 1)
+            if (ledger.t, ledger.b, ledger.c_int) != (t, b, c_int):
+                raise ValueError(
+                    f"ledger attached for (t, b, c_int) = "
+                    f"{(ledger.t, ledger.b, ledger.c_int)}, run has {(t, b, c_int)}"
+                )
+            ledger.start_run(self)
 
     # ---- space accounting -------------------------------------------------
 
@@ -201,35 +207,6 @@ class RollingState:
             values.append(lo)
             values.append(hi)
         return ints_cells(values, self.gamma)
-
-    def _leaf_meter(self, ledger: ScreenLedger) -> tuple[int, int]:
-        """The screen and book cells that stay fixed through a leaf: the
-        stack parks and pops, block 1's windows are retained, and the
-        node id and path change only between leaves."""
-        g = self.gamma
-        screen = self.machine.k * self.cap
-        screen += self.pending_cost + self.retained_cost + self.forming_cost
-        book = ints_cells(
-            (self.leaf_id, self.t, self.b, self.T, len(self.pending), self.next_id), g
-        )
-        if self.depth_now >= 1:
-            book += ledger.cell_table[self.depth_now]  # path direction bits
-        book += 1  # phase flag
-        return screen, book
-
-    def _meter(self, ledger: ScreenLedger, screen: int, book: int) -> None:
-        """Record this step's row: the leaf's fixed cells plus tau, each
-        tape's entry snapshot and its administrative integers (head, live
-        bounds, block-window bounds, evicted-dirty hull), each converted
-        by one lookup in the bit-length table."""
-        cells = ledger.cell_table
-        tau = self.tau
-        book += cells[tau.bit_length() + 1]
-        for ts, head in zip(self.tapes, self.heads):
-            screen += len(ts.snap)
-            for v in (head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
-                book += cells[(v if v >= 0 else ~v).bit_length() + 1]
-        ledger.record(tau, screen, book)
 
     def _audit(self) -> None:
         recount = sum(d.cost for d in self.pending)
@@ -305,6 +282,11 @@ class RollingState:
             ts.blk_hi = cell
         ts.snap[cell] = ts.live.get(cell, ts.blank)
 
+    def _arrive_metered(self, ts: _TapeState, cell: int, block_index: int) -> None:
+        """_arrive, then the ledger recounts the tape it changed."""
+        self._arrive(ts, cell, block_index)
+        self.ledger.refresh_tape(ts)
+
     # ---- tree walk --------------------------------------------------------
 
     def _window_of(self, ts: _TapeState, contents: dict[int, str]) -> TapeWindow:
@@ -329,8 +311,12 @@ class RollingState:
         idx = self.machine.state_index
         self.forming_cost = ints_cells([L, idx[q_in], *heads_in], self.gamma)
         ledger = self.ledger
+        # the plain function, picked once per leaf without allocating a
+        # bound method
+        arrive = RollingState._arrive
         if ledger is not None:
-            screen, book = self._leaf_meter(ledger)
+            ledger.start_leaf(self)
+            arrive = RollingState._arrive_metered
         sink = self.sink
         tapes = self.tapes
         heads = self.heads
@@ -339,7 +325,7 @@ class RollingState:
                 h = heads[ts.index]
                 # inside its block hull a head changes nothing
                 if h < ts.blk_lo or h > ts.blk_hi:
-                    self._arrive(ts, h, k)
+                    arrive(self, ts, h, k)
             self.state = value[0]
             self.tau += 1
             if sink is not None:
@@ -354,7 +340,7 @@ class RollingState:
                     )
                 )
             if ledger is not None:
-                self._meter(ledger, screen, book)
+                ledger.step(self.tau, heads)
             if self.tau % self.audit_stride == 0:
                 self._audit()
         if self.tau != R:

@@ -215,6 +215,82 @@ def test_meter_matches_reference_random_machines():
     assert deep and dirty and rows > 1000
 
 
+def _window_events(before, after):
+    """Window moves between two consecutive steps of one tape, each
+    state (lo, hi, lost_lo, lost_hi)."""
+    (lo, hi, lost_lo, lost_hi), (lo2, hi2, lost_lo2, lost_hi2) = before, after
+    events = set()
+    if lo2 < lo and hi2 < hi:
+        events.add("slide down")
+    if lo2 > lo and hi2 > hi:
+        events.add("slide up")
+    if lost_lo <= lost_hi:  # the lost hull was already non-empty
+        if lost_lo2 < lost_lo:
+            events.add("lost hull widens down")
+        if lost_hi2 > lost_hi:
+            events.add("lost hull widens up")
+    return events
+
+
+def test_meter_matches_reference_wide_random_machines():
+    """Cached cells against a recount at every step, over windows down
+    to one cell, violations included: the cache must follow every
+    window slide, every dirty eviction that widens the lost hull, every
+    block start and every snapshot."""
+    rng = random.Random(2502)
+    events: set[str] = set()
+    outcomes: set[type] = set()
+    deep = rows = 0
+    for _ in range(150):
+        m = random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 200), rng.randint(1, 5), rng.randint(1, 3)
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=True)
+        expected: list[hs.LedgerRow] = []
+        windows: list[tuple] = []
+
+        def observe(config):
+            expected.append(_reference_row(engine))
+            windows.append(tuple((ts.lo, ts.hi, ts.lost_lo, ts.lost_hi) for ts in engine.tapes))
+
+        engine = hs.RollingState(m, word, t, b, c_int, observe, ledger)
+        try:
+            engine.run()
+            outcomes.add(type(None))
+        except hs.ModelViolation as exc:
+            outcomes.add(type(exc))
+        assert ledger.series == expected
+        for before, after in zip(windows, windows[1:]):
+            for tape_before, tape_after in zip(before, after):
+                events |= _window_events(tape_before, tape_after)
+        rows += len(expected)
+        deep += ledger.max_pending >= 3
+    assert events == {
+        "slide down",
+        "slide up",
+        "lost hull widens down",
+        "lost hull widens up",
+    }, events
+    assert outcomes == {
+        type(None),
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+    assert deep and rows > 4000
+
+
+def test_ledger_for_another_run_is_rejected():
+    m = load_sample("counter")
+    word = counter_input(12)
+    with pytest.raises(ValueError) as err:
+        hs.holo_run(m, word, 1000, b=32, ledger=hs.attach_ledger(m, 100, 5))
+    assert "(100, 5, 2)" in str(err.value) and "(1000, 32, 2)" in str(err.value)
+    with pytest.raises(ValueError, match=r"\(64, 8, 2\).*\(64, 8, 3\)"):
+        hs.holo_run(m, word, 64, b=8, c_int=3, ledger=hs.attach_ledger(m, 64, 8))
+
+
 @pytest.mark.parametrize(
     "name, word, maxima, argmax_total",
     [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -204,6 +204,51 @@ def test_reconstruct_at_matches_oracle():
     for want in emitted:
         got = hs.reconstruct_at(m, "", t, want.time, b=b)
         assert got == want and got.spans == want.spans
+
+
+@dataclass
+class _LeafLog(hs.ScreenLedger):
+    """A ledger that also logs (leaf, depth, pending digests) at each
+    leaf start."""
+
+    leaves: list[tuple[int, int, int]] = field(default_factory=list)
+
+    def start_leaf(self, run) -> None:
+        self.leaves.append((run.leaf_id, run.depth_now, len(run.pending)))
+        super().start_leaf(run)
+
+
+def _tree_positions(tree) -> list[tuple[int, int, int]]:
+    """(leaf, depth, right-going edges on the root path) per leaf, in
+    leaf order, read off the static tree."""
+    positions = []
+    for k in range(1, tree.T + 1):
+        node, rights = tree.root, 0
+        while not node.is_leaf:
+            left = tree.node(node.left)
+            if k <= left.leaf_hi:
+                node = left
+            else:
+                node, rights = tree.node(node.right), rights + 1
+        positions.append((k, node.depth, rights))
+    return positions
+
+
+def test_walk_follows_static_tree():
+    """The engine's real walk, seen through the ledger's leaf-start
+    event over criterion 2's grid: leaves 1..T in order, each at its
+    static tree depth, with one parked digest per right-going edge."""
+    m = load_sample("sweep")
+    gamma = len(m.work_alphabet)
+    walks = 0
+    for t in [*range(1, 129), 300, 1000]:
+        for b in sorted({1, 3, hs.default_block_length(t), t}):
+            ledger = _LeafLog(gamma=gamma, t=t, b=b, c_int=2)
+            hs.holo_run(m, "", t, b=b, ledger=ledger)
+            tree = hs.build_tree(hs.decompose(t, b))
+            assert ledger.leaves == _tree_positions(tree), (t, b)
+            walks += 1
+    assert walks > 400
 
 
 def test_pending_stack_bounded_by_depth():
