@@ -155,7 +155,13 @@ class ScreenLedger:
         """Run start: T, the arena of k tapes times c_int * b cells, and
         the bit-length table.  Every integer metered lies in [-t, t],
         since heads move one cell a step and windows hold only visited
-        cells, and the path has at most t.bit_length() edges."""
+        cells, and the path has at most t.bit_length() edges.  A ledger
+        meters one run: one that has recorded steps is refused."""
+        if self.steps_recorded:
+            raise ValueError(
+                f"ledger has already recorded {self.steps_recorded} steps; "
+                f"attach a fresh one for each run"
+            )
         self.T = run.T
         self.arena_cells = len(run.tapes) * run.cap
         self.cell_table = cells_table(self.gamma, self.t.bit_length() + 1)

@@ -6,7 +6,12 @@ reads the k cells under the heads, consults the total transition map,
 writes k symbols back, and moves each head by at most one cell.
 
 steps() is the one stepping loop: the oracle, the length probe, the
-streaming simulator and window replay all advance through it.  step()
+streaming simulator and window replay all advance through it.  It walks
+MachineSpec.step_table, the transition map compiled into a trie keyed
+by the symbol read on each tape in turn, built on the first step and
+kept per machine; a step builds and hashes no key tuple and touches
+only the tapes that change or move.  That skip relies on every tape
+dict holding non-blank cells only, the form all callers keep.  step()
 is a deliberately naive, pure reference for it.
 
 run() is the reference oracle: it executes the machine forwards once
@@ -76,6 +81,32 @@ class MachineSpec:
         from .codec import encode_uvarint  # codec imports this module
 
         return {s: encode_uvarint(i) for s, i in self.symbol_index.items()}
+
+    @cached_property
+    def step_table(self) -> dict[str, dict]:
+        """The transition map compiled for steps(): a read-symbol trie.
+
+        For each non-halting state, a nested dict of depth k keyed by
+        the symbol read on tape 1, then tape 2, and so on.  Each leaf is
+        (value, ops, next): value is the delta entry itself; ops lists
+        (tape, symbol written or None for blank, move) for just the
+        tapes whose write differs from the read or whose head moves;
+        next is the next state's root, or None when that state halts.
+        """
+        blank = self.blank
+        roots: dict[str, dict] = {q: {} for q in self.states if not self.is_halting(q)}
+        for (q, reads), value in self.delta.items():
+            q2, writes, moves = value
+            node = roots[q]
+            for s in reads[:-1]:
+                node = node.setdefault(s, {})
+            ops = tuple(
+                (i, None if w == blank else w, m)
+                for i, (r, w, m) in enumerate(zip(reads, writes, moves))
+                if w != r or m
+            )
+            node[reads[-1]] = (value, ops, roots.get(q2))
+        return roots
 
     def is_halting(self, state: str) -> bool:
         return state == self.accept or state == self.reject
@@ -411,27 +442,31 @@ def steps(
     a halting state, yielding each transition value taken (state after,
     symbols written, head moves).
 
+    Each step walks machine.step_table: one dict lookup per tape keyed
+    by the symbol under its head, then only the tapes that change or
+    move are touched.  No key tuple is built or hashed.
+
     heads and the per-tape cell dicts are the caller's and are updated
-    in place before each yield; a blank write removes the cell, so dicts
-    that start with non-blank cells only keep that form.  The consumer
-    bounds the run by how many values it takes; exhaustion means the
-    machine halted.
+    in place before each yield; a blank write removes the cell.  The
+    dicts must hold non-blank cells only, on entry and so throughout: a
+    write equal to the read is skipped, which would leave a stored blank
+    in place.  The consumer bounds the run by how many values it takes;
+    exhaustion means the machine halted.
     """
     blank = machine.blank
-    delta = machine.delta
-    accept, reject = machine.accept, machine.reject
-    tapes_k = range(machine.k)
-    while state != accept and state != reject:
-        value = delta[state, tuple([tapes[i].get(heads[i], blank) for i in tapes_k])]
-        state, writes, moves = value
-        for i in tapes_k:
-            w = writes[i]
+    readers = [(tape.get, i) for i, tape in enumerate(tapes)]
+    node = machine.step_table.get(state)
+    while node is not None:
+        for get, i in readers:
+            node = node[get(heads[i], blank)]
+        value, ops, node = node
+        for i, w, m in ops:
             h = heads[i]
-            if w == blank:
+            if w is None:
                 tapes[i].pop(h, None)
             else:
                 tapes[i][h] = w
-            heads[i] = h + moves[i]
+            heads[i] = h + m
         yield value
 
 
@@ -544,11 +579,6 @@ class RunHistory:
         if not 1 <= step <= self.t:
             raise IndexError(f"step {step} outside [1, {self.t}]")
         return self._trace[step - 1][2]
-
-    def state_after(self, step: int) -> str:
-        if not 1 <= step <= self.t:
-            raise IndexError(f"step {step} outside [1, {self.t}]")
-        return self._trace[step - 1][0]
 
     def __len__(self) -> int:
         return self.t + 1

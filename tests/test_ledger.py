@@ -291,6 +291,20 @@ def test_ledger_for_another_run_is_rejected():
         hs.holo_run(m, word, 64, b=8, c_int=3, ledger=hs.attach_ledger(m, 64, 8))
 
 
+def test_reused_ledger_is_rejected():
+    m = load_sample("counter")
+    word = counter_input(10)
+    ledger = hs.attach_ledger(m, 256, 16)
+    hs.holo_run(m, word, 256, b=16, ledger=ledger)
+    first = (ledger.steps_recorded, ledger.max_total, ledger.argmax_total)
+    with pytest.raises(ValueError, match="already recorded 256 steps"):
+        hs.holo_run(m, word, 256, b=16, ledger=ledger)
+    assert (ledger.steps_recorded, ledger.max_total, ledger.argmax_total) == first
+    fresh = hs.attach_ledger(m, 256, 16)
+    hs.holo_run(m, word, 256, b=16, ledger=fresh)
+    assert (fresh.steps_recorded, fresh.max_total, fresh.argmax_total) == first
+
+
 @pytest.mark.parametrize(
     "name, word, maxima, argmax_total",
     [

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 import holosim as hs
-from holosim.machine import MAX_TAPES
+from holosim.machine import MAX_TAPES, steps
 from support import random_machine, reference_trace
 
 WRITER2_TEXT = """
@@ -163,6 +164,74 @@ def test_run_against_reference_random():
         assert hs.probe_run_length(m, word, 200) == (rec.t, rec.halt_reason)
         checked += 1
     assert checked == 40
+
+
+def _kernel_in_place(m, word, budget):
+    """Drive steps() on fresh tape dicts and check them after every
+    yield against a chain of the naive step(); return the last state."""
+    c = hs.initial_configuration(m, word)
+    heads = list(c.heads)
+    tapes = [dict(tape) for tape in c.cells]
+    taken = 0
+    for value in islice(steps(m, c.state, heads, tapes), budget):
+        reads = tuple(c.symbol_at(i, c.heads[i]) for i in range(m.k))
+        assert value is m.delta[c.state, reads]
+        c = hs.step(m, c)
+        assert heads == list(c.heads)
+        assert tapes == list(c.cells)
+        assert not any(m.blank in tape.values() for tape in tapes)
+        taken += 1
+    assert taken == budget or m.is_halting(c.state)
+    return c.state
+
+
+def test_kernel_in_place_bundled(machines):
+    cases = [
+        ("writer2", "", 100),
+        ("sweep", "", 300),
+        ("counter", hs.counter_input(6), 600),
+        ("palin", "0110", 200),
+        ("palin", "01", 100),
+    ]
+    for name, word, budget in cases:
+        _kernel_in_place(machines[name], word, budget)
+
+
+def test_kernel_in_place_random_machines():
+    rng = random.Random(1207)
+    halted = 0
+    for k in (1, 2, 3):
+        for _ in range(55):
+            m = random_machine(rng, k)
+            word = "".join(rng.choice(m.input_alphabet) for _ in range(rng.randint(0, 8))) if m.input_alphabet else ""
+            halted += m.is_halting(_kernel_in_place(m, word, 150))
+    assert halted >= 10
+
+
+def test_kernel_edges(machines):
+    # a machine that starts in its accept state takes no step
+    m = hs.build_machine("done", 1, "acc", "acc", "rej", ["1"], ["_", "1"], "_", {})
+    heads, tapes = [0], [{0: "1"}]
+    assert list(steps(m, m.start, heads, tapes)) == []
+    assert (heads, tapes) == ([0], [{0: "1"}])
+    # a halt inside the islice bound ends the run there
+    w = machines["writer2"]
+    heads, tapes = [0], [{}]
+    kernel = steps(w, w.start, heads, tapes)
+    taken = list(islice(kernel, 100))
+    assert [value[0] for value in taken] == ["q1", "acc"]
+    assert (heads, tapes) == ([1], [{0: "1", 1: "1"}])
+    assert next(kernel, None) is None
+
+
+def test_step_table_is_lazy_and_shared():
+    m = hs.parse_machine(hs.sample_text("counter"))
+    assert "step_table" not in vars(m)
+    word = hs.counter_input(8)
+    t = hs.run(m, word, max_steps=300).t
+    table = vars(m)["step_table"]
+    hs.holo_run(m, word, t)
+    assert m.step_table is table
 
 
 def test_halt_reasons(machines):
