@@ -339,7 +339,9 @@ class Configuration:
 
     A slotted record, not a frozen one: every emission and replay step
     builds one, and a frozen dataclass sets each field through
-    object.__setattr__.  Treat it as a value all the same.
+    object.__setattr__.  Treat it as a value all the same, cells
+    included: consecutive streamed emissions may share their cells and
+    spans objects, so mutating one would change its neighbours.
     """
 
     machine: MachineSpec = field(compare=False, repr=False)

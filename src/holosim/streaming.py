@@ -22,11 +22,20 @@ direct simulation exactly.
 
 Each tape keeps one dict of non-blank cells, the reported tape: the
 live contents inside the window and the initial tape outside it.  An
-evicted cell reverts to its initial symbol, so emitting a configuration
-is one dict copy per tape.  Emitted configurations carry the
-live-window bounds as their spans.  The cells outside every span are
-correct whenever no dirty cell has been evicted; after a dirty
-eviction only the in-span cells are trustworthy.
+evicted cell reverts to its initial symbol.  Emitted configurations
+carry a copy of those dicts as their cells and the live-window bounds
+as their spans.  The cells outside every span are correct whenever no
+dirty cell has been evicted; after a dirty eviction only the in-span
+cells are trustworthy.
+
+Emissions are read-only, and consecutive ones share objects: the next
+emission reuses the last one's cells tuple unless its step wrote a
+different symbol (checked at the one cell each tape wrote, against the
+last emission) or a dirty eviction reverted a cell, and its spans tuple
+unless a window moved.  A step that changes nothing so costs O(k) to
+emit, not a copy of every tape.  Each leaf's first emission copies
+afresh, so no copy outlives its leaf and at most one retained copy per
+tape is alive.
 
 One loop per leaf takes the leaf's steps from the stepping kernel and,
 after each, compares every head with its block hull, the cells the head
@@ -181,6 +190,10 @@ class RollingState:
         self.depth_now = 0
         self.leaf_id = 0
         self.audit_stride = max(1, int(t**0.5))
+        # the last emission's cells and spans, or None once a step has
+        # changed them; the next emission shares what is still here
+        self.shown_cells: tuple[dict[int, str], ...] | None = None
+        self.shown_spans: tuple[tuple[int, int], ...] | None = None
         self.root: IntervalSummary | None = None
         if ledger is not None:
             if (ledger.t, ledger.b, ledger.c_int) != (t, b, c_int):
@@ -247,6 +260,7 @@ class RollingState:
         if not ts.lo <= cell <= ts.hi:
             if ts.lost_lo <= cell <= ts.lost_hi:
                 raise StaleWindowReentry(ts.index + 1, cell, block_index)
+            self.shown_spans = None
             if cell < ts.lo:
                 ts.lo = cell
                 evict = ts.hi
@@ -270,6 +284,7 @@ class RollingState:
                         del ts.live[evict]
                     else:
                         ts.live[evict] = initial
+                    self.shown_cells = None
                     if self.ledger is not None:
                         self.ledger.note_dirty_eviction()
                 if evict == ts.lo:
@@ -318,7 +333,9 @@ class RollingState:
             ledger.start_leaf(self)
             arrive = RollingState._arrive_metered
         sink = self.sink
+        blank = self.machine.blank
         tapes = self.tapes
+        indices = range(len(tapes))
         heads = self.heads
         for value in islice(self.stepper, R - L + 1):
             for ts in tapes:
@@ -329,16 +346,23 @@ class RollingState:
             self.state = value[0]
             self.tau += 1
             if sink is not None:
-                sink(
-                    Configuration(
-                        self.machine,
-                        self.tau,
-                        self.state,
-                        tuple(heads),
-                        tuple([ts.live.copy() for ts in tapes]),
-                        tuple([(ts.lo, ts.hi) for ts in tapes]),
-                    )
-                )
+                cells = self.shown_cells
+                if cells is not None:
+                    # the cell each tape wrote, against the last emission
+                    writes, moves = value[1], value[2]
+                    for i in indices:
+                        if cells[i].get(heads[i] - moves[i], blank) != writes[i]:
+                            cells = self.shown_cells = None
+                            break
+                if cells is None:
+                    cells = self.shown_cells = tuple([ts.live.copy() for ts in tapes])
+                spans = self.shown_spans
+                if spans is None:
+                    spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
+                sink(Configuration(self.machine, self.tau, self.state, tuple(heads), cells, spans))
+                # no local keeps a copy alive once a revert or the leaf
+                # end releases it
+                cells = None
             if ledger is not None:
                 ledger.step(self.tau, heads)
             if self.tau % self.audit_stride == 0:
@@ -346,11 +370,15 @@ class RollingState:
         if self.tau != R:
             raise RunEndedEarly(self.tau, self.t)
         if sink is not None:
+            # the next leaf's first emission copies afresh, so no copy
+            # outlives its leaf
+            self.shown_cells = None
             for ts in tapes:
                 if ts.lost_lo <= ts.lost_hi:
                     # dirty evictions delete cells from live, and CPython
                     # copies a dict with many deleted slots key by key, so
-                    # every emission would: compact it in place
+                    # every fresh emission would: compact it in place,
+                    # which no emission sees, since each holds a copy
                     compact = ts.live.copy()
                     ts.live.clear()
                     ts.live.update(compact)
@@ -466,6 +494,8 @@ def holo_run(
     run); if the machine halts before t the walk raises RunEndedEarly.
     Use probe_run_length to discover the length first.  sink, when
     given, receives one emitted configuration per step in time order.
+    Emissions are read-only: consecutive ones may share their cells and
+    spans objects, so a sink that changes one must copy it first.
     """
     if b is None:
         b = default_block_length(t)

@@ -320,3 +320,28 @@ def test_ledger_figures_at_benchmark_size(name, word, maxima, argmax_total):
     hs.holo_run(m, word, 2**13, b=91, ledger=ledger)
     assert (ledger.max_screen, ledger.max_book, ledger.max_total) == maxima
     assert ledger.argmax_total == argmax_total
+
+
+@pytest.mark.parametrize(
+    "name, word, fresh",
+    [
+        ("counter", counter_input(20), (4146, 12)),
+        ("palin", palin_input(2**13), (188, 130)),
+        ("sweep", "", (8192, 8192)),
+    ],
+    ids=["counter", "palin", "sweep"],
+)
+def test_fresh_emissions_at_benchmark_size(name, word, fresh):
+    """How many emissions carry a new cells tuple and a new spans tuple
+    rather than the previous emission's: the copies a run pays for.
+    sweep writes every step; counter and palin often write the symbol
+    already there."""
+    m = load_sample(name)
+    emitted = []
+    hs.holo_run(m, word, 2**13, b=91, sink=emitted.append)
+    pairs = list(zip(emitted, emitted[1:]))
+    # the first emission is always fresh
+    assert (
+        1 + sum(cfg.cells is not prev.cells for prev, cfg in pairs),
+        1 + sum(cfg.spans is not prev.spans for prev, cfg in pairs),
+    ) == fresh

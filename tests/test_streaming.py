@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import pytest
 
@@ -340,13 +342,13 @@ def _reference_stream(machine, word, t, b, c_int):
     """The plain window discipline over the test-side interpreter:
     every head passes through the full arrival check at every step.
     Returns each emission as (time, state, heads, cells, spans), the
-    number of dirty evictions, and the ModelViolation raised or None."""
+    step of each dirty eviction, and the ModelViolation raised or None."""
     blank, cap = machine.blank, c_int * b
     initial = [{c: s for c, s in enumerate(word) if s != blank}] + [{}] * (machine.k - 1)
     lo, hi = [0] * machine.k, [0] * machine.k
     lost_lo, lost_hi = [0] * machine.k, [-1] * machine.k
     blk_lo, blk_hi = [0] * machine.k, [0] * machine.k
-    emitted, dirty = [], 0
+    emitted, reverts = [], []
     trace = reference_trace(machine, word, t)
     _, _, prev_heads, _ = next(trace)
     try:
@@ -372,7 +374,7 @@ def _reference_stream(machine, word, t, b, c_int):
                             else:
                                 lost_lo[i] = min(lost_lo[i], evict)
                                 lost_hi[i] = max(lost_hi[i], evict)
-                            dirty += 1
+                            reverts.append(tau)
                         if evict == lo[i]:
                             lo[i] += 1
                         else:
@@ -390,8 +392,8 @@ def _reference_stream(machine, word, t, b, c_int):
         if len(emitted) < t:
             raise hs.RunEndedEarly(len(emitted), t)
     except hs.ModelViolation as exc:
-        return emitted, dirty, exc
-    return emitted, dirty, None
+        return emitted, reverts, exc
+    return emitted, reverts, None
 
 
 def test_stream_matches_reference_discipline_random_machines():
@@ -406,7 +408,7 @@ def test_stream_matches_reference_discipline_random_machines():
         n = rng.randint(0, 8) if m.input_alphabet else 0
         word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
         t, b, c_int = rng.randint(1, 90), rng.randint(1, 4), rng.randint(1, 2)
-        want, want_dirty, want_exc = _reference_stream(m, word, t, b, c_int)
+        want, want_reverts, want_exc = _reference_stream(m, word, t, b, c_int)
         got = []
         ledger = hs.attach_ledger(m, t, b, c_int=c_int)
         got_exc = root = None
@@ -415,7 +417,7 @@ def test_stream_matches_reference_discipline_random_machines():
         except hs.ModelViolation as exc:
             got_exc = exc
         assert [(c.time, c.state, c.heads, c.cells, c.spans) for c in got] == want
-        assert ledger.dirty_evictions == want_dirty
+        assert ledger.dirty_evictions == len(want_reverts)
         assert type(got_exc) is type(want_exc)
         if want_exc is None:
             rec = hs.run(m, word, max_steps=t)
@@ -425,7 +427,7 @@ def test_stream_matches_reference_discipline_random_machines():
         else:
             assert vars(got_exc) == vars(want_exc) and str(got_exc) == str(want_exc)
         outcomes[type(want_exc)] = outcomes.get(type(want_exc), 0) + 1
-        dirty_runs += want_dirty > 0
+        dirty_runs += bool(want_reverts)
     assert set(outcomes) == {
         type(None),
         hs.NonBlockRespecting,
@@ -433,6 +435,134 @@ def test_stream_matches_reference_discipline_random_machines():
         hs.RunEndedEarly,
     }, outcomes
     assert dirty_runs > 0
+
+
+def _sharing_run(machine, word, t, b, c_int):
+    """Stream a run and derive from the oracle side which emissions may
+    share the previous emission's cells and spans: cells exactly when
+    the step wrote no different symbol (the reference tape did not
+    change), reverted no dirty cell and is not the first step of a leaf;
+    spans exactly when no window bound moved.
+
+    Returns one row per emission after the first, (tau, got, want,
+    wrote, reverted), where got and want are (cells shared, spans
+    shared) and wrote says per tape whether step tau changed it; and the
+    ModelViolation raised, or None."""
+    want, reverts, want_exc = _reference_stream(machine, word, t, b, c_int)
+    tapes = [row[3] for row in islice(reference_trace(machine, word, t), len(want) + 1)]
+    got = []
+    try:
+        hs.holo_run(machine, word, t, b=b, c_int=c_int, sink=got.append)
+    except hs.ModelViolation as exc:
+        assert type(exc) is type(want_exc)
+    assert len(got) == len(want)
+    rows = []
+    for prev, cfg, (*_, prev_spans), (tau, *_, spans) in zip(got, got[1:], want, want[1:]):
+        wrote = tuple(now != then for now, then in zip(tapes[tau], tapes[tau - 1]))
+        reverted = tau in reverts
+        rows.append(
+            (
+                tau,
+                (cfg.cells is prev.cells, cfg.spans is prev.spans),
+                (not any(wrote) and not reverted and (tau - 1) % b != 0, spans == prev_spans),
+                wrote,
+                reverted,
+            )
+        )
+    return rows, want_exc
+
+
+def test_emissions_share_what_did_not_change_bundled():
+    """On the bundled machines, consecutive emissions share cells and
+    spans exactly as the oracle side says they may; palin, with its idle
+    input tape, shares most steps and sweep, which writes every step,
+    none."""
+    shared = {}
+    for name, word, t, b, c_int in [
+        ("counter", counter_input(8), 600, 25, 2),
+        ("palin", palin_input(600), 600, 25, 2),
+        ("sweep", "", 300, 16, 2),
+        ("palin", palin_input(200), 200, 9, 3),
+        ("writer2", "", 2, 1, 2),
+    ]:
+        rows, exc = _sharing_run(load_sample(name), word, t, b, c_int)
+        assert exc is None
+        assert [row[1] for row in rows] == [row[2] for row in rows], name
+        shared[name] = shared.get(name, 0) + sum(row[1][0] for row in rows)
+    assert shared["palin"] > 600 and shared["counter"] > 200 and shared["sweep"] == 0
+
+
+def test_emissions_share_what_did_not_change_random_machines():
+    """Random machines at tight windows, violations included: an
+    emission shares the previous cells exactly when its step wrote no
+    different symbol, reverted no dirty cell and did not start a leaf,
+    and the previous spans exactly when no window moved.  The corpus
+    holds each way a shared copy could go stale unnoticed: a write to a
+    tape past the first alone, a revert alone and a leaf start alone."""
+    rng = random.Random(1313)
+    seen = {"shared": 0, "later tape alone": 0, "revert alone": 0, "leaf start alone": 0}
+    outcomes = set()
+    for _ in range(160):
+        m = random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 90), rng.randint(1, 4), rng.randint(1, 2)
+        rows, exc = _sharing_run(m, word, t, b, c_int)
+        outcomes.add(type(exc))
+        assert [row[1] for row in rows] == [row[2] for row in rows], m.name
+        for tau, (shared, _), _, wrote, reverted in rows:
+            leaf_start = (tau - 1) % b == 0
+            seen["shared"] += shared
+            seen["later tape alone"] += any(wrote[1:]) and not wrote[0]
+            seen["revert alone"] += reverted and not any(wrote) and not leaf_start
+            seen["leaf start alone"] += leaf_start and not any(wrote) and not reverted
+    assert all(seen.values()), seen
+    assert outcomes == {
+        type(None),
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython references")
+@pytest.mark.parametrize(
+    "name, word, t, b",
+    [
+        ("counter", counter_input(8), 600, 25),
+        ("palin", palin_input(600), 600, 25),
+        ("sweep", "", 300, 16),
+    ],
+    ids=["counter", "palin", "sweep"],
+)
+def test_engine_releases_the_shared_copy(name, word, t, b):
+    """At most one emitted copy per tape is alive: by the time an
+    emission carries fresh cells (after a write or a dirty revert) and
+    at each leaf end, nothing in the engine, local variables included,
+    still references the previous emission's cells."""
+    held = []
+    checks = 0
+
+    def released():
+        nonlocal checks
+        checks += 1
+        # one reference from held, one from getrefcount's argument
+        refs = sys.getrefcount(held[0])
+        assert refs == 2
+
+    class Watched(hs.RollingState):
+        def _window_of(self, ts, contents):
+            released()
+            return super()._window_of(ts, contents)
+
+    def sink(cfg):
+        if held and cfg.cells is not held[0]:
+            released()
+        held[:] = [cfg.cells]
+
+    engine = Watched(load_sample(name), word, t, b, sink=sink)
+    engine.run()
+    assert checks >= 2 * (t // b) and engine.shown_cells is None
 
 
 @pytest.mark.parametrize(
