@@ -97,6 +97,12 @@ class TapeWindow:
 EMPTY_WINDOW = TapeWindow(0, -1, ())
 
 
+def tape_window(tape: dict[int, str], lo: int, hi: int, blank: str) -> TapeWindow:
+    """The window [lo, hi] of a tape held as a dict of its non-blank
+    cells."""
+    return TapeWindow(lo, hi, tuple(map(tape.get, range(lo, hi + 1), repeat(blank))))
+
+
 @dataclass(frozen=True)
 class IntervalSummary:
     """Boundary data of a step interval.
@@ -182,8 +188,7 @@ def _summarize(run: RunRecord, cursor: HistoryCursor, R: int) -> IntervalSummary
 
     def windows() -> tuple[TapeWindow, ...]:
         return tuple(
-            TapeWindow(lo, hi, tuple(map(tape.get, range(lo, hi + 1), repeat(blank))))
-            for tape, (lo, hi) in zip(cursor.cells, spans)
+            tape_window(tape, lo, hi, blank) for tape, (lo, hi) in zip(cursor.cells, spans)
         )
 
     entry = windows()

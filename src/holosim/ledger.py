@@ -17,15 +17,23 @@ Conventions, fixed here and used by every metric downstream:
 * "Screen" cells hold simulation payload: the reserved live-window
   arena (k tapes times c_int * b cells, charged at full reservation
   whether or not every cell is occupied), the boundary digests parked
-  on the pending stack, the entry snapshot of the block being replayed,
-  and the retained entry window of block 1 for the root summary.
+  on the pending stack, the summary forming for the current leaf, the
+  entry snapshot of the block being replayed, and the retained entry
+  window of block 1 for the root summary.
+* The entry snapshot is charged at the length of the block hull, the
+  cells visited since the block began, which is what the block's entry
+  windows hold.  The engine keeps no symbols for it (only block 1's
+  reach the root summary, and those are the initial tape's), but the
+  model charges what a summary of the block needs.
 * A parked digest is charged for its entry-side interface only (state
-  index, head positions, window endpoints): its exit side equals the
-  live frontier at park time and is checked there rather than stored,
-  the right operand of the eventual merge brings its own exit data,
-  and the interval identity follows from the traversal position that
-  the book meter already counts.  Redundant digest fields kept in
+  index, head positions, entry window endpoints): its exit side equals
+  the live frontier at park time and is checked there rather than
+  stored, the right operand of the eventual merge brings its own exit
+  data, and the interval identity follows from the traversal position
+  that the book meter already counts.  Redundant digest fields kept in
   Python for audit assertions are test scaffolding, not storage.
+* The forming summary of the current leaf is charged for its entry
+  interface: its first step, the state index and the head positions.
 * "Book" cells hold bookkeeping: the root-to-current-node path as one
   direction bit per edge, the current node id, the step/leaf/offset
   counters, the run parameters t, b, T, a phase flag, and the per-tape
@@ -34,16 +42,17 @@ Conventions, fixed here and used by every metric downstream:
   O(log) bits, so max_book grows like log T.
 * s_total = s_screen + s_book, recorded once per simulated step.
 
-The ledger consumes four engine events and meters each cell where it
-can change.  At run start it takes T and the arena size and builds its
-bit-length table.  At each leaf start it counts the cells fixed through
-the leaf: arena, stack, retained and forming summaries, tree position,
-counters and run parameters.  After a tape's block begins and after
-each head arrival off its block hull it recounts that tape's entry
-snapshot and administrative integers (live bounds, block-window
-bounds, evicted-dirty hull), the only moments they change, and keeps
-running totals over the tapes.  A step then adds the clock and each
-head: k + 1 table lookups and one call.
+The ledger consumes four engine events and computes every charge from
+the engine's simulation state; the engine counts nothing for it.  At
+run start it takes T and the arena size and builds its bit-length
+table.  At each leaf start it counts the cells fixed through the leaf:
+arena, stack, retained and forming summaries, tree position, counters
+and run parameters.  After a tape's block begins and after each head
+arrival off its block hull it recounts that tape's entry snapshot and
+administrative integers (live bounds, block-window bounds,
+evicted-dirty hull), the only moments they change, and keeps running
+totals over the tapes.  A step then adds the clock and each head: k + 1
+table lookups and one call.
 """
 
 from __future__ import annotations
@@ -172,8 +181,20 @@ class ScreenLedger:
         """Leaf start, after every tape's block has begun: count the
         cells that stay fixed through the leaf (the stack parks and pops
         and block 1's windows are retained only between leaves, and the
-        node id and path change only there) and recount every tape."""
-        screen = self.arena_cells + run.pending_cost + run.retained_cost + run.forming_cost
+        node id and path change only there) and recount every tape.
+        The forming summary, block 1's retained windows and the parked
+        digests are counted here from the engine's state."""
+        idx = run.machine.state_index
+        values = [run.tau + 1, idx[run.state], *run.heads]
+        for d in run.pending:
+            values.append(idx[d.q_in])
+            values.extend(d.heads_in)
+            for lo, hi in d.entry_spans:
+                values.append(lo)
+                values.append(hi)
+        screen = self.arena_cells + ints_cells(values, self.gamma)
+        if run.retained_entry is not None:
+            screen += sum(len(w) for w in run.retained_entry)
         book = ints_cells(
             (run.leaf_id, self.t, self.b, self.T, len(run.pending), run.next_id), self.gamma
         )
@@ -187,7 +208,8 @@ class ScreenLedger:
 
     def refresh_tape(self, ts) -> None:
         """A tape's window, hull or lost hull moved: recount its entry
-        snapshot and administrative integers and update the totals."""
+        snapshot, charged at the hull's length, and its administrative
+        integers, and update the totals."""
         cells = self.cell_table
         book = 0
         for v in (ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
@@ -195,7 +217,7 @@ class ScreenLedger:
         i = ts.index
         self._book += book - self._tape_book[i]
         self._tape_book[i] = book
-        screen = len(ts.snap)
+        screen = ts.blk_hi - ts.blk_lo + 1
         self._screen += screen - self._tape_screen[i]
         self._tape_screen[i] = screen
 
@@ -227,24 +249,6 @@ class ScreenLedger:
 
     def note_dirty_eviction(self) -> None:
         self.dirty_evictions += 1
-
-    # ---- direct use -------------------------------------------------------
-
-    def record(self, tau: int, screen: int, book: int) -> None:
-        """Record one row given outright, bypassing the caches."""
-        total = screen + book
-        if screen > self.max_screen:
-            self.max_screen = screen
-            self.argmax_screen = tau
-        if book > self.max_book:
-            self.max_book = book
-            self.argmax_book = tau
-        if total > self.max_total:
-            self.max_total = total
-            self.argmax_total = tau
-        self.steps_recorded += 1
-        if self.keep_series:
-            self.series.append(LedgerRow(tau, screen, book))
 
     def summary_line(self) -> str:
         return (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .blocks import POLICY_FULL, IntervalSummary, TapeWindow
+from .blocks import POLICY_FULL, IntervalSummary, TapeWindow, tape_window
 from .errors import StepFromHaltError, WindowEscape
 from .machine import Configuration, MachineSpec
 from .machine import steps as step_kernel
@@ -91,16 +91,7 @@ def replay_block(
             )
     if done < steps:
         raise StepFromHaltError(state)
-    exit_windows = tuple(
-        TapeWindow(
-            w.lo,
-            w.hi,
-            tuple(tapes[i].get(c, blank) for c in range(w.lo, w.hi + 1)),
-        )
-        if len(w) > 0
-        else w
-        for i, w in enumerate(windows)
-    )
+    exit_windows = tuple(tape_window(tape, lo, hi, blank) for tape, (lo, hi) in zip(tapes, spans))
     config = _restricted_config(
         machine, time_base + steps, state, tuple(heads_now), tapes, spans
     )

@@ -74,11 +74,10 @@ def area_law_study(
     machine: MachineSpec,
     input_for_t: Callable[[int], str],
     t_grid: Sequence[int],
-    b_for_t: Callable[[int], int] | None = None,
     c_int: int = 2,
-    keep_series: bool = False,
 ) -> ScalingReport:
-    """One ledgered streaming run per grid point.
+    """One ledgered streaming run per grid point, at
+    b = default_block_length(t).
 
     input_for_t maps each t to the input word; inputs should keep the
     machine running for at least t steps.  A grid point where the
@@ -91,10 +90,10 @@ def area_law_study(
     failures: list[tuple[int, str]] = []
     for t in sorted(set(int(v) for v in t_grid)):
         word = input_for_t(t)
-        b = b_for_t(t) if b_for_t is not None else default_block_length(t)
+        b = default_block_length(t)
         try:
             try:
-                ledger = attach_ledger(machine, t, b, c_int, keep_series)
+                ledger = attach_ledger(machine, t, b, c_int)
                 holo_run(machine, word, t, b=b, c_int=c_int, ledger=ledger)
             except RunEndedEarly as stop:
                 t = stop.steps_done
@@ -102,8 +101,8 @@ def area_law_study(
                     raise
                 if any(r.t == t for r in rows):
                     continue
-                b = b_for_t(t) if b_for_t is not None else default_block_length(t)
-                ledger = attach_ledger(machine, t, b, c_int, keep_series)
+                b = default_block_length(t)
+                ledger = attach_ledger(machine, t, b, c_int)
                 holo_run(machine, word, t, b=b, c_int=c_int, ledger=ledger)
         except Exception as exc:  # noqa: BLE001  - per-point isolation
             failures.append((t, f"{type(exc).__name__}: {exc}"))

@@ -8,8 +8,14 @@ materializing it.  At any instant it holds:
   contents (see below);
 * a pending stack of boundary digests, one per left sibling on the
   root-to-current path, so at most tree-depth many;
-* the entry snapshot of the block currently being replayed;
+* the hull of the block currently being replayed: per tape, the cell
+  range its head has visited since the block began;
 * the retained entry windows of block 1, needed for the root summary.
+
+No entry symbols of the current block are kept.  A parked digest needs
+only the spans of its entry windows, which are the hulls; only block 1's
+symbols reach the root summary, and since that block enters at time 0
+they are the initial tape's.
 
 Cells that fall out of a live window are recoverable from the initial
 tape as long as they were clean (still holding their initial symbol)
@@ -41,14 +47,15 @@ One loop per leaf takes the leaf's steps from the stepping kernel and,
 after each, compares every head with its block hull, the cells the head
 has visited since the block began.  A head inside the hull costs that
 one comparison: heads move one cell a step, so the hull is exactly the
-visited set and already snapshotted, and an eviction inside the hull
-raises NonBlockRespecting, so the hull lies inside the live window.
-Only a head that steps off its hull goes through the window discipline.
+visited set, and an eviction inside the hull raises NonBlockRespecting,
+so the hull lies inside the live window.  Only a head that steps off
+its hull goes through the window discipline.
 
-An attached ScreenLedger is told of the run start, each leaf start,
-each arrival off a hull and each step, and meters nothing else: the
-cells that change only at the first three are cached there, so a step
-costs it k + 1 table lookups and one call.  The loop picks the metered
+The engine holds simulation state only.  An attached ScreenLedger is
+told of the run start, each leaf start, each arrival off a hull and
+each step, and computes every charge itself from that state: the cells
+that change only at the first three are cached there, so a step costs
+it k + 1 table lookups and one call.  The loop picks the metered
 arrival once per leaf, so bare, sink and replay runs pay nothing for it.
 """
 
@@ -56,10 +63,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable
 
-from .blocks import POLICY_BOUNDARY, IntervalSummary, TapeWindow, decompose
+from .blocks import POLICY_BOUNDARY, IntervalSummary, TapeWindow, decompose, tape_window
 from .ctree import split_left_count
 from .errors import (
     InternalInvariantError,
@@ -67,7 +74,7 @@ from .errors import (
     RunEndedEarly,
     StaleWindowReentry,
 )
-from .ledger import ScreenLedger, ints_cells
+from .ledger import ScreenLedger
 from .machine import Configuration, HistoryCursor, MachineSpec, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
@@ -76,7 +83,8 @@ Sink = Callable[[Configuration], None]
 @dataclass(frozen=True)
 class BoundaryDigest:
     """Structural residue of a summarized leaf range: interface data
-    only, no tape symbols."""
+    only, no tape symbols.  entry_spans are the spans of the range's
+    entry windows, those of its first leaf."""
 
     L: int
     R: int
@@ -84,7 +92,7 @@ class BoundaryDigest:
     q_out: str
     heads_in: tuple[int, ...]
     heads_out: tuple[int, ...]
-    cost: int
+    entry_spans: tuple[tuple[int, int], ...]
 
 
 class _TapeState:
@@ -93,9 +101,10 @@ class _TapeState:
     `initial` outside it.  The stepping kernel writes `live` in place.
 
     [blk_lo, blk_hi] is the block hull, the cells visited since the
-    block began, and `snap` their entry symbols.  The hull only grows
-    one cell at a time and never loses a cell to eviction, so a head
-    inside it needs no window, hull or snapshot update."""
+    block began.  The hull only grows one cell at a time and never
+    loses a cell to eviction, so a head inside it needs no window or
+    hull update.  Every slot but `initial` and `live` holds an int or
+    a str: no per-cell state beyond the reported tape."""
 
     __slots__ = (
         "index",
@@ -109,7 +118,6 @@ class _TapeState:
         "lost_hi",
         "blk_lo",
         "blk_hi",
-        "snap",
     )
 
     def __init__(self, index: int, blank: str, cap: int, initial: dict[int, str]):
@@ -124,12 +132,6 @@ class _TapeState:
         self.lost_lo, self.lost_hi = 0, -1
         self.blk_lo = 0
         self.blk_hi = 0
-        self.snap: dict[int, str] = {}
-
-    def begin_block(self, h: int) -> None:
-        self.blk_lo = h
-        self.blk_hi = h
-        self.snap = {h: self.live.get(h, self.blank)}
 
 
 class RollingState:
@@ -164,7 +166,6 @@ class RollingState:
         self.T = self.decomp.T
         self.sink = sink
         self.ledger = ledger
-        self.gamma = len(machine.work_alphabet)
 
         blank = machine.blank
         tape_one = {
@@ -181,12 +182,9 @@ class RollingState:
         self.stepper = steps(machine, self.state, self.heads, [ts.live for ts in self.tapes])
         self.tau = 0
         self.pending: list[BoundaryDigest] = []
-        self.pending_cost = 0
         self.next_id = 0
         self.retained_entry: tuple[TapeWindow, ...] | None = None
-        self.retained_cost = 0
         self.last_exit: tuple[TapeWindow, ...] | None = None
-        self.forming_cost = 0
         self.depth_now = 0
         self.leaf_id = 0
         self.audit_stride = max(1, int(t**0.5))
@@ -203,60 +201,28 @@ class RollingState:
                 )
             ledger.start_run(self)
 
-    # ---- space accounting -------------------------------------------------
-
-    def _digest_cost(self, q_in: str, heads_in, entry_spans) -> int:
-        """Cells a parked digest occupies: the entry-side interface of
-        the left interval, which is all the eventual merge consumes from
-        it.  The exit side coincides with the live frontier at park time
-        (checked then, see _eval_range) and the right sibling supplies
-        its own exit data; the interval identity is derivable from the
-        traversal position, which the bookkeeping meter already charges.
-        The dataclass keeps the redundant fields for audit assertions,
-        but they are not simulator storage."""
-        values = [self.machine.state_index[q_in]]
-        values.extend(heads_in)
-        for lo, hi in entry_spans:
-            values.append(lo)
-            values.append(hi)
-        return ints_cells(values, self.gamma)
+    # ---- invariants -------------------------------------------------------
 
     def _audit(self) -> None:
-        recount = sum(d.cost for d in self.pending)
-        if recount != self.pending_cost:
-            raise InternalInvariantError(
-                f"pending digest cost drifted: tracked {self.pending_cost}, "
-                f"recounted {recount} at step {self.tau}"
-            )
-        if self.retained_entry is not None:
-            recount = sum(len(w) for w in self.retained_entry)
-            if recount != self.retained_cost:
-                raise InternalInvariantError(
-                    f"retained window cost drifted: tracked {self.retained_cost}, "
-                    f"recounted {recount} at step {self.tau}"
-                )
         # the leaf loop skips every head inside its block hull, which is
-        # sound only while the hull is the snapshotted, in-window range
-        # of the cells visited in the block, head included
+        # sound only while the hull is the in-window range of the cells
+        # visited in the block, head included
         for ts in self.tapes:
             h = self.heads[ts.index]
-            if not (
-                ts.lo <= ts.blk_lo <= h <= ts.blk_hi <= ts.hi
-                and len(ts.snap) == ts.blk_hi - ts.blk_lo + 1
-            ):
+            if not ts.lo <= ts.blk_lo <= h <= ts.blk_hi <= ts.hi:
                 raise InternalInvariantError(
                     f"tape {ts.index + 1}: block hull [{ts.blk_lo},{ts.blk_hi}] "
-                    f"with {len(ts.snap)} snapshot cells and head {h} does not "
-                    f"fit window [{ts.lo},{ts.hi}] at step {self.tau}"
+                    f"and head {h} do not fit window [{ts.lo},{ts.hi}] "
+                    f"at step {self.tau}"
                 )
 
     # ---- tape discipline --------------------------------------------------
 
     def _arrive(self, ts: _TapeState, cell: int, block_index: int) -> None:
         """A head stepped just off its block hull: grow the hull by the
-        cell and snapshot it.  Off the window, first refuse a discarded
-        cell, then take the cell into the window; the window then holds
-        at most one cell too many, evicted from the far end."""
+        cell.  Off the window, first refuse a discarded cell, then take
+        the cell into the window; the window then holds at most one cell
+        too many, evicted from the far end."""
         if not ts.lo <= cell <= ts.hi:
             if ts.lost_lo <= cell <= ts.lost_hi:
                 raise StaleWindowReentry(ts.index + 1, cell, block_index)
@@ -295,7 +261,6 @@ class RollingState:
             ts.blk_lo = cell
         else:
             ts.blk_hi = cell
-        ts.snap[cell] = ts.live.get(cell, ts.blank)
 
     def _arrive_metered(self, ts: _TapeState, cell: int, block_index: int) -> None:
         """_arrive, then the ledger recounts the tape it changed."""
@@ -303,13 +268,6 @@ class RollingState:
         self.ledger.refresh_tape(ts)
 
     # ---- tree walk --------------------------------------------------------
-
-    def _window_of(self, ts: _TapeState, contents: dict[int, str]) -> TapeWindow:
-        return TapeWindow(
-            ts.blk_lo,
-            ts.blk_hi,
-            tuple(map(contents.get, range(ts.blk_lo, ts.blk_hi + 1), repeat(ts.blank))),
-        )
 
     def _run_leaf(self, k: int, depth: int) -> BoundaryDigest:
         L, R = self.decomp.block(k)
@@ -322,9 +280,7 @@ class RollingState:
         q_in = self.state
         heads_in = tuple(self.heads)
         for ts, h in zip(self.tapes, heads_in):
-            ts.begin_block(h)
-        idx = self.machine.state_index
-        self.forming_cost = ints_cells([L, idx[q_in], *heads_in], self.gamma)
+            ts.blk_lo = ts.blk_hi = h
         ledger = self.ledger
         # the plain function, picked once per leaf without allocating a
         # bound method
@@ -382,21 +338,23 @@ class RollingState:
                     compact = ts.live.copy()
                     ts.live.clear()
                     ts.live.update(compact)
-        entry_windows = tuple(self._window_of(ts, ts.snap) for ts in self.tapes)
         if k == 1:
-            self.retained_entry = entry_windows
-            self.retained_cost = sum(len(w) for w in entry_windows)
+            # block 1 enters at time 0, on the initial tapes
+            self.retained_entry = tuple(
+                tape_window(ts.initial, ts.blk_lo, ts.blk_hi, blank) for ts in tapes
+            )
         if k == self.T:
-            self.last_exit = tuple(self._window_of(ts, ts.live) for ts in self.tapes)
-        self.forming_cost = 0
+            self.last_exit = tuple(
+                tape_window(ts.live, ts.blk_lo, ts.blk_hi, blank) for ts in tapes
+            )
         return BoundaryDigest(
             L=L,
             R=R,
             q_in=q_in,
             q_out=self.state,
             heads_in=heads_in,
-            heads_out=tuple(self.heads),
-            cost=self._digest_cost(q_in, heads_in, [w.span for w in entry_windows]),
+            heads_out=tuple(heads),
+            entry_spans=tuple([(ts.blk_lo, ts.blk_hi) for ts in tapes]),
         )
 
     def _merge_digests(self, left: BoundaryDigest, right: BoundaryDigest) -> BoundaryDigest:
@@ -417,7 +375,7 @@ class RollingState:
             q_out=right.q_out,
             heads_in=left.heads_in,
             heads_out=right.heads_out,
-            cost=left.cost,
+            entry_spans=left.entry_spans,
         )
 
     def _eval_range(self, lo: int, hi: int, depth: int) -> BoundaryDigest:
@@ -434,12 +392,10 @@ class RollingState:
                 f"digest parked at step {left.R} disagrees with the frontier"
             )
         self.pending.append(left)
-        self.pending_cost += left.cost
         if self.ledger is not None:
             self.ledger.note_pending(len(self.pending))
         right = self._eval_range(mid + 1, hi, depth + 1)
         popped = self.pending.pop()
-        self.pending_cost -= popped.cost
         if popped is not left:
             raise InternalInvariantError(f"pending stack corrupted at node {node_id}")
         return self._merge_digests(popped, right)

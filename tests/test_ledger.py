@@ -73,18 +73,6 @@ def test_row_total():
     assert row.total == 13
 
 
-def test_record_tracks_maxima_and_argmax():
-    led = hs.ScreenLedger(gamma=2, t=10, b=2, c_int=1)
-    led.record(1, 5, 2)
-    led.record(2, 9, 1)
-    led.record(3, 4, 6)
-    assert led.max_screen == 9 and led.argmax_screen == 2
-    assert led.max_book == 6 and led.argmax_book == 3
-    assert led.max_total == 10 and led.argmax_total in (2, 3)
-    assert led.steps_recorded == 3
-    assert led.series == []  # keep_series off
-
-
 def test_attach_ledger_uses_work_alphabet_size():
     m = load_sample("counter")
     led = hs.attach_ledger(m, 100, 10)
@@ -141,23 +129,35 @@ def test_dirty_evictions_counted_only_when_lossy():
 # -- the per-step meter against the per-step formulas it replaced ----------
 
 
-def _reference_row(engine: hs.RollingState) -> hs.LedgerRow:
+def _reference_row(engine: hs.RollingState, history: hs.RunHistory) -> hs.LedgerRow:
     """Screen and book cells of the engine's current step, recounted from
     scratch and converted through bits_of and cells_for_bits rather than
-    the bit-length table."""
+    the bit-length table.  The forming summary's entry comes from the
+    oracle's configuration at the leaf's start, the parked digests and
+    block 1's windows from the engine's pending stack and root windows."""
+    gamma = len(engine.machine.work_alphabet)
+    idx = engine.machine.state_index
 
     def cells(v):
-        return cells_for_bits(bits_of(v), engine.gamma)
+        return cells_for_bits(bits_of(v), gamma)
 
-    screen = engine.machine.k * engine.cap
-    screen += engine.pending_cost + engine.retained_cost + engine.forming_cost
+    L = engine.decomp.block(engine.leaf_id)[0]
+    entry = history[L - 1]
+    payload = [L, idx[entry.state], *entry.heads]
+    for d in engine.pending:
+        payload += [idx[d.q_in], *d.heads_in]
+        for lo, hi in d.entry_spans:
+            payload += [lo, hi]
+    screen = engine.machine.k * engine.cap + sum(cells(v) for v in payload)
+    if engine.retained_entry is not None:
+        screen += sum(len(w.symbols) for w in engine.retained_entry)
     values = [engine.tau, engine.leaf_id, engine.t, engine.b, engine.T, len(engine.pending)]
     for ts, head in zip(engine.tapes, engine.heads):
-        screen += len(ts.snap)
+        screen += ts.blk_hi - ts.blk_lo + 1  # the block's entry snapshot
         values.extend((head, ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi))
     book = sum(cells(v) for v in values) + cells(engine.next_id)
     if engine.depth_now >= 1:
-        book += cells_for_bits(engine.depth_now, engine.gamma)  # path direction bits
+        book += cells_for_bits(engine.depth_now, gamma)  # path direction bits
     book += 1  # phase flag
     return hs.LedgerRow(engine.tau, screen, book)
 
@@ -168,8 +168,15 @@ def _metered_and_reference(machine, word, t, b, c_int=2):
     model violation ends both series at the same step."""
     ledger = hs.attach_ledger(machine, t, b, c_int=c_int, keep_series=True)
     expected: list[hs.LedgerRow] = []
+    history = hs.run(machine, word, max_steps=t).history
     engine = hs.RollingState(
-        machine, word, t, b, c_int, lambda config: expected.append(_reference_row(engine)), ledger
+        machine,
+        word,
+        t,
+        b,
+        c_int,
+        lambda config: expected.append(_reference_row(engine, history)),
+        ledger,
     )
     try:
         engine.run()
@@ -236,7 +243,7 @@ def test_meter_matches_reference_wide_random_machines():
     """Cached cells against a recount at every step, over windows down
     to one cell, violations included: the cache must follow every
     window slide, every dirty eviction that widens the lost hull, every
-    block start and every snapshot."""
+    block start and every hull arrival."""
     rng = random.Random(2502)
     events: set[str] = set()
     outcomes: set[type] = set()
@@ -249,9 +256,10 @@ def test_meter_matches_reference_wide_random_machines():
         ledger = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=True)
         expected: list[hs.LedgerRow] = []
         windows: list[tuple] = []
+        history = hs.run(m, word, max_steps=t).history
 
         def observe(config):
-            expected.append(_reference_row(engine))
+            expected.append(_reference_row(engine, history))
             windows.append(tuple((ts.lo, ts.hi, ts.lost_lo, ts.lost_hi) for ts in engine.tapes))
 
         engine = hs.RollingState(m, word, t, b, c_int, observe, ledger)

@@ -210,13 +210,16 @@ def test_reconstruct_at_matches_oracle():
 
 @dataclass
 class _LeafLog(hs.ScreenLedger):
-    """A ledger that also logs (leaf, depth, pending digests) at each
-    leaf start."""
+    """A ledger that also logs, at each leaf start, (leaf, depth, pending
+    digests) and each parked digest's (L, R, q_in, heads_in,
+    entry_spans)."""
 
     leaves: list[tuple[int, int, int]] = field(default_factory=list)
+    parked: list[tuple] = field(default_factory=list)
 
     def start_leaf(self, run) -> None:
         self.leaves.append((run.leaf_id, run.depth_now, len(run.pending)))
+        self.parked.extend((d.L, d.R, d.q_in, d.heads_in, d.entry_spans) for d in run.pending)
         super().start_leaf(run)
 
 
@@ -236,21 +239,77 @@ def _tree_positions(tree) -> list[tuple[int, int, int]]:
     return positions
 
 
+def _walk(m, word, rec, t, b, c_int) -> tuple[type | None, int]:
+    """Stream t steps of rec's run through a _LeafLog, up to a model
+    violation if any.  The leaves walked must be the static tree's, or a
+    prefix of them after a violation, and each parked digest's entry
+    interface must be the leaf summary of the block of its first step.
+    Returns the violation's type and the number of parked digests that
+    merge more than one leaf."""
+    ledger = _LeafLog(gamma=len(m.work_alphabet), t=t, b=b, c_int=c_int)
+    outcome = None
+    try:
+        hs.holo_run(m, word, t, b=b, c_int=c_int, ledger=ledger)
+    except hs.ModelViolation as exc:
+        outcome = type(exc)
+    decomp = hs.decompose(t, b)
+    positions = _tree_positions(hs.build_tree(decomp))
+    walked = positions if outcome is None else positions[: len(ledger.leaves)]
+    assert ledger.leaves == walked, (t, b)
+    merged = 0
+    for L, R, q_in, heads_in, entry_spans in ledger.parked:
+        block = decomp.block((L - 1) // b + 1)
+        s = hs.leaf_summary(rec, block, c_int, b)
+        assert block[0] == L
+        assert (q_in, heads_in, entry_spans) == (
+            s.q_in,
+            s.heads_in,
+            tuple(w.span for w in s.entry),
+        ), (t, b, L, R)
+        merged += R > block[1]
+    return outcome, merged
+
+
 def test_walk_follows_static_tree():
     """The engine's real walk, seen through the ledger's leaf-start
     event over criterion 2's grid: leaves 1..T in order, each at its
-    static tree depth, with one parked digest per right-going edge."""
+    static tree depth, with one parked digest per right-going edge, and
+    every parked digest, merged ones included, carrying the entry state,
+    heads and window spans of its first leaf."""
     m = load_sample("sweep")
-    gamma = len(m.work_alphabet)
-    walks = 0
+    walks = merged = 0
     for t in [*range(1, 129), 300, 1000]:
+        rec = hs.run(m, "", max_steps=t)
         for b in sorted({1, 3, hs.default_block_length(t), t}):
-            ledger = _LeafLog(gamma=gamma, t=t, b=b, c_int=2)
-            hs.holo_run(m, "", t, b=b, ledger=ledger)
-            tree = hs.build_tree(hs.decompose(t, b))
-            assert ledger.leaves == _tree_positions(tree), (t, b)
+            outcome, n = _walk(m, "", rec, t, b, 2)
+            assert outcome is None
             walks += 1
-    assert walks > 400
+            merged += n
+    assert walks > 400 and merged > 1000
+
+
+def test_walk_follows_static_tree_random_machines():
+    """The same walk and digest checks on random machines at tight
+    windows, violations included."""
+    rng = random.Random(1515)
+    outcomes = set()
+    merged = 0
+    for _ in range(150):
+        m = random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 200), rng.randint(1, 5), rng.randint(1, 3)
+        rec = hs.run(m, word, max_steps=t)
+        outcome, n = _walk(m, word, rec, t, b, c_int)
+        outcomes.add(outcome)
+        merged += n
+    assert outcomes == {
+        None,
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+    assert merged > 100
 
 
 def test_pending_stack_bounded_by_depth():
@@ -541,28 +600,35 @@ def test_engine_releases_the_shared_copy(name, word, t, b):
     at each leaf end, nothing in the engine, local variables included,
     still references the previous emission's cells."""
     held = []
-    checks = 0
+    refs = []
+    leaf_ends = 0
 
     def released():
-        nonlocal checks
-        checks += 1
         # one reference from held, one from getrefcount's argument
-        refs = sys.getrefcount(held[0])
-        assert refs == 2
+        refs.append(sys.getrefcount(held[0]))
 
-    class Watched(hs.RollingState):
-        def _window_of(self, ts, contents):
+    def leaf_end(frame, event, arg):
+        # a profile function sees a frame's return while its locals
+        # are still alive
+        nonlocal leaf_ends
+        if event == "return" and frame.f_code is hs.RollingState._run_leaf.__code__:
+            leaf_ends += 1
             released()
-            return super()._window_of(ts, contents)
 
     def sink(cfg):
         if held and cfg.cells is not held[0]:
             released()
         held[:] = [cfg.cells]
 
-    engine = Watched(load_sample(name), word, t, b, sink=sink)
-    engine.run()
-    assert checks >= 2 * (t // b) and engine.shown_cells is None
+    engine = hs.RollingState(load_sample(name), word, t, b, sink=sink)
+    outer = sys.getprofile()
+    sys.setprofile(leaf_end)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(outer)
+    assert leaf_ends == engine.T and engine.shown_cells is None
+    assert len(refs) > engine.T and set(refs) == {2}
 
 
 @pytest.mark.parametrize(
@@ -570,10 +636,9 @@ def test_engine_releases_the_shared_copy(name, word, t, b):
     [
         lambda ts, heads: setattr(ts, "blk_hi", ts.hi + 1),
         lambda ts, heads: setattr(ts, "blk_lo", ts.lo - 1),
-        lambda ts, heads: ts.snap.popitem(),
         lambda ts, heads: heads.__setitem__(ts.index, ts.blk_hi + 1),
     ],
-    ids=["hull-above-window", "hull-below-window", "snapshot-short", "head-off-hull"],
+    ids=["hull-above-window", "hull-below-window", "head-off-hull"],
 )
 def test_audit_checks_block_hull(corrupt):
     """The audit holds the invariant the leaf loop's skip relies on."""
@@ -584,6 +649,26 @@ def test_audit_checks_block_hull(corrupt):
     corrupt(engine.tapes[0], engine.heads)
     with pytest.raises(hs.InternalInvariantError, match="block hull"):
         engine._audit()
+
+
+def test_engine_keeps_no_per_cell_state():
+    """After a bare run on each bundled machine, every tape slot but the
+    reported tape and the initial tape holds one int or str: the engine
+    keeps no other per-cell container."""
+    for name, word in (
+        ("writer2", ""),
+        ("sweep", ""),
+        ("counter", counter_input(8)),
+        ("palin", palin_input(300)),
+    ):
+        m = load_sample(name)
+        t = min(hs.probe_run_length(m, word, 300)[0], 300)
+        engine = hs.RollingState(m, word, t, hs.default_block_length(t))
+        engine.run()
+        for ts in engine.tapes:
+            for slot in type(ts).__slots__:
+                if slot not in ("live", "initial"):
+                    assert isinstance(getattr(ts, slot), (int, str)), (name, slot)
 
 
 def test_single_block_run():
