@@ -83,7 +83,6 @@ from .scaling import (
     render_scaling_svg,
     report_to_csv,
 )
-from .spacetime import build_dag, dag_to_dot, dag_to_json
 from .streaming import (
     CaptureSink,
     CountingSink,

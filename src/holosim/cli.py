@@ -29,7 +29,6 @@ from .ledger import attach_ledger
 from .machine import MachineSpec, parse_machine, probe_run_length, run
 from .samples import SAMPLE_NAMES, counter_input, palin_input, sample_text
 from .scaling import area_law_study, render_scaling_svg, report_to_csv
-from .spacetime import build_dag, dag_to_dot, dag_to_json
 from .streaming import VerifySink, default_block_length, holo_run, reconstruct_at
 from .witness import KIND_HISTORY, KIND_POINTWISE, build_witness
 
@@ -283,23 +282,6 @@ def cmd_scaling(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_dag(args) -> int:
-    machine = load_machine_arg(args.machine)
-    record = run(machine, args.input, max_steps=args.max_steps)
-    dag = build_dag(record)
-    if args.format == "json":
-        text = json.dumps(dag_to_json(dag), indent=2)
-    else:
-        text = dag_to_dot(dag)
-    _write_or_print(text, args.out)
-    print(
-        f"t={dag.t} k={dag.k} volume={dag.volume} "
-        f"control_edges={dag.control_edge_count} data_edges={len(dag.data_edges)}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
 # ---- wiring ---------------------------------------------------------------
 
 
@@ -378,13 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--svg", metavar="FILE")
     p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("export-dag", help="spacetime event DAG as JSON or dot")
-    _add_machine_input(p)
-    p.add_argument("--max-steps", type=parse_steps, default=10_000)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_export_dag)
 
     return parser
 

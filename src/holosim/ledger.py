@@ -40,7 +40,8 @@ Conventions, fixed here and used by every metric downstream:
   administrative integers (head, live bounds, block-window bounds,
   evicted-dirty hull).  Everything here is O(log) many integers of
   O(log) bits, so max_book grows like log T.
-* s_total = s_screen + s_book, recorded once per simulated step.
+* s_total = s_screen + s_book.  The maxima and argmaxes are over every
+  simulated step, even those the gate below does not meter.
 
 The ledger consumes four engine events and computes every charge from
 the engine's simulation state; the engine counts nothing for it.  At
@@ -48,11 +49,23 @@ run start it takes T and the arena size and builds its bit-length
 table.  At each leaf start it counts the cells fixed through the leaf:
 arena, stack, retained and forming summaries, tree position, counters
 and run parameters.  After a tape's block begins and after each head
-arrival off its block hull it recounts that tape's entry snapshot and
-administrative integers (live bounds, block-window bounds,
-evicted-dirty hull), the only moments they change, and keeps running
-totals over the tapes.  A step then adds the clock and each head: k + 1
-table lookups and one call.
+arrival off its block hull it recharges that tape's entry snapshot at
+the hull's length.  It recounts the tape's administrative integers
+(live bounds, block-window bounds, evicted-dirty hull) only when one of
+them leaves its band, the range over which its cell count is constant;
+a band holds at least every integer of one bit length, so that happens
+about once per doubling.  A metered step adds the clock and each head
+to the cached cells.
+
+Between two of these events the row of every step is bounded: each
+head stays inside its block hull and the clock inside the leaf, so
+book <= cached + cells(R) + sum over tapes of max(cells(blk_lo),
+cells(blk_hi)), with R the leaf's last step.  A maximum and its argmax
+change only on a strict >, so after each event and each metered step
+the ledger sets `hot` to whether that bound can beat max_screen,
+max_book or max_total, and the engine meters a step only while `hot`
+holds.  keep_series keeps every step hot.  The engine adds each leaf's
+completed steps to steps_recorded, however the leaf ends.
 """
 
 from __future__ import annotations
@@ -127,8 +140,9 @@ class ScreenLedger:
 
     Created by attach_ledger for one (t, b, c_int), filled in by a
     holo_run with those parameters through the events below.
-    keep_series=True retains one LedgerRow per step for plotting; large
-    runs should leave it off and use the maxima.
+    keep_series=True retains one LedgerRow per step for plotting, and so
+    meters every step; large runs should leave it off and use the
+    maxima.
     """
 
     gamma: int
@@ -149,23 +163,35 @@ class ScreenLedger:
     dirty_evictions: int = 0
     steps_recorded: int = 0
     series: list[LedgerRow] = field(default_factory=list)
-    # this run's bit-length table, built at run start for its t
+    # the gate: whether the next step's row can beat a maximum
+    hot: bool = field(default=True, init=False, repr=False, compare=False)
+    # this run's bit-length table, built at run start for its t, and per
+    # table index the bands of the integers it holds: nonnegative ones
+    # and negative ones
     cell_table: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    # cached cells: per tape, its administrative integers and entry
-    # snapshot; over the run, the cells that stay fixed through a step
+    _nonneg_bands: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _neg_bands: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    # cached cells: per tape, its administrative integers, the bands
+    # they were counted in, its entry snapshot and the most a head
+    # inside its hull costs; over the run, the cells that stay fixed
+    # through a step and the most the clock and heads add to the book
     _tape_book: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tape_bands: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _tape_screen: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tape_heads: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
     _screen: int = field(default=0, init=False, repr=False, compare=False)
     _book: int = field(default=0, init=False, repr=False, compare=False)
+    _bound: int = field(default=0, init=False, repr=False, compare=False)
 
     # ---- engine events ----------------------------------------------------
 
     def start_run(self, run) -> None:
         """Run start: T, the arena of k tapes times c_int * b cells, and
-        the bit-length table.  Every integer metered lies in [-t, t],
-        since heads move one cell a step and windows hold only visited
-        cells, and the path has at most t.bit_length() edges.  A ledger
-        meters one run: one that has recorded steps is refused."""
+        the bit-length table and its bands.  Every integer metered lies
+        in [-2t, 2t] or below b or the number of states: heads move one
+        cell a step, windows hold only visited cells, and the walk
+        numbers fewer than 2T nodes.  A ledger meters one run: one that
+        has recorded steps is refused."""
         if self.steps_recorded:
             raise ValueError(
                 f"ledger has already recorded {self.steps_recorded} steps; "
@@ -173,17 +199,46 @@ class ScreenLedger:
             )
         self.T = run.T
         self.arena_cells = len(run.tapes) * run.cap
-        self.cell_table = cells_table(self.gamma, self.t.bit_length() + 1)
-        self._tape_book = [0] * len(run.tapes)
-        self._tape_screen = [0] * len(run.tapes)
+        size = max(2 * self.t, self.b, len(run.machine.state_index)).bit_length() + 2
+        cells = self.cell_table = cells_table(self.gamma, size)[:size]
+        # index n holds the ints whose folding v if v >= 0 else ~v has
+        # n - 1 bits.  A band is a maximal run first..n of indices with
+        # equal cells, as a range of v: one across zero if the run holds
+        # folding 0, else one on each side of zero
+        nonneg = self._nonneg_bands = [(0, -1)] * size
+        neg = self._neg_bands = [(0, -1)] * size
+        first = 1
+        for n in range(1, size):
+            if n + 1 < size and cells[n + 1] == cells[n]:
+                continue
+            top = (1 << (n - 1)) - 1
+            if first == 1:
+                bands = (~top, top), (~top, top)
+            else:
+                bottom = 1 << (first - 2)
+                bands = (bottom, top), (~top, ~bottom)
+            for j in range(first, n + 1):
+                nonneg[j], neg[j] = bands
+            first = n + 1
+        k = len(run.tapes)
+        self._tape_book = [0] * k
+        self._tape_bands = [[0, -1] * 6 for _ in range(k)]
+        self._tape_screen = [0] * k
+        self._tape_heads = [0] * k
+
+    def _cells(self, values) -> int:
+        """Cells of the given integers, one table lookup each."""
+        cells = self.cell_table
+        return sum([cells[(v if v >= 0 else ~v).bit_length() + 1] for v in values])
 
     def start_leaf(self, run) -> None:
         """Leaf start, after every tape's block has begun: count the
         cells that stay fixed through the leaf (the stack parks and pops
         and block 1's windows are retained only between leaves, and the
-        node id and path change only there) and recount every tape.
+        node id and path change only there) and refresh every tape.
         The forming summary, block 1's retained windows and the parked
-        digests are counted here from the engine's state."""
+        digests are counted here from the engine's state.  The clock's
+        bound is the leaf's last step."""
         idx = run.machine.state_index
         values = [run.tau + 1, idx[run.state], *run.heads]
         for d in run.pending:
@@ -192,38 +247,75 @@ class ScreenLedger:
             for lo, hi in d.entry_spans:
                 values.append(lo)
                 values.append(hi)
-        screen = self.arena_cells + ints_cells(values, self.gamma)
+        screen = self.arena_cells + self._cells(values)
         if run.retained_entry is not None:
             screen += sum(len(w) for w in run.retained_entry)
-        book = ints_cells(
-            (run.leaf_id, self.t, self.b, self.T, len(run.pending), run.next_id), self.gamma
+        book = self._cells(
+            (run.leaf_id, self.t, self.b, self.T, len(run.pending), run.next_id)
         )
         if run.depth_now >= 1:
             book += self.cell_table[run.depth_now]  # path direction bits
         book += 1  # phase flag
         self._screen = screen + sum(self._tape_screen)
         self._book = book + sum(self._tape_book)
+        R = run.decomp.block(run.leaf_id)[1]
+        self._bound = self.cell_table[R.bit_length() + 1] + sum(self._tape_heads)
         for ts in run.tapes:
             self.refresh_tape(ts)
 
-    def refresh_tape(self, ts) -> None:
-        """A tape's window, hull or lost hull moved: recount its entry
-        snapshot, charged at the hull's length, and its administrative
-        integers, and update the totals."""
+    def _recount(self, ts) -> None:
+        """Recount a tape's administrative integers, note the band each
+        was counted in, and bound a head inside the hull by the dearer
+        hull end."""
         cells = self.cell_table
-        book = 0
+        nonneg, neg = self._nonneg_bands, self._neg_bands
+        counts: list[int] = []
+        band: list[int] = []
         for v in (ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
-            book += cells[(v if v >= 0 else ~v).bit_length() + 1]
+            if v >= 0:
+                n = v.bit_length() + 1
+                band += nonneg[n]
+            else:
+                n = (~v).bit_length() + 1
+                band += neg[n]
+            counts.append(cells[n])
         i = ts.index
+        self._tape_bands[i] = band
+        book = sum(counts)
         self._book += book - self._tape_book[i]
         self._tape_book[i] = book
+        head = max(counts[2], counts[3])  # the hull ends
+        self._bound += head - self._tape_heads[i]
+        self._tape_heads[i] = head
+
+    def refresh_tape(self, ts) -> None:
+        """A tape's block began or its head arrived off the hull: charge
+        the entry snapshot at the hull's length, recount the
+        administrative integers if one has left its band, and reset the
+        gate."""
+        i = ts.index
+        band = self._tape_bands[i]
+        if not (
+            band[0] <= ts.lo <= band[1]
+            and band[2] <= ts.hi <= band[3]
+            and band[4] <= ts.blk_lo <= band[5]
+            and band[6] <= ts.blk_hi <= band[7]
+            and band[8] <= ts.lost_lo <= band[9]
+            and band[10] <= ts.lost_hi <= band[11]
+        ):
+            self._recount(ts)
         screen = ts.blk_hi - ts.blk_lo + 1
         self._screen += screen - self._tape_screen[i]
         self._tape_screen[i] = screen
+        if not self.keep_series:
+            screen = self._screen
+            book = self._book + self._bound
+            self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
 
     def step(self, tau: int, heads) -> None:
-        """Record step tau: the cached cells plus the clock and each
-        head, one table lookup each."""
+        """Record step tau, which the gate let through: the cached cells
+        plus the clock and each head, one table lookup each.  Then reset
+        the gate against the new maxima."""
         cells = self.cell_table
         book = self._book + cells[tau.bit_length() + 1]
         for h in heads:
@@ -239,9 +331,13 @@ class ScreenLedger:
         if total > self.max_total:
             self.max_total = total
             self.argmax_total = tau
-        self.steps_recorded += 1
         if self.keep_series:
             self.series.append(LedgerRow(tau, screen, book))
+        else:
+            # refresh_tape's gate, written out in both: a shared method
+            # costs a call per arrival, 5-10% of a metered palin or sweep run
+            book = self._book + self._bound
+            self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
 
     def note_pending(self, depth: int) -> None:
         if depth > self.max_pending:

@@ -52,11 +52,13 @@ so the hull lies inside the live window.  Only a head that steps off
 its hull goes through the window discipline.
 
 The engine holds simulation state only.  An attached ScreenLedger is
-told of the run start, each leaf start, each arrival off a hull and
-each step, and computes every charge itself from that state: the cells
-that change only at the first three are cached there, so a step costs
-it k + 1 table lookups and one call.  The loop picks the metered
-arrival once per leaf, so bare, sink and replay runs pay nothing for it.
+told of the run start, each leaf start and each arrival off a hull, one
+call each, and computes every charge itself from that state.  Between
+those events it bounds every step's row and keeps a `hot` flag that
+says whether the bound can beat a maximum, so the loop meters a step
+only while the flag is set and otherwise pays one flag test; at each
+leaf end the loop adds the steps the leaf completed.  Bare, sink and
+replay runs pay one None test per step and per arrival.
 """
 
 from __future__ import annotations
@@ -262,11 +264,6 @@ class RollingState:
         else:
             ts.blk_hi = cell
 
-    def _arrive_metered(self, ts: _TapeState, cell: int, block_index: int) -> None:
-        """_arrive, then the ledger recounts the tape it changed."""
-        self._arrive(ts, cell, block_index)
-        self.ledger.refresh_tape(ts)
-
     # ---- tree walk --------------------------------------------------------
 
     def _run_leaf(self, k: int, depth: int) -> BoundaryDigest:
@@ -287,42 +284,48 @@ class RollingState:
         arrive = RollingState._arrive
         if ledger is not None:
             ledger.start_leaf(self)
-            arrive = RollingState._arrive_metered
         sink = self.sink
         blank = self.machine.blank
         tapes = self.tapes
         indices = range(len(tapes))
         heads = self.heads
-        for value in islice(self.stepper, R - L + 1):
-            for ts in tapes:
-                h = heads[ts.index]
-                # inside its block hull a head changes nothing
-                if h < ts.blk_lo or h > ts.blk_hi:
-                    arrive(self, ts, h, k)
-            self.state = value[0]
-            self.tau += 1
-            if sink is not None:
-                cells = self.shown_cells
-                if cells is not None:
-                    # the cell each tape wrote, against the last emission
-                    writes, moves = value[1], value[2]
-                    for i in indices:
-                        if cells[i].get(heads[i] - moves[i], blank) != writes[i]:
-                            cells = self.shown_cells = None
-                            break
-                if cells is None:
-                    cells = self.shown_cells = tuple([ts.live.copy() for ts in tapes])
-                spans = self.shown_spans
-                if spans is None:
-                    spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
-                sink(Configuration(self.machine, self.tau, self.state, tuple(heads), cells, spans))
-                # no local keeps a copy alive once a revert or the leaf
-                # end releases it
-                cells = None
+        try:
+            for value in islice(self.stepper, R - L + 1):
+                for ts in tapes:
+                    h = heads[ts.index]
+                    # inside its block hull a head changes nothing
+                    if h < ts.blk_lo or h > ts.blk_hi:
+                        arrive(self, ts, h, k)
+                        if ledger is not None:
+                            ledger.refresh_tape(ts)
+                self.state = value[0]
+                self.tau += 1
+                if sink is not None:
+                    cells = self.shown_cells
+                    if cells is not None:
+                        # the cell each tape wrote, against the last emission
+                        writes, moves = value[1], value[2]
+                        for i in indices:
+                            if cells[i].get(heads[i] - moves[i], blank) != writes[i]:
+                                cells = self.shown_cells = None
+                                break
+                    if cells is None:
+                        cells = self.shown_cells = tuple([ts.live.copy() for ts in tapes])
+                    spans = self.shown_spans
+                    if spans is None:
+                        spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
+                    sink(Configuration(self.machine, self.tau, self.state, tuple(heads), cells, spans))
+                    # no local keeps a copy alive once a revert or the leaf
+                    # end releases it
+                    cells = None
+                # a step the gate holds back cannot set a maximum
+                if ledger is not None and ledger.hot:
+                    ledger.step(self.tau, heads)
+                if self.tau % self.audit_stride == 0:
+                    self._audit()
+        finally:
             if ledger is not None:
-                ledger.step(self.tau, heads)
-            if self.tau % self.audit_stride == 0:
-                self._audit()
+                ledger.steps_recorded += self.tau - (L - 1)
         if self.tau != R:
             raise RunEndedEarly(self.tau, self.t)
         if sink is not None:

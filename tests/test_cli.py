@@ -275,16 +275,12 @@ def test_scaling_writer2_fits_nothing(capsys):
     assert captured.err == ""
 
 
-def test_export_dag_json(capsys):
-    code = main(["export-dag", "writer2"])
-    assert code == 0
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)
-    assert doc["t"] == 2 and doc["k"] == 1
-    assert "volume=2" in captured.err
-
-
-def test_export_dag_dot(capsys):
-    code = main(["export-dag", "counter", "0", "--format", "dot"])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("digraph")
+def test_halt_before_t_is_a_model_error(capsys):
+    """counter on 0000 halts after 57 steps: asking for 100 exits 3 and
+    names the true length, before any streaming or labelling."""
+    want = "error: machine halts after 57 steps, not 100\n"
+    assert main(["simulate", "counter", "0000", "--t", "100", "--verify"]) == 3
+    assert capsys.readouterr() == ("", want)
+    argv = ["tree", "--t", "100", "--label", "--machine", "counter", "--input", "0000"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", want)

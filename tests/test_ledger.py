@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import holosim as hs
 from holosim.ledger import bits_of, cells_for_bits, cells_table, int_cells, ints_cells
 from holosim.samples import counter_input, load_sample, palin_input
-from support import random_machine
+from support import random_machine, wide_alphabet_machine
 
 
 def test_bits_of_pinned():
@@ -66,6 +66,26 @@ def test_ints_cells_is_sum():
     vals = [0, 5, -3, 1000]
     assert ints_cells(vals, 3) == sum(int_cells(v, 3) for v in vals)
     assert ints_cells([], 3) == 0
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 4, 5, 7, 16, 130])
+def test_bands_are_maximal_runs_of_equal_cells(gamma):
+    """The band the ledger notes for an int holds every int of equal
+    cells on the same side of zero (both sides where the band holds 0
+    and -1), and the ints just outside it differ."""
+    t = 2**16
+    m = load_sample("counter")
+    ledger = hs.ScreenLedger(gamma=gamma, t=t, b=256, c_int=2)
+    hs.RollingState(m, counter_input(20), t, 256, 2, ledger=ledger)
+    for v in range(-(2**12), 2**12):
+        n = (v if v >= 0 else ~v).bit_length() + 1
+        lo, hi = (ledger._nonneg_bands if v >= 0 else ledger._neg_bands)[n]
+        assert lo <= v <= hi
+        assert int_cells(lo, gamma) == int_cells(v, gamma) == int_cells(hi, gamma)
+        assert (lo < 0 <= hi) == (int_cells(0, gamma) == int_cells(v, gamma))
+        assert int_cells(lo - 1, gamma) != int_cells(v, gamma)
+        if hi < 2 * t:
+            assert int_cells(hi + 1, gamma) != int_cells(v, gamma)
 
 
 def test_row_total():
@@ -289,6 +309,127 @@ def test_meter_matches_reference_wide_random_machines():
     assert deep and rows > 4000
 
 
+# -- the gate: a step is metered only while its row can beat a maximum ----
+
+
+def _counting_steps(ledger: hs.ScreenLedger) -> list[int]:
+    """Wrap ledger.step so that the returned list receives the tau of
+    every step the gate lets through."""
+    metered: list[int] = []
+    step = ledger.step
+
+    def counted(tau, heads):
+        metered.append(tau)
+        step(tau, heads)
+
+    ledger.step = counted
+    return metered
+
+
+_FIGURES = (
+    "T",
+    "max_screen",
+    "max_book",
+    "max_total",
+    "argmax_screen",
+    "argmax_book",
+    "argmax_total",
+    "max_pending",
+    "dirty_evictions",
+    "steps_recorded",
+)
+
+
+def test_gate_matches_forced_metering_random_machines():
+    """One run metered twice, by a gated ledger and by one that keeps a
+    series and so meters every step, over windows down to one cell and
+    violations included: every figure agrees, and every step at which
+    the series sets a new maximum was one the gate let through."""
+    rng = random.Random(1613)
+    outcomes: set[type] = set()
+    steps = held_back = 0
+    for i in range(200):
+        m = wide_alphabet_machine(rng) if i % 8 == 0 else random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = [rng.choice(m.input_alphabet) for _ in range(n)]
+        t, b, c_int = rng.randint(1, 300), rng.randint(1, 5), rng.randint(1, 3)
+        gated = hs.attach_ledger(m, t, b, c_int=c_int)
+        forced = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=True)
+        metered = _counting_steps(gated)
+        kinds = []
+        for ledger in (gated, forced):
+            try:
+                hs.holo_run(m, word, t, b=b, c_int=c_int, ledger=ledger)
+                kinds.append(type(None))
+            except hs.ModelViolation as exc:
+                kinds.append(type(exc))
+        assert kinds[0] == kinds[1]
+        outcomes.add(kinds[0])
+        for name in _FIGURES:
+            assert getattr(gated, name) == getattr(forced, name), (i, name)
+        assert forced.steps_recorded == len(forced.series)
+        best = [0, 0, 0]
+        for row in forced.series:
+            figures = (row.screen, row.book, row.total)
+            if any(f > top for f, top in zip(figures, best)):
+                assert row.tau in metered, (i, row)
+                best = [max(f, top) for f, top in zip(figures, best)]
+        steps += forced.steps_recorded
+        held_back += forced.steps_recorded - len(metered)
+    assert outcomes == {
+        type(None),
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+    # the gate holds most steps back even at these sizes
+    assert held_back > steps // 2
+
+
+# one tape; each input cell takes three steps (mark, step back, step on),
+# then the head runs right for good, one new cell a step
+_CREEP = """machine creep
+tapes 1
+blank _
+input_alphabet a
+work_alphabet a b _
+start go
+accept acc
+reject rej
+delta go a -> back b R
+delta go b -> back b R
+delta go _ -> go _ R
+delta back a -> fwd a L
+delta back b -> fwd b L
+delta back _ -> fwd _ L
+delta fwd a -> go a R
+delta fwd b -> go b R
+delta fwd _ -> go _ R
+"""
+
+
+@pytest.mark.parametrize(
+    "name, word, t, b, c_int, error, steps",
+    [
+        ("counter", "0000", 100, 8, 2, hs.RunEndedEarly, 57),
+        ("palin", "0" * 128, 2**12, 64, 2, hs.StaleWindowReentry, 255),
+        ("creep", "a" * 6, 200, 6, 1, hs.NonBlockRespecting, 23),
+    ],
+    ids=["RunEndedEarly", "StaleWindowReentry", "NonBlockRespecting"],
+)
+def test_steps_recorded_on_violations(name, word, t, b, c_int, error, steps):
+    """A leaf that ends early, on a violation or a halt, still adds the
+    steps it completed, each one emitted.  Each run ends past its first
+    leaf, so earlier leaves count too."""
+    m = hs.parse_machine(_CREEP) if name == "creep" else load_sample(name)
+    ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+    emitted: list[int] = []
+    with pytest.raises(error):
+        hs.holo_run(m, word, t, b=b, c_int=c_int, sink=lambda c: emitted.append(c.time), ledger=ledger)
+    assert emitted == list(range(1, steps + 1))
+    assert ledger.steps_recorded == steps > b
+
+
 def test_ledger_for_another_run_is_rejected():
     m = load_sample("counter")
     word = counter_input(12)
@@ -353,3 +494,25 @@ def test_fresh_emissions_at_benchmark_size(name, word, fresh):
         1 + sum(cfg.cells is not prev.cells for prev, cfg in pairs),
         1 + sum(cfg.spans is not prev.spans for prev, cfg in pairs),
     ) == fresh
+
+
+@pytest.mark.parametrize(
+    "name, word, metered",
+    [
+        ("counter", counter_input(20), 315),
+        ("palin", palin_input(2**13), 299),
+        ("sweep", "", 572),
+    ],
+    ids=["counter", "palin", "sweep"],
+)
+def test_gate_work_at_benchmark_size(name, word, metered):
+    """How many of the 8192 steps the gate lets through to ledger.step:
+    those whose row bound could still beat a maximum.  A gate that also
+    opened on a tie would leave every maximum as it is and show only
+    here."""
+    m = load_sample(name)
+    ledger = hs.attach_ledger(m, 2**13, 91)
+    taus = _counting_steps(ledger)
+    hs.holo_run(m, word, 2**13, b=91, ledger=ledger)
+    assert len(taus) == metered
+    assert ledger.steps_recorded == 2**13
