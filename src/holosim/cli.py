@@ -118,6 +118,15 @@ def _sha16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _halts_before(steps_done: int, t: int) -> bool:
+    """Report a machine that halts before step t, so that a command can
+    exit before streaming or labelling anything."""
+    if steps_done < t:
+        print(f"error: machine halts after {steps_done} steps, not {t}", file=sys.stderr)
+        return True
+    return False
+
+
 # ---- subcommands ----------------------------------------------------------
 
 
@@ -146,18 +155,11 @@ def cmd_simulate(args) -> int:
     else:
         t = parse_steps(args.t)
         word = _resolve_input(args, machine, t)
+        if args.verify and _halts_before(probe_run_length(machine, word, t)[0], t):
+            return EXIT_MODEL
     b = args.b if args.b is not None else default_block_length(t)
     ledger = attach_ledger(machine, t, b, args.c_int, keep_series=bool(args.series))
-    sink = None
-    if args.verify:
-        oracle = run(machine, word, max_steps=t)
-        if oracle.t < t:
-            print(
-                f"error: machine halts after {oracle.t} steps, not {t}",
-                file=sys.stderr,
-            )
-            return EXIT_MODEL
-        sink = VerifySink(oracle.history)
+    sink = VerifySink(machine, word) if args.verify else None
     root = holo_run(machine, word, t, b=b, c_int=args.c_int, sink=sink, ledger=ledger)
     blob = encode_summary(root)
     print(
@@ -185,7 +187,9 @@ def cmd_check_blocks(args) -> int:
     t = parse_steps(args.t)
     word = _resolve_input(args, machine, t)
     record = run(machine, word, max_steps=t)
-    b = args.b if args.b is not None else default_block_length(record.t)
+    if _halts_before(record.t, t):
+        return EXIT_MODEL
+    b = args.b if args.b is not None else default_block_length(t)
     report = check_block_respecting(record, b, args.c_int)
     for e in report.entries:
         widest = max(e.widths)
@@ -195,7 +199,7 @@ def cmd_check_blocks(args) -> int:
             f"max_span={widest} limit={report.limit} {tag}"
         )
     if report.ok:
-        print(f"block-respecting at b={b}, c_int={args.c_int} over t={record.t}")
+        print(f"block-respecting at b={b}, c_int={args.c_int} over t={t}")
         return EXIT_OK
     bad = sum(1 for e in report.entries if not e.ok)
     print(f"{bad} of {len(report.entries)} blocks exceed the window limit")
@@ -213,11 +217,7 @@ def cmd_tree(args) -> int:
         machine = load_machine_arg(args.machine)
         word = _resolve_input(args, machine, t)
         record = run(machine, word, max_steps=t)
-        if record.t < t:
-            print(
-                f"error: machine halts after {record.t} steps, not {t}",
-                file=sys.stderr,
-            )
+        if _halts_before(record.t, t):
             return EXIT_MODEL
         tree = label_tree(tree, record, args.c_int, args.policy)
     _write_or_print(json.dumps(tree_to_json(tree), indent=2), args.out)

@@ -119,10 +119,6 @@ def int_cells(value: int, gamma: int) -> int:
     return cells_table(gamma, bits)[bits]
 
 
-def ints_cells(values, gamma: int) -> int:
-    return sum(int_cells(v, gamma) for v in values)
-
-
 @dataclass
 class LedgerRow:
     tau: int

@@ -77,7 +77,7 @@ from .errors import (
     StaleWindowReentry,
 )
 from .ledger import ScreenLedger
-from .machine import Configuration, HistoryCursor, MachineSpec, normalize_input, steps
+from .machine import Configuration, MachineSpec, initial_configuration, normalize_input, steps
 
 Sink = Callable[[Configuration], None]
 
@@ -495,33 +495,168 @@ class CountingSink:
 
 
 class VerifySink:
-    """Sink that checks each emission against the oracle history in
-    place: state and heads outright, cells inside the emission's spans.
-    `strict` counts the emissions whose tapes match outright too."""
+    """Sink that checks each emission against direct simulation, run in
+    lockstep: the sink owns full oracle tapes and one stepping kernel
+    and takes one step per emission.  An emission must come at the
+    next time, with the kernel's state and heads; a mismatch inside its
+    spans raises, a wrong cell outside every span only keeps it out of
+    `strict`, the count of emissions equal to the oracle outright.
 
-    def __init__(self, history):
-        self.cursor = HistoryCursor(history)
+    Per tape the sink keeps the expected report, what a correct engine
+    reports (module docstring): the oracle's cells inside the last
+    emission's span and the initial tape's outside it.  `stale` counts
+    the cells outside the span where that report differs from the
+    oracle; a cell outside is one of them exactly when the oracle and
+    the initial tape differ there, so no set of them is kept.  While
+    the count is 0 the expected report is the oracle tape itself, so a
+    run without dirty evictions builds no second dict.  A step updates
+    both at the cell each tape wrote and at the cells its span gained
+    or lost.
+
+    An emission that reuses both the cells and the spans objects of a
+    last emission equal to its expected report can differ from the new
+    report only where the step wrote, so only those k cells are
+    checked; any other emission is compared tape by tape at C speed.
+    Only an emission that differs from its expected report gets the
+    in-span cell walk, and a correct engine never sends one."""
+
+    def __init__(self, machine: MachineSpec, input_word):
+        c0 = initial_configuration(machine, input_word)
+        self.initial = c0.cells
+        self.oracle = tuple([dict(tape) for tape in c0.cells])
+        self.heads = list(c0.heads)
+        self.stepper = steps(machine, c0.state, self.heads, self.oracle)
+        self.time = 0
+        # the expected reports, `oracle` itself while every stale count is 0
+        self.reports = self.oracle
+        self.stale = [0] * machine.k
+        # at time 0 the oracle is the initial tape, whatever the span
+        self.spans = c0.spans
+        # the last emission's cells while they equal its expected report
+        self.matched: tuple[dict[int, str], ...] | None = None
         self.compared = 0
         self.strict = 0
 
     def __call__(self, config: Configuration) -> None:
-        cursor = self.cursor
-        cursor.advance_to(config.time)
-        exact = True
-        windowed = config.state == cursor.state and list(config.heads) == cursor.heads
-        for got, want, (lo, hi) in zip(config.cells, cursor.cells, config.spans):
-            if got != want:
-                exact = False
-                windowed = windowed and all(
-                    got.get(c) == want.get(c) for c in range(lo, hi + 1)
-                )
-        if not windowed:
+        if config.time != self.time + 1:
             raise InternalInvariantError(
-                f"emission at t={config.time} disagrees with direct simulation "
-                f"inside its window"
+                f"emission at t={config.time} does not follow t={self.time}"
             )
+        value = next(self.stepper, None)
+        if value is None:
+            raise InternalInvariantError(
+                f"emission at t={config.time} comes after direct simulation "
+                f"halted at t={self.time}"
+            )
+        self.time = config.time
+        heads = self.heads
+        if config.state != value[0] or config.heads != tuple(heads):
+            raise self._disagrees(config)
+        cells, spans, last_spans = config.cells, config.spans, self.spans
+        oracle, reports = self.oracle, self.reports
+        shared = cells is self.matched and spans is last_spans
+        matched = True
+        for i, move in enumerate(value[2]):
+            w = heads[i] - move
+            lo, hi = last_spans[i]
+            if w < lo or w > hi:
+                # the last emission's head was outside its own span
+                self._rebuild(i, lo, hi)
+                reports = self.reports
+            elif reports is not oracle and reports[i] is not oracle[i]:
+                _show(reports[i], w, oracle[i].get(w))
+            if shared and cells[i].get(w) != reports[i].get(w):
+                matched = False
+        if spans is not last_spans:
+            for i, (old, new) in enumerate(zip(last_spans, spans)):
+                if old != new:
+                    self._move_span(i, old, new)
+            self.spans = spans
+        if not shared:
+            matched = cells == self.reports
+        if matched:
+            self.matched = cells
+            exact = self.reports is oracle
+        else:
+            self.matched = None
+            exact = True
+            for got, want, (lo, hi) in zip(cells, oracle, spans):
+                if got != want:
+                    exact = False
+                    if not all(got.get(c) == want.get(c) for c in range(lo, hi + 1)):
+                        raise self._disagrees(config)
         self.compared += 1
         self.strict += exact
+
+    def _disagrees(self, config: Configuration) -> InternalInvariantError:
+        return InternalInvariantError(
+            f"emission at t={config.time} disagrees with direct simulation "
+            f"inside its window"
+        )
+
+    def _set_report(self, i: int, report: dict[int, str]) -> None:
+        reports = list(self.reports)
+        reports[i] = report
+        own = any(r is not o for r, o in zip(reports, self.oracle))
+        self.reports = tuple(reports) if own else self.oracle
+
+    def _rebuild(self, i: int, lo: int, hi: int) -> None:
+        """Recount tape i's stale cells and rebuild its expected report
+        for span [lo, hi] from the oracle and initial tapes."""
+        tape, initial = self.oracle[i], self.initial[i]
+        stale = sum(
+            not lo <= c <= hi and tape.get(c) != initial.get(c) for c in tape.keys() | initial.keys()
+        )
+        self.stale[i] = stale
+        if stale:
+            report = {c: s for c, s in initial.items() if not lo <= c <= hi}
+            report.update((c, s) for c, s in tape.items() if lo <= c <= hi)
+            self._set_report(i, report)
+        else:
+            self._set_report(i, tape)
+
+    def _move_span(self, i: int, old: tuple[int, int], new: tuple[int, int]) -> None:
+        (lo0, hi0), (lo1, hi1) = old, new
+        tape, initial = self.oracle[i], self.initial[i]
+        stale = self.stale[i]
+        # a cell that left the span shows the initial tape, and is stale
+        # where the oracle differs
+        for gone in (
+            range(lo0, lo1 if lo1 <= hi0 else hi0 + 1),
+            range(hi1 + 1 if hi1 >= lo0 else lo0, hi0 + 1),
+        ):
+            for cell in gone:
+                sym = initial.get(cell)
+                if tape.get(cell) != sym:
+                    if not stale:
+                        self._set_report(i, tape.copy())
+                    stale += 1
+                    _show(self.reports[i], cell, sym)
+        if stale:
+            # a cell that entered it shows the oracle again, and was stale
+            # where the two differ
+            report = self.reports[i]
+            for came in (
+                range(lo1, lo0 if lo0 <= hi1 else hi1 + 1),
+                range(hi0 + 1 if hi0 >= lo1 else lo1, hi1 + 1),
+            ):
+                for cell in came:
+                    sym = tape.get(cell)
+                    if sym != initial.get(cell):
+                        stale -= 1
+                        _show(report, cell, sym)
+            if not stale:
+                self._set_report(i, tape)
+        self.stale[i] = stale
+
+
+def _show(report: dict[int, str], cell: int, sym: str | None) -> None:
+    """Set a cell of an expected report; sym None is a blank cell.  The
+    symbols come from the oracle or the initial tape, never a blank."""
+    if sym is None:
+        report.pop(cell, None)
+    else:
+        report[cell] = sym
 
 
 def reconstruct_at(

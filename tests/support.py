@@ -12,6 +12,8 @@ import random
 
 from holosim import (
     Configuration,
+    HistoryCursor,
+    InternalInvariantError,
     IntervalSummary,
     MachineSpec,
     POLICY_BOUNDARY,
@@ -69,6 +71,38 @@ def reference_trace(machine: MachineSpec, word, max_steps: int):
             heads[i] += moves[i]
         steps += 1
         yield steps, state, tuple(heads), tuple(t.nonblank() for t in tapes)
+
+
+class ReferenceVerifier:
+    """The verify sink as it was before it stepped its own kernel: it
+    walks a recorded oracle history and checks each emission in place,
+    state and heads outright and cells inside the emission's spans.
+    `strict` counts the emissions whose tapes match outright too.
+    Unlike streaming.VerifySink it accepts skipped times."""
+
+    def __init__(self, history):
+        self.cursor = HistoryCursor(history)
+        self.compared = 0
+        self.strict = 0
+
+    def __call__(self, config: Configuration) -> None:
+        cursor = self.cursor
+        cursor.advance_to(config.time)
+        exact = True
+        windowed = config.state == cursor.state and list(config.heads) == cursor.heads
+        for got, want, (lo, hi) in zip(config.cells, cursor.cells, config.spans):
+            if got != want:
+                exact = False
+                windowed = windowed and all(
+                    got.get(c) == want.get(c) for c in range(lo, hi + 1)
+                )
+        if not windowed:
+            raise InternalInvariantError(
+                f"emission at t={config.time} disagrees with direct simulation "
+                f"inside its window"
+            )
+        self.compared += 1
+        self.strict += exact
 
 
 def reference_block_spans(machine: MachineSpec, word, t: int, b: int):

@@ -112,6 +112,20 @@ def test_simulate_with_verify(capsys):
     assert "(strict)" in out
 
 
+def test_simulate_verify_records_no_history(capsys, monkeypatch):
+    """--verify steps its own oracle in lockstep: it neither runs the
+    recording oracle nor builds a history."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate --verify recorded an oracle history")
+
+    monkeypatch.setattr("holosim.cli.run", refuse)
+    monkeypatch.setattr("holosim.machine.RunHistory", refuse)
+    for machine, mode in (("counter", "strict"), ("palin", "strict"), ("sweep", "windowed")):
+        assert main(["simulate", machine, "auto", "--t", "2^8", "--verify"]) == 0
+        assert f"verified 256 emissions against direct simulation ({mode})" in capsys.readouterr().out
+
+
 def test_simulate_sweep_windowed(capsys):
     code = main(["simulate", "sweep", "--t", "2^8", "--verify"])
     assert code == 0
@@ -283,4 +297,6 @@ def test_halt_before_t_is_a_model_error(capsys):
     assert capsys.readouterr() == ("", want)
     argv = ["tree", "--t", "100", "--label", "--machine", "counter", "--input", "0000"]
     assert main(argv) == 3
+    assert capsys.readouterr() == ("", want)
+    assert main(["check-blocks", "counter", "0000", "--t", "100"]) == 3
     assert capsys.readouterr() == ("", want)

@@ -272,15 +272,16 @@ def test_label_tree_non_block_respecting_matches_leaf_summary():
 
 
 def test_audit_walks_take_no_checkpoints(machines):
-    """label_tree, leaf_summaries and a VerifySink pass read the oracle
-    history forwards, so none of them makes it take a checkpoint."""
+    """label_tree and leaf_summaries read the oracle history forwards,
+    so neither makes it take a checkpoint; a VerifySink pass steps its
+    own oracle and reads no history at all."""
     m = machines["counter"]
     word = hs.counter_input(10)
     rec = hs.run(m, word, max_steps=512)
     decomp = hs.decompose(rec.t, 32)
     labeled = hs.label_tree(hs.build_tree(decomp), rec, 4)
     assert len(list(leaf_summaries(rec, decomp, 4))) == decomp.T
-    sink = VerifySink(rec.history)
+    sink = VerifySink(m, word)
     hs.holo_run(m, word, rec.t, sink=sink)
     assert sink.compared == sink.strict == rec.t
     assert len(rec.history._checkpoints) == 1

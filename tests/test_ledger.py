@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
-from holosim.ledger import bits_of, cells_for_bits, cells_table, int_cells, ints_cells
+from holosim.ledger import bits_of, cells_for_bits, cells_table, int_cells
 from holosim.samples import counter_input, load_sample, palin_input
 from support import random_machine, wide_alphabet_machine
 
@@ -60,12 +60,6 @@ def test_table_lookup_equals_exact_conversion(v, gamma):
     assert (v if v >= 0 else ~v).bit_length() + 1 == bits
     assert cells_table(gamma, bits)[bits] == cells_for_bits(bits, gamma)
     assert int_cells(v, gamma) == cells_for_bits(bits, gamma)
-
-
-def test_ints_cells_is_sum():
-    vals = [0, 5, -3, 1000]
-    assert ints_cells(vals, 3) == sum(int_cells(v, 3) for v in vals)
-    assert ints_cells([], 3) == 0
 
 
 @pytest.mark.parametrize("gamma", [2, 3, 4, 5, 7, 16, 130])

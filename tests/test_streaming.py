@@ -13,7 +13,7 @@ import pytest
 import holosim as hs
 from holosim.samples import counter_input, load_sample, palin_input
 from holosim.streaming import VerifySink
-from support import random_machine, reference_trace
+from support import ReferenceVerifier, random_machine, reference_trace, wide_alphabet_machine
 
 
 def _oracle_and_stream(machine, word, t, b, c_int=2):
@@ -155,7 +155,7 @@ def _verify_counter(mutate_at_100=lambda c: c):
     is passed through mutate_at_100."""
     m = load_sample("counter")
     rec, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
-    sink = VerifySink(rec.history)
+    sink = VerifySink(m, counter_input(10))
     for cfg in emitted:
         sink(mutate_at_100(cfg) if cfg.time == 100 else cfg)
     return sink
@@ -181,6 +181,193 @@ def test_verify_sink_counts_strict_emissions():
     # a wrong cell outside every span shows only in the strict count
     sink = _verify_counter(lambda c: _flip_cell(c, c.spans[0][1] + 1))
     assert sink.compared == 256 and sink.strict == 255
+
+
+def _feed(sink, emissions):
+    """Hand emissions to sink in order: after each, (compared, strict),
+    or the error message that stopped the sink."""
+    verdicts = []
+    for cfg in emissions:
+        try:
+            sink(cfg)
+        except hs.InternalInvariantError as exc:
+            verdicts.append(str(exc))
+            break
+        verdicts.append((sink.compared, sink.strict))
+    return verdicts
+
+
+def test_verify_sink_checks_written_cells_of_shared_emissions():
+    """An emission that reuses the last cells and spans objects is
+    checked at the cells its step wrote: a stale copy replayed at a step
+    that wrote a new symbol raises, and a flip carried by every emission
+    that shares one copy keeps each of them out of the strict count."""
+    m = load_sample("counter")
+    _, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
+    replays = [
+        n
+        for n in range(1, len(emitted))
+        if emitted[n].spans is emitted[n - 1].spans and emitted[n].cells != emitted[n - 1].cells
+    ]
+    assert len(replays) > 20
+    for n in replays:
+        stale = replace(emitted[n], cells=emitted[n - 1].cells)
+        verdicts = _feed(VerifySink(m, counter_input(10)), emitted[:n] + [stale])
+        assert verdicts == [(i, i) for i in range(1, n + 1)] + [
+            f"emission at t={n + 1} disagrees with direct simulation inside its window"
+        ]
+    cells = emitted[99].cells
+    sharing = sum(cfg.cells is cells for cfg in emitted)
+    assert sharing > 1
+    flipped = _flip_cell(emitted[99], emitted[99].spans[0][1] + 1).cells
+    stream = [replace(cfg, cells=flipped) if cfg.cells is cells else cfg for cfg in emitted]
+    assert _feed(VerifySink(m, counter_input(10)), stream)[-1] == (256, 256 - sharing)
+
+
+def test_verify_sink_refuses_skipped_and_late_times():
+    """Emissions come one per step, and none past the oracle's halt."""
+    m = load_sample("counter")
+    _, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
+    for stream, error in [
+        (emitted[:99] + emitted[100:], "emission at t=101 does not follow t=99"),
+        (emitted[:99] + emitted[98:], "emission at t=99 does not follow t=99"),
+    ]:
+        assert _feed(VerifySink(m, counter_input(10)), stream)[-2:] == [(99, 99), error]
+    # counter on 0000 halts after 57 steps
+    rec, emitted, _, _ = _oracle_and_stream(m, "0000", 57, 8)
+    assert rec.halt_reason != "budget"
+    late = replace(emitted[-1], time=58)
+    assert _feed(VerifySink(m, "0000"), emitted + [late])[-2:] == [
+        (57, 57),
+        "emission at t=58 comes after direct simulation halted at t=57",
+    ]
+
+
+def _inject_faults(rng, stream):
+    """The stream with one to three random faults: a cell set to a
+    random symbol (a stored blank included) near or inside its span, a
+    span moved, the last emission's cells and spans replayed, a wrong
+    state or a wrong head.  A fault on cells or spans goes, at random,
+    to that emission alone or to every emission sharing the object."""
+    stream = list(stream)
+    m = stream[0].machine
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randrange(len(stream))
+        cfg = stream[n]
+        i = rng.randrange(m.k)
+        kind = rng.choice(("cell", "span", "replay", "state", "head"))
+        if kind == "replay" and n:
+            stream[n] = replace(cfg, cells=stream[n - 1].cells, spans=stream[n - 1].spans)
+        elif kind == "state":
+            stream[n] = replace(cfg, state=rng.choice(m.states))
+        elif kind == "head":
+            heads = list(cfg.heads)
+            heads[i] += rng.choice((-1, 1))
+            stream[n] = replace(cfg, heads=tuple(heads))
+        elif kind in ("cell", "span"):
+            lo, hi = cfg.spans[i]
+            field = kind + "s"
+            if kind == "cell":
+                tape = dict(cfg.cells[i])
+                tape[rng.randint(lo - 2, hi + 2)] = rng.choice(m.work_alphabet)
+                new = cfg.cells[:i] + (tape,) + cfg.cells[i + 1 :]
+            else:
+                lo, hi = lo + rng.randint(-2, 2), hi + rng.randint(-2, 2)
+                new = cfg.spans[:i] + ((min(lo, hi), max(lo, hi)),) + cfg.spans[i + 1 :]
+            old = getattr(cfg, field)
+            targets = range(len(stream)) if rng.random() < 0.5 else [n]
+            for j in targets:
+                if getattr(stream[j], field) is old:
+                    stream[j] = replace(stream[j], **{field: new})
+    return stream
+
+
+def _check_expected_report(sink, cursor, initial):
+    """The sink's expected report is the oracle inside the last span and
+    the initial tape outside it; it counts as stale the cells outside
+    where the two differ, and holds a second dict only while there are any,
+    so its reports are the oracle tapes themselves exactly when no tape
+    has a stale cell."""
+    for i, (lo, hi) in enumerate(sink.spans):
+        oracle, init = cursor.cells[i], initial[i]
+        inside = {c: s for c, s in oracle.items() if lo <= c <= hi}
+        outside = {c: s for c, s in init.items() if not lo <= c <= hi}
+        stale = {
+            c for c in oracle.keys() | init.keys() if not lo <= c <= hi and oracle.get(c) != init.get(c)
+        }
+        assert sink.stale[i] == len(stale)
+        assert (sink.reports[i] is sink.oracle[i]) == (not stale)
+        assert sink.reports[i] == inside | outside
+    assert (sink.reports is sink.oracle) == (not any(sink.stale))
+
+
+def _checked_verdicts(machine, word, rec, stream, correct):
+    """VerifySink's verdicts on stream, as _feed gives them, after
+    checking that they equal ReferenceVerifier's and that after each
+    accepted emission the expected report is right; a correct stream's
+    emissions must each equal their expected report."""
+    sink, cursor = VerifySink(machine, word), hs.HistoryCursor(rec.history)
+    initial = rec.history[0].cells
+    verdicts = []
+    for cfg in stream:
+        try:
+            sink(cfg)
+        except hs.InternalInvariantError as exc:
+            verdicts.append(str(exc))
+            break
+        verdicts.append((sink.compared, sink.strict))
+        cursor.advance()
+        _check_expected_report(sink, cursor, initial)
+        if correct:
+            assert sink.matched is cfg.cells
+    assert verdicts == _feed(ReferenceVerifier(rec.history), stream), machine.name
+    return verdicts
+
+
+def test_verify_sink_matches_reference_verifier():
+    """VerifySink against ReferenceVerifier, the history-walking sink it
+    replaced, on 1000 random and wide-alphabet machines at tight
+    windows, halts and all three violations included, each stream fed
+    clean and with random faults: both give the same verdict at every
+    emission.  After each accepted emission the sink's expected report
+    is what a correct engine reports, and a clean emission always
+    equals it, so no correct run reaches the in-span cell walk."""
+    rng = random.Random(1717)
+    outcomes = {}
+    windowed = halted = raised = lowered = 0
+    for run_no in range(1000):
+        m = wide_alphabet_machine(rng) if run_no % 5 == 0 else random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = [rng.choice(m.input_alphabet) for _ in range(n)]
+        budget = rng.randint(1, 60)
+        rec = hs.run(m, word, max_steps=budget)
+        t = rec.t if rec.t and rng.random() < 0.5 else budget
+        b, c_int = rng.randint(1, 4), rng.randint(1, 2)
+        emitted = []
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+        try:
+            hs.holo_run(m, word, t, b=b, c_int=c_int, sink=emitted.append, ledger=ledger)
+            exc = None
+        except hs.ModelViolation as caught:
+            exc = type(caught)
+        outcomes[exc] = outcomes.get(exc, 0) + 1
+        windowed += ledger.dirty_evictions > 0
+        halted += exc is None and rec.halt_reason != "budget"
+        if not emitted:
+            continue
+        clean = _checked_verdicts(m, word, rec, emitted, correct=True)
+        faulty = _checked_verdicts(m, word, rec, _inject_faults(rng, emitted), correct=False)
+        raised += isinstance(faulty[-1], str)
+        lowered += not isinstance(faulty[-1], str) and faulty[-1][1] < clean[-1][1]
+    assert set(outcomes) == {
+        None,
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+    assert windowed > 100 and halted > 50 and raised > 200 and lowered > 50, (
+        windowed, halted, raised, lowered,
+    )
 
 
 def test_reconstruct_at_matches_oracle():
