@@ -27,6 +27,15 @@ Record layouts (version 1):
 A configuration's tape contents are encoded over the hull of its
 non-blank cells; an empty tape is (lo=0, len=0).  Concatenated records
 parse back unambiguously because every field is length-driven.
+
+tape_field writes one tape's part of a configuration record and
+configuration_record the whole record, so the layout is defined once.
+encode_configuration feeds them from a Configuration.  A history is
+its count, then each record prefixed by its length; HistoryWriter
+appends either a Configuration or a record already encoded, which is
+how replay.replay_records, feeding the same two functions from code
+rows kept up to date step by step, writes the history witness's output
+without building a Configuration.
 """
 
 from __future__ import annotations
@@ -49,7 +58,17 @@ _POLICY_TAGS = {POLICY_FULL: 0x00, POLICY_BOUNDARY: 0x01}
 _TAG_POLICIES = {v: k for k, v in _POLICY_TAGS.items()}
 
 
+_ONE_BYTE = tuple(bytes((i,)) for i in range(0x80))
+_EMPTY_HULL = b"\x00\x00"  # an empty tape's lo=0 as an svarint, then len=0
+
+
 def encode_uvarint(value: int) -> bytes:
+    # values of one or two bytes skip the loop: nearly every time,
+    # head, hull end and length a record holds
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
+    if 0x80 <= value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
@@ -229,24 +248,41 @@ def decode_summary_exact(data: bytes, machine: MachineSpec) -> IntervalSummary:
 # configurations and histories
 
 
+def configuration_record(
+    machine: MachineSpec, time: int, state: str, fields: Iterable[bytes]
+) -> bytes:
+    """A configuration record from its time, its state and each tape's
+    field as tape_field writes it."""
+    return b"".join(
+        (
+            bytes((MAGIC_CONFIGURATION, VERSION)),
+            encode_uvarint(time),
+            encode_uvarint(machine.state_index[state]),
+            *fields,
+        )
+    )
+
+
+def tape_field(head: int, lo: int, hi: int, codes: Iterable[bytes]) -> bytes:
+    """One tape of a configuration record: head, the hull [lo, hi] of
+    its non-blank cells and the symbol code of each cell of the hull.
+    hi < lo means an empty tape, written as (lo=0, len=0)."""
+    if hi < lo:
+        return encode_svarint(head) + _EMPTY_HULL
+    return (
+        encode_svarint(head) + encode_svarint(lo) + encode_uvarint(hi - lo + 1) + b"".join(codes)
+    )
+
+
 def encode_configuration(c: Configuration) -> bytes:
     m = c.machine
-    out = bytearray((MAGIC_CONFIGURATION, VERSION))
-    out += encode_uvarint(c.time)
-    out += encode_uvarint(m.state_index[c.state])
-    for i in range(m.k):
-        out += encode_svarint(c.heads[i])
-        tape = c.cells[i]
-        if tape:
-            lo = min(tape)
-            hi = max(tape)
-            out += encode_svarint(lo)
-            out += encode_uvarint(hi - lo + 1)
-            out += _symbol_indices(m, map(tape.get, range(lo, hi + 1), repeat(m.blank)))
-        else:
-            out += encode_svarint(0)
-            out += encode_uvarint(0)
-    return bytes(out)
+    code = m.symbol_codes.__getitem__
+    fields = []
+    for head, tape in zip(c.heads, c.cells):
+        lo, hi = (min(tape), max(tape)) if tape else (0, -1)
+        cells = map(tape.get, range(lo, hi + 1), repeat(m.blank))
+        fields.append(tape_field(head, lo, hi, map(code, cells)))
+    return configuration_record(m, c.time, c.state, fields)
 
 
 def decode_configuration(
@@ -301,7 +337,10 @@ class HistoryWriter:
         self._out = bytearray((MAGIC_HISTORY, VERSION)) + encode_uvarint(count)
 
     def add(self, c: Configuration) -> None:
-        blob = encode_configuration(c)
+        self.add_record(encode_configuration(c))
+
+    def add_record(self, blob: bytes) -> None:
+        """Append one configuration record, already encoded."""
         self._out += encode_uvarint(len(blob))
         self._out += blob
         self._written += 1

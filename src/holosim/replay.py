@@ -8,6 +8,12 @@ original run exactly, cell for cell, without any access to the global
 tape.  A head leaving its window would mean the summary was not
 generated from a real run; that surfaces as WindowEscape rather than
 silently reading a blank.
+
+Every replay runs one loop, _replay, which holds those checks and the
+halt check.  replay_block builds a Configuration from it after each
+step; replay_records, the history witness's path, instead writes each
+step's encoded configuration from per-tape code rows it updates in
+place.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from itertools import islice
 from typing import Callable
 
 from .blocks import POLICY_FULL, IntervalSummary, TapeWindow, tape_window
+from .codec import configuration_record, tape_field
 from .errors import StepFromHaltError, WindowEscape
-from .machine import Configuration, MachineSpec
+from .machine import Configuration, MachineSpec, TransitionValue
 from .machine import steps as step_kernel
 
 
@@ -45,6 +52,54 @@ def _restricted_config(
     )
 
 
+def _entry(
+    machine: MachineSpec, heads: tuple[int, ...], windows: tuple[TapeWindow, ...]
+) -> tuple[tuple[tuple[int, int], ...], list[dict[int, str]]]:
+    """The windows' spans and entry tapes as dicts of their non-blank
+    cells.  Raises WindowEscape if an entry head is outside its window."""
+    if len(heads) != machine.k or len(windows) != machine.k:
+        raise ValueError(
+            f"expected {machine.k} heads and windows, got {len(heads)} and {len(windows)}"
+        )
+    for i, (h, w) in enumerate(zip(heads, windows)):
+        if not w.covers(h):
+            raise WindowEscape(i + 1, h)
+    blank = machine.blank
+    tapes = [
+        {w.lo + j: sym for j, sym in enumerate(w.symbols) if sym != blank}
+        for w in windows
+    ]
+    return tuple(w.span for w in windows), tapes
+
+
+def _replay(
+    machine: MachineSpec,
+    state: str,
+    heads: list[int],
+    tapes: list[dict[int, str]],
+    spans: tuple[tuple[int, int], ...],
+    steps: int,
+    each: Callable[[int, TransitionValue], None] | None = None,
+) -> str:
+    """The replay loop: take `steps` transitions of the kernel on heads
+    and tapes, updated in place, passing each step's number (from 1)
+    and transition value to each, when given.  Returns the final state.
+    Raises WindowEscape as soon as a head leaves its span and
+    StepFromHaltError if the machine halts before `steps`."""
+    done = 0
+    for value in islice(step_kernel(machine, state, heads, tapes), steps):
+        done += 1
+        for i, (lo, hi) in enumerate(spans):
+            if not lo <= heads[i] <= hi:
+                raise WindowEscape(i + 1, heads[i])
+        if each is not None:
+            each(done, value)
+        state = value[0]
+    if done < steps:
+        raise StepFromHaltError(state)
+    return state
+
+
 def replay_block(
     machine: MachineSpec,
     state: str,
@@ -61,41 +116,33 @@ def replay_block(
     onward.  Raises WindowEscape if a head leaves its window and
     StepFromHaltError if asked to step a halting state.
     """
-    if len(heads) != machine.k or len(windows) != machine.k:
-        raise ValueError(
-            f"expected {machine.k} heads and windows, got {len(heads)} and {len(windows)}"
-        )
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    spans = tuple(w.span for w in windows)
-    for i, (h, w) in enumerate(zip(heads, windows)):
-        if not w.covers(h):
-            raise WindowEscape(i + 1, h)
-    blank = machine.blank
-    tapes: list[dict[int, str]] = [
-        {w.lo + j: sym for j, sym in enumerate(w.symbols) if sym != blank}
-        for w in windows
-    ]
+    spans, tapes = _entry(machine, heads, windows)
     heads_now = list(heads)
-    done = 0
-    for state, _, _ in islice(step_kernel(machine, state, heads_now, tapes), steps):
-        done += 1
-        for i, (lo, hi) in enumerate(spans):
-            if not lo <= heads_now[i] <= hi:
-                raise WindowEscape(i + 1, heads_now[i])
-        if emit is not None:
-            emit(
-                _restricted_config(
-                    machine, time_base + done, state, tuple(heads_now), tapes, spans
-                )
-            )
-    if done < steps:
-        raise StepFromHaltError(state)
+
+    def each(done: int, value: TransitionValue) -> None:
+        config = _restricted_config(
+            machine, time_base + done, value[0], tuple(heads_now), tapes, spans
+        )
+        emit(config)
+
+    state = _replay(
+        machine, state, heads_now, tapes, spans, steps, None if emit is None else each
+    )
+    blank = machine.blank
     exit_windows = tuple(tape_window(tape, lo, hi, blank) for tape, (lo, hi) in zip(tapes, spans))
     config = _restricted_config(
         machine, time_base + steps, state, tuple(heads_now), tapes, spans
     )
     return ReplayExit(config=config, windows=exit_windows)
+
+
+def _require_full(summary: IntervalSummary) -> None:
+    if summary.policy != POLICY_FULL:
+        raise ValueError(
+            f"replay needs a {POLICY_FULL!r} summary, got {summary.policy!r}"
+        )
 
 
 def replay_from_summary(
@@ -108,10 +155,7 @@ def replay_from_summary(
     R is the exit.  The summary is trusted; an inconsistent one shows
     up as WindowEscape or a halt mid-replay.
     """
-    if summary.policy != POLICY_FULL:
-        raise ValueError(
-            f"replay needs a {POLICY_FULL!r} summary, got {summary.policy!r}"
-        )
+    _require_full(summary)
     lo, hi = summary.L - 1, summary.R
     if not lo <= tau <= hi:
         raise ValueError(f"tau {tau} outside [{lo}, {hi}]")
@@ -126,31 +170,82 @@ def replay_from_summary(
     return result.config
 
 
-def replay_each(
-    machine: MachineSpec,
-    summary: IntervalSummary,
-    emit: Callable[[Configuration], None],
-) -> None:
-    """Pass every configuration of the summarized interval, entry
-    through exit, to emit in time order, from one replay of the entry
-    data.  Nothing is kept between calls."""
-    emit(replay_from_summary(machine, summary, summary.L - 1))
+def replay_all(
+    machine: MachineSpec, summary: IntervalSummary
+) -> tuple[Configuration, ...]:
+    """Every configuration of the summarized interval, entry through
+    exit, from one replay of the entry data."""
+    configs = [replay_from_summary(machine, summary, summary.L - 1)]
     replay_block(
         machine,
         summary.q_in,
         summary.heads_in,
         summary.entry,
         steps=summary.steps,
-        emit=emit,
+        emit=configs.append,
         time_base=summary.L - 1,
     )
-
-
-def replay_all(
-    machine: MachineSpec, summary: IntervalSummary
-) -> tuple[Configuration, ...]:
-    """Every configuration of the summarized interval, entry through
-    exit, from one replay of the entry data."""
-    configs: list[Configuration] = []
-    replay_each(machine, summary, configs.append)
     return tuple(configs)
+
+
+def _hull(tape: dict[int, str], span: tuple[int, int]) -> tuple[int, int]:
+    """The hull of a tape's non-blank cells; (hi + 1, lo - 1) for an
+    empty tape over the span (lo, hi), so that a first write at any
+    cell of the span sets both ends."""
+    if tape:
+        return min(tape), max(tape)
+    return span[1] + 1, span[0] - 1
+
+
+def replay_records(
+    machine: MachineSpec, summary: IntervalSummary, emit: Callable[[bytes], None]
+) -> None:
+    """Pass the encoded configuration of every time of the summarized
+    interval, entry through exit, to emit in time order: the bytes
+    encode_configuration gives for each of replay_all's configurations,
+    with the same errors at the same step.
+
+    No configuration is built.  Each tape keeps a row, the symbol code
+    of every cell of its window, and the hull [lo, hi] of its non-blank
+    cells (lo > hi when it has none).  A step sets the code of the cell
+    each tape wrote and widens the hull on a non-blank write; only a
+    blank written at an end of the hull rescans that tape.  A record
+    then joins each row over its hull, so a step costs O(k) in Python
+    beyond the C-level join of the output itself.
+    """
+    _require_full(summary)
+    spans, tapes = _entry(machine, summary.heads_in, summary.entry)
+    code = machine.symbol_codes.__getitem__
+    blank = machine.blank
+    heads = list(summary.heads_in)
+    bases = [lo for lo, _ in spans]
+    rows = [list(map(code, w.symbols)) for w in summary.entry]
+    los, his = map(list, zip(*map(_hull, tapes, spans)))
+    k = range(machine.k)
+
+    def record(time: int, state: str) -> None:
+        fields = [
+            tape_field(
+                heads[i], los[i], his[i], rows[i][los[i] - bases[i] : his[i] - bases[i] + 1]
+            )
+            for i in k
+        ]
+        emit(configuration_record(machine, time, state, fields))
+
+    def step(done: int, value: TransitionValue) -> None:
+        state, writes, moves = value
+        for i in k:
+            cell = heads[i] - moves[i]
+            sym = writes[i]
+            rows[i][cell - bases[i]] = code(sym)
+            if sym != blank:
+                if cell < los[i]:
+                    los[i] = cell
+                if cell > his[i]:
+                    his[i] = cell
+            elif cell == los[i] or cell == his[i]:
+                los[i], his[i] = _hull(tapes[i], spans[i])
+        record(summary.L - 1 + done, state)
+
+    record(summary.L - 1, summary.q_in)
+    _replay(machine, summary.q_in, heads, tapes, spans, summary.steps, step)

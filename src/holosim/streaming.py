@@ -491,7 +491,8 @@ class CountingSink:
         self.counts[config.time] = self.counts.get(config.time, 0) + 1
 
     def all_once(self, t: int) -> bool:
-        return len(self.counts) == t and all(v == 1 for v in self.counts.values())
+        """Whether every time 1..t was emitted exactly once, and no other."""
+        return self.counts == dict.fromkeys(range(1, t + 1), 1)
 
 
 class VerifySink:

@@ -11,7 +11,10 @@ interval and emits encoded configurations:
   restricted to the summary's windows.
 * history (tag 0x2B): conditional input is (encoded full-policy
   summary,); output is the encoded configuration sequence from entry
-  (time L-1) through exit (time R).
+  (time L-1) through exit (time R).  Each record comes from
+  replay.replay_records, which updates per-tape code rows in place
+  instead of building and re-encoding every configuration; the bytes
+  are those of encode_history(replay_all(...)).
 
 Program layout: magic 0x57, version, kind tag, then the machine's
 canonical text serialization as a length-prefixed UTF-8 blob.
@@ -33,7 +36,7 @@ from .codec import (
 )
 from .errors import CodecError, MachineFormatError
 from .machine import MachineSpec, parse_machine, serialize_machine
-from .replay import replay_each, replay_from_summary
+from .replay import replay_from_summary, replay_records
 
 KIND_POINTWISE = "pointwise"
 KIND_HISTORY = "history"
@@ -104,7 +107,6 @@ def run_witness(
             f"history witness takes (summary,), got {len(conditional)} items"
         )
     summary = decode_summary_exact(conditional[0], machine)
-    # each configuration is encoded as the replay emits it and then dropped
     writer = HistoryWriter(summary.steps + 1)
-    replay_each(machine, summary, writer.add)
+    replay_records(machine, summary, writer.add_record)
     return writer.getvalue()

@@ -1,0 +1,295 @@
+"""Kept mutants: one-line faults the test suite must catch.
+
+Each entry names a file of the repository, a source text that occurs in
+it exactly once, the text that replaces it, and the tests expected to
+fail once it is replaced.  Run
+
+    python tests/mutants.py [NAME ...]
+
+from the repository root: each mutant (or each one named) is applied to
+a copy of src/ and tests/ under a temporary directory, only its tests
+run there, and it is reported killed when every one of them fails,
+weak when only some do, and surviving when none does.  The exit status
+is 1 unless every mutant run is killed.
+
+The runner is not part of the test suite; test_mutants.py checks that
+every source text still occurs exactly once, so a change that rewrites
+the code under a mutant must re-target it rather than drop it.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    source: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+_LEDGER = "src/holosim/ledger.py"
+_STREAMING = "src/holosim/streaming.py"
+_REPLAY = "src/holosim/replay.py"
+_T_LEDGER = "tests/test_ledger.py::"
+_T_STREAMING = "tests/test_streaming.py::"
+_T_WITNESS = "tests/test_witness.py::"
+
+MUTANTS = (
+    # the ledger's gate and bands
+    Mutant(
+        "band-top-one-high",
+        _LEDGER,
+        "top = (1 << (n - 1)) - 1",
+        "top = 1 << (n - 1)",
+        (
+            _T_LEDGER + "test_bands_are_maximal_runs_of_equal_cells[2]",
+            _T_LEDGER + "test_bands_are_maximal_runs_of_equal_cells[130]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[counter]",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[sweep]",
+        ),
+    ),
+    Mutant(
+        "band-bottom-one-low",
+        _LEDGER,
+        "bottom = 1 << (first - 2)",
+        "bottom = (1 << (first - 2)) - 1",
+        (
+            _T_LEDGER + "test_bands_are_maximal_runs_of_equal_cells[3]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[palin]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[palin]",
+        ),
+    ),
+    Mutant(
+        "clock-bound-at-leaf-start",
+        _LEDGER,
+        "R = run.decomp.block(run.leaf_id)[1]",
+        "R = run.decomp.block(run.leaf_id)[0]",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
+            "tests/test_cli.py::test_scaling_writer2_fits_nothing",
+        ),
+    ),
+    Mutant(
+        "step-gate-not-strict",
+        _LEDGER,
+        "sweep run\n"
+        "            book = self._book + self._bound\n"
+        "            self.hot = screen > self.max_screen or book > self.max_book"
+        " or screen + book > self.max_total",
+        "sweep run\n"
+        "            book = self._book + self._bound\n"
+        "            self.hot = screen >= self.max_screen or book >= self.max_book"
+        " or screen + book >= self.max_total",
+        (
+            _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[palin]",
+        ),
+    ),
+    Mutant(
+        "refresh-gate-not-strict",
+        _LEDGER,
+        "screen = self._screen\n"
+        "            book = self._book + self._bound\n"
+        "            self.hot = screen > self.max_screen or book > self.max_book"
+        " or screen + book > self.max_total",
+        "screen = self._screen\n"
+        "            book = self._book + self._bound\n"
+        "            self.hot = screen >= self.max_screen or book >= self.max_book"
+        " or screen + book >= self.max_total",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
+        ),
+    ),
+    Mutant(
+        "head-bound-from-blk-lo",
+        _LEDGER,
+        "head = max(counts[2], counts[3])",
+        "head = counts[2]",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+        ),
+    ),
+    Mutant(
+        "steps-recorded-whole-leaf",
+        _STREAMING,
+        "ledger.steps_recorded += self.tau - (L - 1)",
+        "ledger.steps_recorded += R - L + 1",
+        (
+            _T_LEDGER + "test_steps_recorded_on_violations[RunEndedEarly]",
+            _T_LEDGER + "test_steps_recorded_on_violations[StaleWindowReentry]",
+            _T_LEDGER + "test_steps_recorded_on_violations[NonBlockRespecting]",
+        ),
+    ),
+    Mutant(
+        "table-sized-by-2t",
+        _LEDGER,
+        "size = max(2 * self.t, self.b, len(run.machine.state_index)).bit_length() + 2",
+        "size = (2 * self.t).bit_length() + 2",
+        (
+            _T_STREAMING + "test_walk_follows_static_tree_random_machines",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    # the lockstep VerifySink
+    Mutant(
+        "verify-skips-written-cells",
+        _STREAMING,
+        "if shared and cells[i].get(w) != reports[i].get(w):",
+        "if False and cells[i].get(w) != reports[i].get(w):",
+        (
+            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-trusts-deviating-emission",
+        _STREAMING,
+        "self.matched = None\n            exact = True",
+        "self.matched = cells\n            exact = True",
+        (
+            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-left-cell-shows-oracle",
+        _STREAMING,
+        "_show(self.reports[i], cell, sym)",
+        "_show(self.reports[i], cell, tape.get(cell))",
+        (
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-reentered-cell-stays-stale",
+        _STREAMING,
+        "stale -= 1",
+        "stale -= 0",
+        (
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-strict-from-stale-count",
+        _STREAMING,
+        "self.strict += exact",
+        "self.strict += self.reports is self.oracle",
+        (
+            _T_STREAMING + "test_verify_sink_counts_strict_emissions",
+            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    # the history witness's code rows
+    Mutant(
+        "rows-hull-widened-one-low",
+        _REPLAY,
+        "if cell < los[i]:\n                    los[i] = cell",
+        "if cell < los[i]:\n                    los[i] = cell - 1",
+        (
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_witness_builds_no_configuration",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+    Mutant(
+        "rows-no-rescan-on-blanked-end",
+        _REPLAY,
+        "elif cell == los[i] or cell == his[i]:",
+        "elif False:",
+        (
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+    Mutant(
+        "rows-code-set-at-head",
+        _REPLAY,
+        "rows[i][cell - bases[i]] = code(sym)",
+        "rows[i][heads[i] - bases[i]] = code(sym)",
+        (
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_builds_no_configuration",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+        ),
+    ),
+    Mutant(
+        "rows-slice-end-one-short",
+        _REPLAY,
+        "his[i] - bases[i] + 1]",
+        "his[i] - bases[i]]",
+        (
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_builds_no_configuration",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+)
+
+
+def _failed(output: str) -> set[str]:
+    return set(re.findall(r"^FAILED (\S+)", output, re.MULTILINE))
+
+
+def run_mutant(m: Mutant) -> tuple[str, set[str]]:
+    """Apply m to a temporary copy and run its tests; returns the
+    verdict and the ids of its tests that failed."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / m.path
+        text = target.read_text()
+        if text.count(m.source) != 1:
+            return "stale", set()
+        target.write_text(text.replace(m.source, m.replacement))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *m.tests],
+            cwd=copy,
+            capture_output=True,
+            text=True,
+        )
+    failed = _failed(proc.stdout) & set(m.tests)
+    if failed == set(m.tests):
+        return "killed", failed
+    return ("weak" if failed else "survived"), failed
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    ok = True
+    for m in chosen:
+        verdict, failed = run_mutant(m)
+        ok &= verdict == "killed"
+        print(f"{verdict:9} {m.name}: {len(failed)}/{len(m.tests)} of its tests failed")
+        for test in sorted(set(m.tests) - failed):
+            print(f"          passed: {test}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,6 +7,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,6 +141,23 @@ def test_counting_sink_all_once():
     sink = hs.CountingSink()
     hs.holo_run(m, counter_input(8), t, b=14, sink=sink)
     assert sink.all_once(t)
+
+
+def test_counting_sink_refuses_wrong_times():
+    """t distinct times seen once each are not enough: they must be 1..t."""
+    t = 10
+
+    def fed(times):
+        sink = hs.CountingSink()
+        for time in times:
+            sink(SimpleNamespace(time=time))
+        return sink
+
+    assert fed(range(1, t + 1)).all_once(t)
+    assert not fed(range(0, t)).all_once(t)
+    assert not fed([1, 2, 3, *range(5, 12)]).all_once(t)
+    assert not fed([*range(1, t + 1), 4]).all_once(t)
+    assert not fed(range(1, t)).all_once(t)
 
 
 def _flip_cell(cfg, cell):

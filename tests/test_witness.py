@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import holosim as hs
+from holosim import codec, replay, witness
 from holosim.samples import counter_input, load_sample
+from support import random_machine, random_summary, wide_alphabet_machine
 
 
 def _random_interval(rng, t):
@@ -145,3 +148,160 @@ def test_conditional_arity_checked():
         hs.run_witness(hw, [hs.encode_summary(s), hs.encode_uvarint(1)])
     with pytest.raises(hs.CodecError, match="trailing"):
         hs.run_witness(pw, [hs.encode_summary(s), hs.encode_uvarint(1) + b"\x00"])
+
+
+def _blinker() -> hs.MachineSpec:
+    """Writes two marks, erases the right one, then the left, which
+    empties the tape, and refills it one cell further on, forever."""
+    plan = {
+        ("go", "_"): ("s1", "1", 1),
+        ("s1", "_"): ("s2", "1", -1),
+        ("s2", "1"): ("s3", "1", 1),
+        ("s3", "1"): ("s4", "_", -1),
+        ("s4", "1"): ("go", "_", 1),
+    }
+    delta = {}
+    for q in ("go", "s1", "s2", "s3", "s4"):
+        for sym in ("_", "1"):
+            q2, w, move = plan.get((q, sym), (q, sym, 0))
+            delta[(q, (sym,))] = (q2, (w,), (move,))
+    return hs.build_machine("blinker", 1, "go", "yes", "no", ["1"], ["_", "1"], "_", delta)
+
+
+def _hull_events(configs, counts):
+    """Count, per tape and consecutive pair of configurations, a hull
+    end given up to a blank with cells left, a tape emptied, and an
+    emptied tape written again."""
+    for i in range(configs[0].machine.k):
+        emptied = False
+        for prev, cur in zip(configs, configs[1:]):
+            a, b = prev.cells[i], cur.cells[i]
+            if a and b and (min(b) > min(a) or max(b) < max(a)):
+                counts["end blanked"] += 1
+            if a and not b:
+                counts["emptied"] += 1
+                emptied = True
+            if emptied and b and not a:
+                counts["refilled"] += 1
+
+
+def test_history_witness_equals_encoded_replay_random_machines():
+    """The rows encoder against encode_history(replay_all(...)) over
+    random machines with one to three tapes, the two-byte-code
+    machine and a machine that empties and refills its tape."""
+    rng = random.Random(2020)
+    machines = [random_machine(rng, k=1 + n % 3) for n in range(540)]
+    machines += [wide_alphabet_machine(rng) for _ in range(12)] + [_blinker()]
+    counts = {"end blanked": 0, "emptied": 0, "refilled": 0}
+    cases = starts_at_1 = two_byte = 0
+    for m in machines:
+        n = rng.randint(0, 6) if m.input_alphabet else 0
+        word = [rng.choice(m.input_alphabet) for _ in range(n)]
+        rec = hs.run(m, word, max_steps=rng.randint(1, 90))
+        if rec.t == 0:
+            continue
+        hw = hs.build_witness(m, hs.KIND_HISTORY)
+        for _ in range(2):
+            L = 1 if rng.random() < 0.3 else rng.randint(1, rec.t)
+            R = rng.randint(L, rec.t)
+            s = hs.interval_summary(rec, L, R)
+            configs = hs.replay_all(m, s)
+            out = hs.run_witness(hw, [hs.encode_summary(s)])
+            assert out == hs.encode_history(configs), (m.name, L, R)
+            _hull_events(configs, counts)
+            cases += 1
+            starts_at_1 += L == 1
+            two_byte += len(m.work_alphabet) > 128
+    assert cases >= 1000 and starts_at_1 >= 200 and two_byte >= 20
+    assert min(counts.values()) >= 10, counts
+
+
+def _replay_outcome(m, s):
+    """The records replay_records emits and the error it raises, next
+    to the encoded configurations and error of replay_all's path."""
+    got = []
+    try:
+        replay.replay_records(m, s, got.append)
+        got_error = None
+    except (hs.WindowEscape, hs.StepFromHaltError) as e:
+        got_error = (type(e), e.args)
+    want = []
+    try:
+        want.append(hs.encode_configuration(hs.replay_from_summary(m, s, s.L - 1)))
+        hs.replay_block(
+            m, s.q_in, s.heads_in, s.entry, s.steps,
+            emit=lambda c: want.append(hs.encode_configuration(c)), time_base=s.L - 1,
+        )
+        want_error = None
+    except (hs.WindowEscape, hs.StepFromHaltError) as e:
+        want_error = (type(e), e.args)
+    return got, got_error, want, want_error
+
+
+def test_history_witness_error_parity_on_crafted_summaries():
+    """A summary no run made raises what replay_all raises, after the
+    records of the same steps."""
+    rng = random.Random(404)
+    kinds = {hs.WindowEscape: 0, hs.StepFromHaltError: 0, None: 0}
+    entry_escapes = 0
+    for n in range(600):
+        m = random_machine(rng, k=1 + n % 3) if n % 10 else wide_alphabet_machine(rng)
+        s = random_summary(rng, m)
+        if s.policy != hs.POLICY_FULL:
+            s = replace(s, policy=hs.POLICY_FULL, exit=s.entry, heads_out=s.heads_in)
+        if n % 7 == 0:
+            s = replace(s, q_in=rng.choice((m.accept, m.reject)))
+        escaped = n % 11 == 0
+        if escaped:
+            w = s.entry[0]
+            s = replace(s, heads_in=(rng.choice((w.lo - 1, w.hi + 1)),) + s.heads_in[1:])
+            entry_escapes += 1
+        got, got_error, want, want_error = _replay_outcome(m, s)
+        assert got == want
+        assert got_error == want_error
+        if escaped:
+            assert got == [] and got_error[0] is hs.WindowEscape
+            # such bytes never reach the replay: the decoder refuses them
+            with pytest.raises(hs.CodecError, match="entry head"):
+                hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)])
+        elif want_error is None:
+            assert hs.encode_history(hs.replay_all(m, s)) == hs.run_witness(
+                hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)]
+            )
+        else:
+            with pytest.raises(want_error[0]) as exc:
+                hs.replay_all(m, s)
+            assert exc.value.args == want_error[1]
+            with pytest.raises(want_error[0]) as exc:
+                hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)])
+            assert exc.value.args == want_error[1]
+        kinds[want_error and want_error[0]] += 1
+    assert min(kinds.values()) >= 10 and entry_escapes >= 30, kinds
+
+
+def test_history_witness_builds_no_configuration(monkeypatch):
+    """The history witness encodes from code rows: no Configuration
+    is built and encode_configuration never runs."""
+    m = load_sample("sweep")
+    rec = hs.run(m, "", max_steps=2048)
+    s = hs.interval_summary(rec, 512, 1535)
+    want = hs.encode_history(hs.replay_all(m, s))
+    calls = {"encode_configuration": 0, "Configuration": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    encode = counted("encode_configuration", codec.encode_configuration)
+    for module in (codec, witness):
+        monkeypatch.setattr(module, "encode_configuration", encode)
+    monkeypatch.setattr(replay, "Configuration", counted("Configuration", replay.Configuration))
+    out = hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)])
+    assert out == want
+    assert calls == {"encode_configuration": 0, "Configuration": 0}
+    # the patches do count on the Configuration path
+    hs.encode_history(hs.replay_all(m, replace(s, R=s.L + 9)))
+    assert calls["encode_configuration"] == 11 and calls["Configuration"] >= 11
