@@ -14,9 +14,13 @@ of a head at the block boundary belongs to both neighbouring blocks.
 
 Summaries are read off one HistoryCursor walking the oracle history:
 entry windows at L-1, then the cursor advances to R for the exit
-windows.  leaf_summaries walks a single cursor through every block in
-time order, so each boundary configuration is built once.  Windows are
-read and merged by slicing symbol tuples, not cell by cell.
+windows.  A leaf reads one slice of the recorded trace for its head
+hull and one for the advance, with no call per step, and
+leaf_summaries walks a single cursor through every block in time order.
+Windows are read and merged by slicing symbol tuples, not cell by cell.
+TapeWindow and IntervalSummary are slotted records, not frozen ones
+(a frozen init sets each field through object.__setattr__), but are
+values all the same: merged summaries share windows.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def decompose(t: int, b: int) -> BlockDecomposition:
     return BlockDecomposition(t=t, b=b, T=len(blocks), blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TapeWindow:
     """Contiguous cell span with the symbols over it at one instant.
     An empty window is canonically (lo=0, hi=-1, no symbols)."""
@@ -103,7 +107,7 @@ def tape_window(tape: dict[int, str], lo: int, hi: int, blank: str) -> TapeWindo
     return TapeWindow(lo, hi, tuple(map(tape.get, range(lo, hi + 1), repeat(blank))))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntervalSummary:
     """Boundary data of a step interval.
 
@@ -133,7 +137,7 @@ class IntervalSummary:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.policy == POLICY_FULL:
             for ew, xw in zip(self.entry, self.exit):
-                if ew.span != xw.span:
+                if ew.lo != xw.lo or ew.hi != xw.hi:
                     raise ValueError("full-policy summary needs one span per tape")
 
     @property
@@ -161,19 +165,20 @@ def _head_hull(
     run: RunRecord, entry_heads: Sequence[int], L: int, R: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Heads at R and the per-tape hull of head positions over
-    configurations L-1..R, from the heads at L-1 and the move trace
-    alone."""
+    configurations L-1..R, from the heads at L-1 and one slice of the
+    move trace."""
     heads = list(entry_heads)
     lo = list(entry_heads)
     hi = list(entry_heads)
-    for step in range(L, R + 1):
-        moves = run.history.moves_at(step)
-        for i in range(run.machine.k):
-            heads[i] += moves[i]
-            if heads[i] < lo[i]:
-                lo[i] = heads[i]
-            elif heads[i] > hi[i]:
-                hi[i] = heads[i]
+    tapes = range(len(heads))
+    for _, _, moves in run.history.trace[L - 1 : R]:
+        for i in tapes:
+            h = heads[i] + moves[i]
+            heads[i] = h
+            if h < lo[i]:
+                lo[i] = h
+            elif h > hi[i]:
+                hi[i] = h
     return tuple(heads), tuple(zip(lo, hi))
 
 
@@ -221,8 +226,8 @@ def _within_limit(s: IntervalSummary, c_int: int, b: int) -> IntervalSummary:
         raise ValueError(f"c_int must be >= 1, got {c_int}")
     limit = c_int * b
     for i, w in enumerate(s.entry):
-        if len(w) > limit:
-            raise NonBlockRespecting((s.L - 1) // b + 1, i + 1, len(w), limit)
+        if len(w.symbols) > limit:
+            raise NonBlockRespecting((s.L - 1) // b + 1, i + 1, len(w.symbols), limit)
     return s
 
 
@@ -356,16 +361,16 @@ def _check_join(left: IntervalSummary, right: IntervalSummary) -> None:
 def _overlay(top: TapeWindow, under: TapeWindow) -> TapeWindow:
     """One window over the union of two touching or overlapping spans:
     top's symbols where top covers a cell, under's elsewhere."""
-    if len(top) == 0:
+    if not top.symbols:
         return under
-    if len(under) == 0:
+    if not under.symbols:
         return top
-    syms = (
-        under.symbols[: max(0, top.lo - under.lo)]
-        + top.symbols
-        + under.symbols[max(0, top.hi + 1 - under.lo) :]
-    )
-    return TapeWindow(min(top.lo, under.lo), max(top.hi, under.hi), syms)
+    lo, hi = top.lo, top.hi
+    left = under.symbols[: lo - under.lo] if under.lo < lo else ()
+    right = under.symbols[hi + 1 - under.lo :] if under.hi > hi else ()
+    if not left and not right:
+        return top
+    return TapeWindow(lo - len(left), hi + len(right), left + top.symbols + right)
 
 
 def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
@@ -399,7 +404,7 @@ def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
     entry_windows = []
     exit_windows = []
     for i, (lw, rw) in enumerate(zip(left.entry, right.entry)):
-        if len(lw) > 0 and len(rw) > 0 and max(lw.lo, rw.lo) > min(lw.hi, rw.hi) + 1:
+        if lw.symbols and rw.symbols and (lw.lo > rw.hi + 1 or rw.lo > lw.hi + 1):
             raise MergeIncompatible(
                 f"tape {i + 1} windows [{lw.lo},{lw.hi}] and [{rw.lo},{rw.hi}] "
                 f"touch nowhere, so their union has a gap"

@@ -13,7 +13,11 @@ per-machine table (MachineSpec.symbol_codes, symbol -> uvarint index),
 and decoding takes a run of single-byte indices as one slice mapped
 through one itemgetter call, falling back to the varint loop only
 where a continuation byte appears (alphabets over 128 symbols, or
-corrupt input).  The layout below is the same either way.
+corrupt input).  Single-byte integers, nearly every head, window end,
+length and state a record holds, skip the varint loop the same way:
+decode_uvarint returns a byte under 0x80 at once, a window's lo± and
+length and a tape's two heads are read as a pair, and the encoders
+return a cached byte.  The layout below is the same either way.
 
 Record layouts (version 1):
 
@@ -59,7 +63,7 @@ _TAG_POLICIES = {v: k for k, v in _POLICY_TAGS.items()}
 
 
 _ONE_BYTE = tuple(bytes((i,)) for i in range(0x80))
-_EMPTY_HULL = b"\x00\x00"  # an empty tape's lo=0 as an svarint, then len=0
+_EMPTY_HULL = b"\x00\x00"  # an empty tape or window: lo=0 as an svarint, then len=0
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -83,6 +87,9 @@ def encode_uvarint(value: int) -> bytes:
 
 
 def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
+    # a one-byte value skips the loop, as in encode_uvarint
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     value = 0
     shift = 0
     while True:
@@ -103,12 +110,14 @@ def zigzag(value: int) -> int:
 
 
 def encode_svarint(value: int) -> bytes:
+    if -0x40 <= value < 0x40:
+        return _ONE_BYTE[2 * value if value >= 0 else -2 * value - 1]
     return encode_uvarint(zigzag(value))
 
 
 def decode_svarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     raw, offset = decode_uvarint(data, offset)
-    return (raw >> 1) if raw % 2 == 0 else -(raw >> 1) - 1, offset
+    return (raw >> 1) ^ -(raw & 1), offset
 
 
 def _expect(data: bytes, offset: int, magic: int, what: str) -> int:
@@ -121,10 +130,6 @@ def _expect(data: bytes, offset: int, magic: int, what: str) -> int:
     if data[offset + 1] != VERSION:
         raise CodecError(f"unsupported {what} version {data[offset + 1]}")
     return offset + 2
-
-
-def _symbol_indices(machine: MachineSpec, symbols: Iterable[str]) -> bytes:
-    return b"".join(map(machine.symbol_codes.__getitem__, symbols))
 
 
 def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
@@ -158,14 +163,16 @@ def _decode_state(data: bytes, offset: int, machine: MachineSpec):
 # summaries
 
 
-def _encode_window(machine: MachineSpec, w: TapeWindow) -> bytes:
-    lo = 0 if len(w) == 0 else w.lo
-    return encode_svarint(lo) + encode_uvarint(len(w)) + _symbol_indices(machine, w.symbols)
-
-
 def _decode_window(data: bytes, offset: int, machine: MachineSpec):
-    lo, offset = decode_svarint(data, offset)
-    length, offset = decode_uvarint(data, offset)
+    if offset + 1 < len(data) and data[offset] | data[offset + 1] < 0x80:
+        # lo± and length of one byte each, read together
+        z = data[offset]
+        lo = (z >> 1) ^ -(z & 1)
+        length = data[offset + 1]
+        offset += 2
+    else:
+        lo, offset = decode_svarint(data, offset)
+        length, offset = decode_uvarint(data, offset)
     syms, offset = _decode_symbols(data, offset, machine, length)
     if length == 0:
         return EMPTY_WINDOW, offset
@@ -174,6 +181,7 @@ def _decode_window(data: bytes, offset: int, machine: MachineSpec):
 
 def encode_summary(s: IntervalSummary) -> bytes:
     m = s.machine
+    code = m.symbol_codes.__getitem__
     out = bytearray((MAGIC_SUMMARY, VERSION))
     out += encode_uvarint(s.L)
     out += encode_uvarint(s.R)
@@ -182,8 +190,13 @@ def encode_summary(s: IntervalSummary) -> bytes:
     for i in range(m.k):
         out += encode_svarint(s.heads_in[i])
         out += encode_svarint(s.heads_out[i])
-        out += _encode_window(m, s.entry[i])
-        out += _encode_window(m, s.exit[i])
+        for w in (s.entry[i], s.exit[i]):
+            if w.symbols:
+                out += encode_svarint(w.lo)
+                out += encode_uvarint(len(w.symbols))
+                out += b"".join(map(code, w.symbols))
+            else:
+                out += _EMPTY_HULL
     out.append(_POLICY_TAGS[s.policy])
     return bytes(out)
 
@@ -201,8 +214,14 @@ def decode_summary(
     entry = []
     exit_ = []
     for i in range(1, machine.k + 1):
-        h_in, offset = decode_svarint(data, offset)
-        h_out, offset = decode_svarint(data, offset)
+        if offset + 1 < len(data) and data[offset] | data[offset + 1] < 0x80:
+            # both heads of one byte each, read together
+            z_in, z_out = data[offset], data[offset + 1]
+            h_in, h_out = (z_in >> 1) ^ -(z_in & 1), (z_out >> 1) ^ -(z_out & 1)
+            offset += 2
+        else:
+            h_in, offset = decode_svarint(data, offset)
+            h_out, offset = decode_svarint(data, offset)
         ew, offset = _decode_window(data, offset, machine)
         xw, offset = _decode_window(data, offset, machine)
         if not ew.lo <= h_in <= ew.hi:

@@ -39,7 +39,7 @@ def split_left_count(n: int) -> int:
     return (n + 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TreeNode:
     id: int
     leaf_lo: int
@@ -52,10 +52,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def leaf_count(self) -> int:
-        return self.leaf_hi - self.leaf_lo + 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def build_tree(decomp: BlockDecomposition) -> CausalTree:
     def grow(lo: int, hi: int, depth: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # type: ignore[arg-type]  # patched below
-        interval = (decomp.block(lo)[0], decomp.block(hi)[1])
+        interval = (decomp.blocks[lo - 1][0], decomp.blocks[hi - 1][1])
         if lo == hi:
             nodes[node_id] = TreeNode(node_id, lo, hi, interval, depth, None, None)
             return node_id

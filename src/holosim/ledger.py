@@ -73,16 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .codec import zigzag
-
 SYMBOL_CELL = 1
-
-
-def bits_of(value: int) -> int:
-    """Bits in the zigzag folding of value; zero still takes one bit.
-    Equal to (value if value >= 0 else ~value).bit_length() + 1, the
-    form the bit-length table is indexed by."""
-    return max(1, zigzag(value).bit_length())
 
 
 def cells_for_bits(bits: int, gamma: int) -> int:
@@ -341,13 +332,6 @@ class ScreenLedger:
 
     def note_dirty_eviction(self) -> None:
         self.dirty_evictions += 1
-
-    def summary_line(self) -> str:
-        return (
-            f"t={self.t} b={self.b} T={self.T} "
-            f"max_screen={self.max_screen} max_book={self.max_book} "
-            f"max_total={self.max_total} dirty_evictions={self.dirty_evictions}"
-        )
 
 
 def attach_ledger(machine, t: int, b: int, c_int: int = 2, keep_series: bool = False) -> ScreenLedger:

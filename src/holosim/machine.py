@@ -492,33 +492,41 @@ class HistoryCursor:
         self.heads = list(c.heads)
         self.cells = [dict(tape) for tape in c.cells]
         self.spans = [list(span) for span in c.spans]
+        self._tapes = tuple(zip(range(len(self.heads)), self.cells, self.spans))
 
     def read(self, tape: int, cell: int) -> str:
         return self.cells[tape].get(cell, self._h.machine.blank)
 
     def advance(self) -> None:
-        if self.time >= self._h.t:
-            raise IndexError("cursor already at end of history")
-        state_after, writes, moves = self._h._trace[self.time]
-        blank = self._h.machine.blank
-        for i in range(self._h.machine.k):
-            if writes[i] == blank:
-                self.cells[i].pop(self.heads[i], None)
-            else:
-                self.cells[i][self.heads[i]] = writes[i]
-            self.heads[i] += moves[i]
-            if self.heads[i] < self.spans[i][0]:
-                self.spans[i][0] = self.heads[i]
-            elif self.heads[i] > self.spans[i][1]:
-                self.spans[i][1] = self.heads[i]
-        self.state = state_after
-        self.time += 1
+        self.advance_to(self.time + 1)
 
     def advance_to(self, time: int) -> None:
+        """Apply the recorded steps up to `time` from one slice of the
+        trace.  Past the end of the history it stops at t and raises."""
         if time < self.time:
             raise IndexError(f"cursor cannot rewind from {self.time} to {time}")
-        while self.time < time:
-            self.advance()
+        h = self._h
+        end = time if time < h.t else h.t
+        if end > self.time:
+            blank = h.machine.blank
+            heads = self.heads
+            for state, writes, moves in h.trace[self.time : end]:
+                for i, tape, span in self._tapes:
+                    head = heads[i]
+                    if writes[i] == blank:
+                        tape.pop(head, None)
+                    else:
+                        tape[head] = writes[i]
+                    head += moves[i]
+                    heads[i] = head
+                    if head < span[0]:
+                        span[0] = head
+                    elif head > span[1]:
+                        span[1] = head
+            self.state = state
+            self.time = end
+        if time > end:
+            raise IndexError("cursor already at end of history")
 
     def snapshot(self) -> Configuration:
         return Configuration(
@@ -550,7 +558,7 @@ class RunHistory:
     ):
         self.machine = machine
         self.t = len(trace)
-        self._trace = trace
+        self.trace = trace
         self._stride = max(1, math.isqrt(self.t)) if self.t else 1
         self._checkpoints: list[Configuration] = [c0]
 
@@ -575,12 +583,6 @@ class RunHistory:
                 cur.advance_to(cur.time + self._stride)
                 checkpoints.append(cur.snapshot())
         return checkpoints[index]
-
-    def moves_at(self, step: int) -> tuple[int, ...]:
-        """Head moves applied by 1-based step number."""
-        if not 1 <= step <= self.t:
-            raise IndexError(f"step {step} outside [1, {self.t}]")
-        return self._trace[step - 1][2]
 
     def __len__(self) -> int:
         return self.t + 1

@@ -18,6 +18,7 @@ interval and emits encoded configurations:
 
 Program layout: magic 0x57, version, kind tag, then the machine's
 canonical text serialization as a length-prefixed UTF-8 blob.
+run_witness parses each of the last few distinct programs once.
 """
 
 from __future__ import annotations
@@ -84,13 +85,28 @@ def parse_witness(data: bytes) -> tuple[str, MachineSpec]:
     return _KINDS[tag], machine
 
 
+_PARSED: dict[bytes, tuple[str, MachineSpec]] = {}  # least recently used first
+_PARSED_KEPT = 8
+
+
+def _parse_once(data: bytes) -> tuple[str, MachineSpec]:
+    """parse_witness(data), kept by bytes for the last few programs, so
+    each machine builds its step table and symbol codes once.  A program
+    that fails to parse is never kept."""
+    key = bytes(data)
+    _PARSED[key] = parsed = _PARSED.pop(key, None) or parse_witness(data)
+    if len(_PARSED) > _PARSED_KEPT:
+        del _PARSED[next(iter(_PARSED))]
+    return parsed
+
+
 def run_witness(
     witness: WitnessProgram | bytes, conditional: Sequence[bytes]
 ) -> bytes:
     """Execute a witness on its conditional input; returns encoded
     output bytes."""
     data = witness.data if isinstance(witness, WitnessProgram) else witness
-    kind, machine = parse_witness(data)
+    kind, machine = _parse_once(data)
     if kind == KIND_POINTWISE:
         if len(conditional) != 2:
             raise ValueError(

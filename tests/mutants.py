@@ -41,9 +41,15 @@ class Mutant(NamedTuple):
 _LEDGER = "src/holosim/ledger.py"
 _STREAMING = "src/holosim/streaming.py"
 _REPLAY = "src/holosim/replay.py"
+_CODEC = "src/holosim/codec.py"
+_BLOCKS = "src/holosim/blocks.py"
+_MACHINE = "src/holosim/machine.py"
+_WITNESS = "src/holosim/witness.py"
 _T_LEDGER = "tests/test_ledger.py::"
 _T_STREAMING = "tests/test_streaming.py::"
 _T_WITNESS = "tests/test_witness.py::"
+_T_CODEC = "tests/test_codec.py::"
+_T_HOSTILE = "tests/test_hostile_input.py::"
 
 MUTANTS = (
     # the ledger's gate and bands
@@ -239,6 +245,69 @@ MUTANTS = (
             _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
             _T_WITNESS + "test_history_witness_builds_no_configuration",
             _T_WITNESS + "test_history_output_equals_direct_replay",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+    # the audit path's fast paths
+    Mutant(
+        "uvarint-one-byte-bound-inclusive",
+        _CODEC,
+        "and data[offset] < 0x80:",
+        "and data[offset] <= 0x80:",
+        (
+            _T_CODEC + "test_uvarint_round_trip",
+            _T_HOSTILE + "test_edge_summaries_decode_as_the_reference_does",
+            _T_HOSTILE + "test_edge_summaries_truncated_or_changed_decode_as_the_reference_does",
+        ),
+    ),
+    Mutant(
+        "window-lo-sign-flipped",
+        _CODEC,
+        "lo = (z >> 1) ^ -(z & 1)",
+        "lo = -((z >> 1) ^ -(z & 1))",
+        (
+            _T_CODEC + "test_summary_round_trip_random",
+            _T_HOSTILE + "test_edge_summaries_decode_as_the_reference_does",
+            _T_HOSTILE + "test_edge_summaries_truncated_or_changed_decode_as_the_reference_does",
+        ),
+    ),
+    Mutant(
+        "hull-slice-starts-one-late",
+        _BLOCKS,
+        "run.history.trace[L - 1 : R]",
+        "run.history.trace[L:R]",
+        (
+            "tests/test_blocks.py::test_check_block_respecting_against_reference",
+            "tests/test_ctree.py::test_label_tree_matches_leaf_and_direct_summaries_random",
+            "tests/test_acceptance.py::test_criterion_7_tree_structure",
+        ),
+    ),
+    Mutant(
+        "cursor-slice-ends-one-short",
+        _MACHINE,
+        "h.trace[self.time : end]",
+        "h.trace[self.time : end - 1]",
+        (
+            "tests/test_machine.py::test_history_cursor_matches_random_access",
+            "tests/test_machine.py::test_cursor_advance_to_past_the_end_stops_at_t",
+            "tests/test_ctree.py::test_label_tree_matches_leaf_and_direct_summaries_random",
+        ),
+    ),
+    Mutant(
+        "full-span-check-needs-both-ends",
+        _BLOCKS,
+        "if ew.lo != xw.lo or ew.hi != xw.hi:",
+        "if ew.lo != xw.lo and ew.hi != xw.hi:",
+        ("tests/test_blocks.py::test_full_policy_requires_shared_span",),
+    ),
+    Mutant(
+        "witness-cache-keyed-by-kind",
+        _WITNESS,
+        "key = bytes(data)",
+        "key = bytes(data[2:3])",
+        (
+            _T_WITNESS + "test_witness_parses_each_program_once",
+            _T_WITNESS + "test_witness_cache_is_bounded_and_keeps_no_error",
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
         ),
     ),

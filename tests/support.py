@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from holosim import (
+    CodecError,
     Configuration,
     HistoryCursor,
     InternalInvariantError,
@@ -263,3 +264,81 @@ def random_configuration(rng: random.Random, machine: MachineSpec) -> Configurat
         cells=tuple(cells),
         spans=tuple(spans),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference decoder
+
+
+def reference_decode_summary(data: bytes, machine: MachineSpec) -> IntervalSummary:
+    """decode_summary_exact written naively, apart from the codec: every
+    integer, symbol index included, goes through one general varint
+    reader, one byte at a time.  Raises CodecError wherever the record
+    layout does not hold."""
+    pos = 0
+
+    def byte() -> int:
+        nonlocal pos
+        if pos == len(data):
+            raise CodecError("truncated")
+        pos += 1
+        return data[pos - 1]
+
+    def uvarint() -> int:
+        value = 0
+        shift = 0
+        more = True
+        while more:
+            b = byte()
+            value += (b % 128) * 2**shift
+            shift += 7
+            more = b >= 128
+        return value
+
+    def svarint() -> int:
+        z = uvarint()
+        return z // 2 if z % 2 == 0 else -(z + 1) // 2
+
+    def index(options: tuple) -> str:
+        i = uvarint()
+        if i >= len(options):
+            raise CodecError("index out of range")
+        return options[i]
+
+    def window() -> TapeWindow:
+        lo = svarint()
+        n = uvarint()
+        symbols = tuple(index(machine.work_alphabet) for _ in range(n))
+        return TapeWindow(lo, lo + n - 1, symbols) if n else TapeWindow(0, -1, ())
+
+    if byte() != 0x53 or byte() != 1:
+        raise CodecError("not a summary")
+    L, R = uvarint(), uvarint()
+    q_in, q_out = index(machine.states), index(machine.states)
+    heads_in, heads_out, entry, exit_ = [], [], [], []
+    for _ in range(machine.k):
+        heads_in.append(svarint())
+        heads_out.append(svarint())
+        entry.append(window())
+        exit_.append(window())
+    policy = byte()
+    if pos != len(data) or policy > 1:
+        raise CodecError("bad policy tag or trailing bytes")
+    for h, w in zip(heads_in + heads_out, entry + exit_):
+        if not w.lo <= h <= w.hi:
+            raise CodecError("head outside its window")
+    try:
+        return IntervalSummary(
+            machine=machine,
+            L=L,
+            R=R,
+            q_in=q_in,
+            q_out=q_out,
+            heads_in=tuple(heads_in),
+            heads_out=tuple(heads_out),
+            entry=tuple(entry),
+            exit=tuple(exit_),
+            policy=(POLICY_FULL, POLICY_BOUNDARY)[policy],
+        )
+    except ValueError as e:
+        raise CodecError(str(e)) from e

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holosim as hs
-from support import random_configuration, random_machine, random_summary, wide_alphabet_machine
+from support import (
+    random_configuration,
+    random_machine,
+    random_summary,
+    reference_decode_summary,
+    wide_alphabet_machine,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 MUTATIONS_PER_SEED = 15
@@ -102,6 +108,109 @@ def test_mutated_encodings_decode_or_codec_error(seed):
         decode(good, m)
         for _ in range(MUTATIONS_PER_SEED):
             _value_or_codec_error(decode, _mutate(rng, good), m)
+
+
+# one-byte svarints end at -64 and 63, one-byte uvarints at 127 and
+# two-byte ones at 16383
+EDGE_INTS = (-65, -64, 63, 64)
+EDGE_LENGTHS = (0, 1, 127, 128)
+EDGE_STEPS = ((127, 127), (128, 16383), (16383, 16384), (16384, 16384))
+
+
+def _edge_window(rng: random.Random, m: hs.MachineSpec, slot: int) -> hs.TapeWindow:
+    lo, n = EDGE_INTS[slot % 4], EDGE_LENGTHS[slot // 4 % 4]
+    high = m.work_alphabet[-3:]  # two-byte indices on the wide machine
+    syms = tuple(rng.choice(high if rng.random() < 0.5 else m.work_alphabet) for _ in range(n))
+    return hs.TapeWindow(lo, lo + n - 1, syms) if n else hs.TapeWindow(0, -1, ())
+
+
+def _edge_summaries():
+    """Summaries with every field on a varint edge: windows at lo -65,
+    -64, 63 and 64 holding 0, 1, 127 and 128 cells, heads on window
+    ends, L and R at 127/128 and 16383/16384, on one to three tapes and
+    on a 130-symbol alphabet.  A summary with an empty window does not
+    decode: no head lies inside it."""
+    rng = random.Random(11)
+    out = []
+    for m in [random_machine(rng, k) for k in (1, 2, 3)] + [wide_alphabet_machine(rng)]:
+        for j in range(8):
+            full = j % 2 == 1
+            entry = [_edge_window(rng, m, 2 * j + 5 * i) for i in range(m.k)]
+            exit_ = [
+                hs.TapeWindow(w.lo, w.hi, tuple(rng.choice(m.work_alphabet) for _ in w.symbols))
+                if full
+                else _edge_window(rng, m, 2 * j + 5 * i + 7)
+                for i, w in enumerate(entry)
+            ]
+            L, R = EDGE_STEPS[j % 4]
+            out.append(
+                hs.IntervalSummary(
+                    machine=m,
+                    L=L,
+                    R=R,
+                    q_in=rng.choice(m.states),
+                    q_out=rng.choice(m.states),
+                    heads_in=tuple(w.lo for w in entry),
+                    heads_out=tuple(w.hi for w in exit_),
+                    entry=tuple(entry),
+                    exit=tuple(exit_),
+                    policy=hs.POLICY_FULL if full else hs.POLICY_BOUNDARY,
+                )
+            )
+    return out
+
+
+def _decode_outcome(decode, data: bytes, machine):
+    try:
+        return decode(data, machine)
+    except hs.CodecError:
+        return hs.CodecError
+
+
+def test_edge_summaries_decode_as_the_reference_does():
+    decoded = 0
+    for s in _edge_summaries():
+        data = hs.encode_summary(s)
+        want = _decode_outcome(reference_decode_summary, data, s.machine)
+        assert want == (hs.CodecError if any(not w.symbols for w in s.entry + s.exit) else s)
+        assert _decode_outcome(hs.decode_summary_exact, data, s.machine) == want
+        decoded += want is not hs.CodecError
+    assert decoded >= 10
+
+
+def _run_interiors(s: hs.IntervalSummary) -> set[int]:
+    """Offsets in encode_summary(s) strictly inside a symbol run."""
+    m = s.machine
+    pos = 2 + sum(len(hs.encode_uvarint(v)) for v in (s.L, s.R, m.state_index[s.q_in], m.state_index[s.q_out]))
+    inside = set()
+    for i in range(m.k):
+        pos += len(hs.encode_svarint(s.heads_in[i]) + hs.encode_svarint(s.heads_out[i]))
+        for w in (s.entry[i], s.exit[i]):
+            pos += len(hs.encode_svarint(w.lo) + hs.encode_uvarint(len(w.symbols)))
+            n = sum(len(m.symbol_codes[c]) for c in w.symbols)
+            inside.update(range(pos + 1, pos + n - 1))
+            pos += n
+    return inside
+
+
+def test_edge_summaries_truncated_or_changed_decode_as_the_reference_does():
+    """Every truncation, and six changes at every byte but those inside
+    a symbol run: to 0x00 and 0x7F (the one-byte extremes), 0x80 and
+    0xFF (continuation bytes), and the byte with its lowest or its top
+    payload bit flipped (the sign of a zigzag value, a step across the
+    63/64 edge)."""
+    for s in _edge_summaries():
+        data = hs.encode_summary(s)
+        for cut in range(len(data)):
+            assert _decode_outcome(hs.decode_summary_exact, data[:cut], s.machine) is hs.CodecError
+        interiors = _run_interiors(s)
+        for pos, old in enumerate(data):
+            if pos in interiors:
+                continue
+            for new in {0x00, 0x7F, 0x80, 0xFF, old ^ 0x01, old ^ 0x40} - {old}:
+                changed = data[:pos] + bytes((new,)) + data[pos + 1 :]
+                want = _decode_outcome(reference_decode_summary, changed, s.machine)
+                assert _decode_outcome(hs.decode_summary_exact, changed, s.machine) == want, (pos, new)
 
 
 _TM_PIECES = (

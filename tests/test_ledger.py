@@ -9,20 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holosim as hs
-from holosim.ledger import bits_of, cells_for_bits, cells_table, int_cells
+from holosim.codec import zigzag
+from holosim.ledger import cells_for_bits, cells_table, int_cells
 from holosim.samples import counter_input, load_sample, palin_input
 from support import random_machine, wide_alphabet_machine
 
 
+def bits_of(value: int) -> int:
+    """Bits in the zigzag folding of value; zero still takes one bit."""
+    return max(1, zigzag(value).bit_length())
+
+
 def test_bits_of_pinned():
-    # zigzag: 0->0, -1->1, 1->2, -2->3, 2->4, 300->600
-    assert bits_of(0) == 1
-    assert bits_of(-1) == 1
-    assert bits_of(1) == 2
-    assert bits_of(-2) == 2
-    assert bits_of(2) == 3
-    assert bits_of(300) == 10
-    assert bits_of(-300) == 10
+    # over a binary alphabet an int takes one cell per bit of its zigzag
+    # folding: 0->0, -1->1, 1->2, -2->3, 2->4, 300->600
+    for v, bits in ((0, 1), (-1, 1), (1, 2), (-2, 2), (2, 3), (300, 10), (-300, 10)):
+        assert bits_of(v) == bits
+        assert int_cells(v, 2) == bits
 
 
 def test_cells_for_bits_pinned():
@@ -116,16 +119,6 @@ def test_book_is_logarithmic_not_linear():
         hs.holo_run(m, word, t, b=b, ledger=led)
         books.append(led.max_book)
     assert books[-1] <= 2 * books[0]
-
-
-def test_summary_line_mentions_all_maxima():
-    m = load_sample("counter")
-    t, b = 64, 8
-    led = hs.attach_ledger(m, t, b)
-    hs.holo_run(m, counter_input(8), t, b=b, ledger=led)
-    line = led.summary_line()
-    for key in ("t=64", "b=8", "T=8", "max_screen=", "max_book=", "max_total="):
-        assert key in line
 
 
 def test_dirty_evictions_counted_only_when_lossy():

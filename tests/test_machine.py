@@ -257,6 +257,23 @@ def test_history_cursor_matches_random_access(counter_run):
         assert cursor.snapshot() == counter_run.history[tau]
 
 
+def test_cursor_advance_to_past_the_end_stops_at_t(counter_run):
+    """advance_to past the end applies every step up to t, then raises;
+    advance at the end and a rewind raise and move nothing."""
+    history = counter_run.history
+    t = counter_run.t
+    cursor = history.cursor()
+    cursor.advance_to(t // 2)
+    with pytest.raises(IndexError, match="cursor already at end of history"):
+        cursor.advance_to(t + 5)
+    assert cursor.time == t and cursor.snapshot() == history[t]
+    with pytest.raises(IndexError, match="cursor already at end of history"):
+        cursor.advance()
+    with pytest.raises(IndexError, match="rewind"):
+        cursor.advance_to(t - 1)
+    assert cursor.time == t and cursor.snapshot() == history[t]
+
+
 def test_step_is_pure(machines):
     m = machines["writer2"]
     c0 = hs.initial_configuration(m, "")

@@ -305,3 +305,49 @@ def test_history_witness_builds_no_configuration(monkeypatch):
     # the patches do count on the Configuration path
     hs.encode_history(hs.replay_all(m, replace(s, R=s.L + 9)))
     assert calls["encode_configuration"] == 11 and calls["Configuration"] >= 11
+
+
+def test_witness_parses_each_program_once(monkeypatch):
+    """Repeated calls on one program parse its machine once; distinct
+    programs, of one kind or not, are kept apart; outputs are those of
+    a fresh parse."""
+    parses = []
+
+    def counted(text):
+        parses.append(text)
+        return hs.parse_machine(text)
+
+    monkeypatch.setattr(witness, "_PARSED", {})
+    monkeypatch.setattr(witness, "parse_machine", counted)
+    calls = []
+    for name, word in (("counter", counter_input(8)), ("palin", "0110")):
+        m = load_sample(name)
+        rec = hs.run(m, word, max_steps=200)
+        s = hs.encode_summary(hs.interval_summary(rec, 3, rec.t - 2))
+        pw = hs.build_witness(m, hs.KIND_POINTWISE)
+        hw = hs.build_witness(m, hs.KIND_HISTORY)
+        for tau in (2, 5, rec.t - 2):
+            want = hs.encode_configuration(
+                hs.replay_from_summary(m, hs.decode_summary_exact(s, m), tau)
+            )
+            calls.append((pw, [s, hs.encode_uvarint(tau)], want))
+        calls.append((hw, [s], hs.encode_history(hs.replay_all(m, hs.decode_summary_exact(s, m)))))
+    for _ in range(2):
+        for w, conditional, want in calls:
+            assert hs.run_witness(w, conditional) == want
+            assert hs.run_witness(w.data, conditional) == want
+    assert len(parses) == 4  # two machines, two kinds each
+
+
+def test_witness_cache_is_bounded_and_keeps_no_error(monkeypatch):
+    monkeypatch.setattr(witness, "_PARSED", {})
+    rng = random.Random(5)
+    programs = [hs.build_witness(random_machine(rng, k=1), hs.KIND_HISTORY) for _ in range(12)]
+    for w in programs:
+        witness._parse_once(w.data)
+    assert list(witness._PARSED) == [w.data for w in programs[-witness._PARSED_KEPT :]]
+    bad = programs[0].data[:-4]
+    for _ in range(2):
+        with pytest.raises(hs.CodecError, match="truncated witness machine blob"):
+            hs.run_witness(bad, [b""])
+    assert bad not in witness._PARSED and len(witness._PARSED) == witness._PARSED_KEPT
