@@ -12,11 +12,13 @@ Window convention: the cells a block touches are the head positions
 over configurations L-1 through R inclusive, so the resting position
 of a head at the block boundary belongs to both neighbouring blocks.
 
-Summaries are read off one HistoryCursor walking the oracle history:
-entry windows at L-1, then the cursor advances to R for the exit
-windows.  A leaf reads one slice of the recorded trace for its head
-hull and one for the advance, with no call per step, and
-leaf_summaries walks a single cursor through every block in time order.
+Summaries are read off a HistoryCursor walking the oracle history
+forward: entry windows at L-1, then the cursor advances to R for the
+exit windows.  A leaf reads one slice of the recorded trace for its head
+hull and one for the advance, with no call per step.  leaf_summaries
+walks a single cursor through every block in time order;
+interval_summary, and so leaf_summary and direct_summary, walk a fresh
+cursor from time 0 to L-1.
 Windows are read and merged by slicing symbol tuples, not cell by cell.
 TapeWindow and IntervalSummary are slotted records, not frozen ones
 (a frozen init sets each field through object.__setattr__), but are
@@ -213,11 +215,14 @@ def _summarize(run: RunRecord, cursor: HistoryCursor, R: int) -> IntervalSummary
 
 
 def interval_summary(run: RunRecord, L: int, R: int) -> IntervalSummary:
-    """Full-policy summary of an arbitrary step interval, read straight
-    off the recorded history.  No window size limit is applied."""
+    """Full-policy summary of an arbitrary step interval, read off one
+    forward walk of the recorded history.  No window size limit is
+    applied."""
     if not 1 <= L <= R <= run.t:
         raise ValueError(f"step interval [{L},{R}] outside [1,{run.t}]")
-    return _summarize(run, run.history.cursor_at(L - 1), R)
+    cursor = run.history.cursor()
+    cursor.advance_to(L - 1)
+    return _summarize(run, cursor, R)
 
 
 def _within_limit(s: IntervalSummary, c_int: int, b: int) -> IntervalSummary:

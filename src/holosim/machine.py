@@ -15,16 +15,14 @@ dict holding non-blank cells only, the form all callers keep.  step()
 is a deliberately naive, pure reference for it.
 
 run() is the reference oracle: it executes the machine forwards once
-and records a compact per-step trace.  Its history reproduces the
-configuration at any time on demand, taking a checkpoint every
-~sqrt(t) steps on the first random access that needs one; forward
-walks read the trace alone.  Everything else in the toolkit is
-validated against these histories.
+and records a compact per-step trace.  Its history is read forward
+only: a cursor replays the trace from the initial configuration, one
+mutable tape image for the whole walk, and keeps nothing else.
+Everything else in the toolkit is validated against these histories.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
@@ -479,13 +477,13 @@ def steps(
 class HistoryCursor:
     """Sequential walker over a recorded run.
 
-    Keeps one mutable tape image and advances it step by step, so a
-    full forward scan costs O(1) amortized per step instead of one
-    snapshot per step.  It starts at time 0, or at a given checkpoint.
+    Keeps one mutable tape image and advances it step by step from time
+    0, so a full forward scan costs O(1) amortized per step instead of
+    one snapshot per step.  It never rewinds.
     """
 
-    def __init__(self, history: "RunHistory", start: Configuration | None = None):
-        c = history._checkpoints[0] if start is None else start
+    def __init__(self, history: "RunHistory"):
+        c = history.c0
         self._h = history
         self.time = c.time
         self.state = c.state
@@ -540,14 +538,12 @@ class HistoryCursor:
 
 
 class RunHistory:
-    """Random access to every configuration of a recorded run.
+    """Every configuration of a recorded run, read forward.
 
-    Stores the initial configuration and a compact per-step trace of
-    (state after, symbols written, head moves).  Full checkpoints every
-    ~sqrt(t) steps are taken on first need: history[tau] and
-    cursor_at(tau) extend them up to tau, each one built at most once,
-    then replay forward from the nearest.  Forward walks (cursor(),
-    configurations()) start from time 0 and never build one.
+    Stores the initial configuration c0 and a compact per-step trace of
+    (state after, symbols written, head moves).  cursor() is the one
+    access path: it walks the trace from c0.  history[tau] and final
+    each take one such walk and snapshot its end.
     """
 
     def __init__(
@@ -559,37 +555,17 @@ class RunHistory:
         self.machine = machine
         self.t = len(trace)
         self.trace = trace
-        self._stride = max(1, math.isqrt(self.t)) if self.t else 1
-        self._checkpoints: list[Configuration] = [c0]
+        self.c0 = c0
 
     def cursor(self) -> HistoryCursor:
         return HistoryCursor(self)
 
-    def cursor_at(self, tau: int) -> HistoryCursor:
-        """A cursor at time tau, advanced from the nearest checkpoint at
-        or before it."""
-        cur = HistoryCursor(self, self._checkpoint_for(tau))
-        cur.advance_to(tau)
-        return cur
-
-    def _checkpoint_for(self, tau: int) -> Configuration:
+    def __getitem__(self, tau: int) -> Configuration:
         if not 0 <= tau <= self.t:
             raise IndexError(f"time {tau} outside [0, {self.t}]")
-        index = tau // self._stride
-        checkpoints = self._checkpoints
-        if index >= len(checkpoints):
-            cur = HistoryCursor(self, checkpoints[-1])
-            while len(checkpoints) <= index:
-                cur.advance_to(cur.time + self._stride)
-                checkpoints.append(cur.snapshot())
-        return checkpoints[index]
-
-    def __len__(self) -> int:
-        return self.t + 1
-
-    def __getitem__(self, tau: int) -> Configuration:
-        cfg = self._checkpoint_for(tau)
-        return cfg if cfg.time == tau else self.cursor_at(tau).snapshot()
+        cur = self.cursor()
+        cur.advance_to(tau)
+        return cur.snapshot()
 
     def configurations(self) -> Iterator[Configuration]:
         cur = self.cursor()

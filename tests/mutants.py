@@ -294,6 +294,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "history-index-walks-one-short",
+        _MACHINE,
+        "cur.advance_to(tau)",
+        "cur.advance_to(tau - 1)",
+        (
+            "tests/test_machine.py::test_history_random_access",
+            "tests/test_machine.py::test_history_random_order_access_bundled",
+            "tests/test_machine.py::test_history_random_order_access_random_machines",
+        ),
+    ),
+    Mutant(
+        "interval-summary-enters-one-late",
+        _BLOCKS,
+        "cursor.advance_to(L - 1)",
+        "cursor.advance_to(L)",
+        (
+            "tests/test_blocks.py::test_writer2_whole_interval_summary",
+            "tests/test_blocks.py::test_merge_equals_direct_summary_random_runs",
+            "tests/test_ctree.py::test_label_tree_matches_leaf_and_direct_summaries_random",
+        ),
+    ),
+    Mutant(
         "full-span-check-needs-both-ends",
         _BLOCKS,
         "if ew.lo != xw.lo or ew.hi != xw.hi:",

@@ -74,6 +74,15 @@ def reference_trace(machine: MachineSpec, word, max_steps: int):
         yield steps, state, tuple(heads), tuple(t.nonblank() for t in tapes)
 
 
+def oracle_walk(history, times):
+    """The oracle configuration at each of times, which must not
+    decrease, read off one forward cursor walk of history."""
+    cursor = history.cursor()
+    for tau in times:
+        cursor.advance_to(tau)
+        yield cursor.snapshot()
+
+
 class ReferenceVerifier:
     """The verify sink as it was before it stepped its own kernel: it
     walks a recorded oracle history and checks each emission in place,

@@ -17,6 +17,7 @@ from conftest import record_criterion
 from holosim.machine import HistoryCursor, probe_run_length
 from holosim.samples import counter_input, load_sample, palin_input
 from support import (
+    oracle_walk,
     random_configuration,
     random_machine,
     random_summary,
@@ -256,14 +257,11 @@ def test_criterion_6_witness_constancy():
                 spans = [w.span for w in s.entry]
 
                 # oracle encodings straight from the direct history
-                want_point = hs.encode_configuration(
-                    rec.history[tau].restricted(spans)
-                )
-                want_hist = hs.encode_history(
-                    tuple(
-                        rec.history[j].restricted(spans) for j in range(L - 1, R + 1)
-                    )
-                )
+                window = [
+                    c.restricted(spans) for c in oracle_walk(rec.history, range(L - 1, R + 1))
+                ]
+                want_point = hs.encode_configuration(window[tau - L + 1])
+                want_hist = hs.encode_history(tuple(window))
 
                 got_point = hs.run_witness(
                     pw, [hs.encode_summary(s), hs.encode_uvarint(tau)]

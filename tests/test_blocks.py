@@ -99,6 +99,19 @@ def test_leaf_summary_enforces_window_limit(counter_run):
     assert exc.value.limit == 1
 
 
+def test_summaries_reject_intervals_outside_the_run(counter_run):
+    t = counter_run.t
+    d = hs.decompose(t, 16)
+    for L, R in ((0, 4), (5, 4), (1, t + 1)):
+        with pytest.raises(ValueError, match=rf"step interval \[{L},{R}\] outside \[1,{t}\]"):
+            hs.interval_summary(counter_run, L, R)
+        with pytest.raises(ValueError, match=rf"block \[{L},{R}\] outside \[1,{t}\]"):
+            hs.leaf_summary(counter_run, (L, R), 4, 16)
+    for k_lo, k_hi in ((0, 1), (3, 2), (1, d.T + 1)):
+        with pytest.raises(ValueError, match=rf"block range \[{k_lo},{k_hi}\] outside \[1,{d.T}\]"):
+            hs.direct_summary(counter_run, d, k_lo, k_hi, 4)
+
+
 def test_merge_requires_adjacency(counter_run):
     d = hs.decompose(counter_run.t, 16)
     s1 = hs.leaf_summary(counter_run, d.block(1), 4, 16)
@@ -118,6 +131,25 @@ def test_merge_rejects_state_mismatch(counter_run):
     broken = dataclasses.replace(s2, q_in="ret" if s2.q_in != "ret" else "inc")
     with pytest.raises(hs.MergeIncompatible, match="state"):
         hs.merge(s1, broken)
+    broken = dataclasses.replace(s2, heads_in=tuple(h + 1 for h in s2.heads_in))
+    with pytest.raises(hs.MergeIncompatible, match=r"exit heads \(.*\) do not match entry heads"):
+        hs.merge(s1, broken)
+
+
+def test_merge_rejects_foreign_operands(counter_run, machines):
+    """Operands from another machine or under another policy do not
+    join, and full-policy windows that leave a gap between them do not
+    merge."""
+    d = hs.decompose(counter_run.t, 16)
+    s1 = hs.leaf_summary(counter_run, d.block(1), 4, 16)
+    s2 = hs.leaf_summary(counter_run, d.block(2), 4, 16)
+    with pytest.raises(hs.MergeIncompatible, match="summaries come from different machines"):
+        hs.merge(s1, dataclasses.replace(s2, machine=machines["writer2"]))
+    with pytest.raises(hs.MergeIncompatible, match="policy mismatch: full vs boundary"):
+        hs.merge(s1, dataclasses.replace(s2, policy=hs.POLICY_BOUNDARY))
+    far = tuple(hs.TapeWindow(w.lo + 100, w.hi + 100, w.symbols) for w in s2.entry)
+    with pytest.raises(hs.MergeIncompatible, match=r"tape 1 windows \[.*\] touch nowhere"):
+        hs.merge(s1, dataclasses.replace(s2, entry=far, exit=far))
 
 
 def test_merge_rejects_overlap_disagreement(counter_run):

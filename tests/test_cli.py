@@ -126,6 +126,27 @@ def test_simulate_verify_records_no_history(capsys, monkeypatch):
         assert f"verified 256 emissions against direct simulation ({mode})" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (hs.InternalInvariantError("walk lost its place"), 4, "internal error: "),
+        (hs.MergeIncompatible("summaries do not join"), 4, "internal error: "),
+        (hs.StepFromHaltError("cannot step from halting state"), 3, "error: "),
+    ],
+    ids=["invariant", "merge", "catch-all"],
+)
+def test_engine_errors_map_to_exit_codes(error, code, prefix, capsys, monkeypatch):
+    """An internal invariant breach or a failed join exits 4; any other
+    toolkit error falls through to the catch-all and exits 3."""
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("holosim.cli.holo_run", fail)
+    assert main(["simulate", "counter", "--t", "2^4"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}{error}\n")
+
+
 def test_simulate_sweep_windowed(capsys):
     code = main(["simulate", "sweep", "--t", "2^8", "--verify"])
     assert code == 0

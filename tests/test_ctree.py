@@ -271,10 +271,11 @@ def test_label_tree_non_block_respecting_matches_leaf_summary():
         raised += 1
 
 
-def test_audit_walks_take_no_checkpoints(machines):
-    """label_tree and leaf_summaries read the oracle history forwards,
-    so neither makes it take a checkpoint; a VerifySink pass steps its
-    own oracle and reads no history at all."""
+def test_audit_walks_agree(machines):
+    """The forward audit walks agree with the oracle: label_tree's root
+    is interval_summary of the whole run, leaf_summaries yields one
+    summary per block, and a VerifySink pass, which steps its own
+    oracle, finds every emission exact."""
     m = machines["counter"]
     word = hs.counter_input(10)
     rec = hs.run(m, word, max_steps=512)
@@ -284,5 +285,4 @@ def test_audit_walks_take_no_checkpoints(machines):
     sink = VerifySink(m, word)
     hs.holo_run(m, word, rec.t, sink=sink)
     assert sink.compared == sink.strict == rec.t
-    assert len(rec.history._checkpoints) == 1
     assert labeled.labels[0] == hs.interval_summary(rec, 1, rec.t)

@@ -25,9 +25,13 @@ from support import (
 SEEDS = st.integers(min_value=0, max_value=2**32)
 MUTATIONS_PER_SEED = 15
 
+# each run with its configurations, read off one forward walk
 _WIDE_RUNS = [
-    hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=40)
-    for m in (wide_alphabet_machine(random.Random(seed)) for seed in (1, 2))
+    (rec, list(rec.history.configurations()))
+    for rec in (
+        hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=40)
+        for m in (wide_alphabet_machine(random.Random(seed)) for seed in (1, 2))
+    )
 ]
 
 
@@ -37,12 +41,12 @@ def _encodings(rng: random.Random):
     130-symbol alphabet and the encodings come from a run of it, so
     symbol runs mix one- and two-byte indices."""
     if rng.random() < 1 / 3:
-        rec = _WIDE_RUNS[rng.randrange(len(_WIDE_RUNS))]
-        m, history = rec.machine, rec.history
+        rec, walk = _WIDE_RUNS[rng.randrange(len(_WIDE_RUNS))]
+        m = rec.machine
         L = rng.randint(1, rec.t)
         summary = hs.interval_summary(rec, L, rng.randint(L, rec.t))
-        config = history[rng.randint(0, history.t)]
-        configs = [history[rng.randint(0, history.t)] for _ in range(rng.randint(0, 3))]
+        config = walk[rng.randint(0, rec.t)]
+        configs = [walk[rng.randint(0, rec.t)] for _ in range(rng.randint(0, 3))]
     else:
         m = random_machine(rng)
         summary = random_summary(rng, m)

@@ -1,5 +1,5 @@
 """Machine model tests: format, semantics against the list-tape
-reference interpreter, and history random access."""
+reference interpreter, and reading the recorded history forward."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 
 import holosim as hs
+from holosim.cli import main
 from holosim.machine import MAX_TAPES, steps
 from support import random_machine, reference_trace
 
@@ -234,6 +235,65 @@ def test_step_table_is_lazy_and_shared():
     assert m.step_table is table
 
 
+# (edit, message): a .tm text edit of WRITER2_TEXT as (old, new), or
+# delta entries that replace writer2's; the text format cannot write a
+# transition of the wrong arity or an integer move.
+_BAD_DEFINITIONS = {
+    "duplicate-work-symbol": (
+        ("work_alphabet 1 _", "work_alphabet 1 _ 1"),
+        "duplicate symbol in work_alphabet",
+    ),
+    "duplicate-input-symbol": (
+        ("input_alphabet 1", "input_alphabet 1 1"),
+        "duplicate symbol in input_alphabet",
+    ),
+    "accept-is-reject": (
+        ("reject rej", "reject acc"),
+        "accept and reject states must differ",
+    ),
+    "move-out-of-halt": (
+        ("delta q0 _", "delta acc _ -> acc 1 S\ndelta q0 _"),
+        "transition out of halting state 'acc'",
+    ),
+    "wrong-arity": (
+        {("q0", ("_",)): ("q1", ("1", "1"), (1,))},
+        "transition for state 'q0' has wrong arity",
+    ),
+    "move-outside-unit": (
+        {("q0", ("_",)): ("q1", ("1",), (2,))},
+        "invalid move 2 in transition for state 'q0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_DEFINITIONS))
+def test_build_machine_rejects_semantic_faults(case, tmp_path, capsys):
+    """Each semantic fault raises MachineFormatError with its message;
+    through a .tm file, `holosim run FILE` prints it and exits 2."""
+    edit, message = _BAD_DEFINITIONS[case]
+    if isinstance(edit, tuple):
+        text = WRITER2_TEXT.replace(*edit)
+        with pytest.raises(hs.MachineFormatError) as exc:
+            hs.parse_machine(text)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.tm"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    else:
+        m = hs.parse_machine(WRITER2_TEXT)
+        parts = ("name", "k", "start", "accept", "reject", "input_alphabet", "work_alphabet", "blank")
+        with pytest.raises(hs.MachineFormatError) as exc:
+            hs.build_machine(**{p: getattr(m, p) for p in parts}, delta={**m.delta, **edit})
+        assert str(exc.value) == message
+
+
+def test_negative_budget_is_rejected(machines):
+    for execute in (hs.run, hs.probe_run_length):
+        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+            execute(machines["writer2"], "", -1)
+
+
 def test_halt_reasons(machines):
     assert hs.run(machines["writer2"], "", max_steps=50).halt_reason == "accept"
     assert hs.run(machines["sweep"], "", max_steps=50).halt_reason == "budget"
@@ -251,27 +311,30 @@ def test_history_random_access(counter_run):
 
 
 def test_history_cursor_matches_random_access(counter_run):
+    """The cursor, advanced in strides, against the test-side
+    interpreter, which shares no code with it."""
+    want = _reference_walk(counter_run)
     cursor = counter_run.history.cursor()
     for tau in range(0, counter_run.t + 1, 7):
         cursor.advance_to(tau)
-        assert cursor.snapshot() == counter_run.history[tau]
+        assert _full(cursor.snapshot()) == want[tau]
 
 
 def test_cursor_advance_to_past_the_end_stops_at_t(counter_run):
     """advance_to past the end applies every step up to t, then raises;
     advance at the end and a rewind raise and move nothing."""
-    history = counter_run.history
     t = counter_run.t
-    cursor = history.cursor()
+    final = _reference_walk(counter_run)[t]
+    cursor = counter_run.history.cursor()
     cursor.advance_to(t // 2)
     with pytest.raises(IndexError, match="cursor already at end of history"):
         cursor.advance_to(t + 5)
-    assert cursor.time == t and cursor.snapshot() == history[t]
+    assert cursor.time == t and _full(cursor.snapshot()) == final
     with pytest.raises(IndexError, match="cursor already at end of history"):
         cursor.advance()
     with pytest.raises(IndexError, match="rewind"):
         cursor.advance_to(t - 1)
-    assert cursor.time == t and cursor.snapshot() == history[t]
+    assert cursor.time == t and _full(cursor.snapshot()) == final
 
 
 def test_step_is_pure(machines):
@@ -323,31 +386,32 @@ def _full(cfg):
     return (cfg.time, cfg.state, cfg.heads, cfg.cells, cfg.spans)
 
 
+def _reference_walk(rec) -> list[tuple]:
+    """_full of every configuration of rec's run, spans included, from
+    the test-side interpreter, which shares no code with the history."""
+    walk = []
+    lo = hi = (0,) * rec.machine.k
+    for time, state, heads, cells in reference_trace(rec.machine, rec.input, rec.t):
+        lo, hi = tuple(map(min, lo, heads)), tuple(map(max, hi, heads))
+        walk.append((time, state, heads, cells, tuple(zip(lo, hi))))
+    return walk
+
+
 def _check_random_order_access(rec, rng):
-    """history[tau] and cursor_at(tau), asked with t first, then 0, the
-    middle, random times and then descending, equal the forward walk;
-    checkpoints are built lazily, at most once each, at multiples of
-    the stride."""
+    """history[tau], asked with t first, then 0, the middle, random
+    times and then descending, and final equal the test-side
+    interpreter's configuration; times outside [0, t] raise."""
     history = rec.history
-    walk = [_full(c) for c in history.configurations()]
-    assert len(history._checkpoints) == 1
+    walk = _reference_walk(rec)
     t = rec.t
     order = [t, 0, t // 2] + [rng.randint(0, t) for _ in range(8)] + list(range(t, -1, -max(1, t // 9)))
-    asked = 0
-    kept: list = []
     for tau in order:
         assert _full(history[tau]) == walk[tau]
-        assert _full(history.cursor_at(tau).snapshot()) == walk[tau]
-        asked = max(asked, tau)
-        assert len(history._checkpoints) == asked // history._stride + 1
-        assert all(a is b for a, b in zip(history._checkpoints, kept))
-        kept = list(history._checkpoints)
-    assert [c.time for c in kept] == list(range(0, t + 1, history._stride))
     assert _full(history.final) == walk[t]
     with pytest.raises(IndexError):
         history[t + 1]
     with pytest.raises(IndexError):
-        history.cursor_at(-1)
+        history[-1]
 
 
 def test_history_random_order_access_bundled(machines):
@@ -372,17 +436,6 @@ def test_history_random_order_access_random_machines():
         word = "".join(rng.choice(m.input_alphabet) for _ in range(rng.randint(0, 6))) if m.input_alphabet else ""
         budget = (0, 1, 2, 5)[i] if i < 4 else rng.randint(0, 150)
         _check_random_order_access(hs.run(m, word, max_steps=budget), rng)
-
-
-def test_forward_walks_take_no_checkpoints(machines):
-    rec = hs.run(machines["counter"], hs.counter_input(8), max_steps=400)
-    assert len(rec.history._checkpoints) == 1
-    cursor = rec.history.cursor()
-    cursor.advance_to(rec.t)
-    assert sum(1 for _ in rec.history.configurations()) == rec.t + 1
-    assert len(rec.history._checkpoints) == 1
-    rec.history[rec.t]
-    assert len(rec.history._checkpoints) == rec.t // rec.history._stride + 1
 
 
 def test_run_peak_heap_holds_no_checkpoints(machines):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import holosim as hs
-from support import random_machine
+from support import oracle_walk, random_machine
 
 
 def test_replay_zero_steps_is_entry(counter_run):
@@ -20,9 +20,10 @@ def test_replay_zero_steps_is_entry(counter_run):
 def test_replay_every_offset_matches_oracle(counter_run):
     s = hs.interval_summary(counter_run, 97, 128)
     spans = [w.span for w in s.entry]
-    for tau in range(96, 129):
+    taus = range(96, 129)
+    for tau, oracle in zip(taus, oracle_walk(counter_run.history, taus)):
         cfg = hs.replay_from_summary(counter_run.machine, s, tau)
-        assert cfg == counter_run.history[tau].restricted(spans)
+        assert cfg == oracle.restricted(spans)
 
 
 def test_replay_exit_matches_summary_exit(counter_run):
@@ -56,8 +57,8 @@ def test_replay_all_spans_interval(counter_run):
     assert len(configs) == 17
     assert [c.time for c in configs] == list(range(16, 33))
     spans = [w.span for w in s.entry]
-    for cfg in configs:
-        assert cfg == counter_run.history[cfg.time].restricted(spans)
+    for cfg, oracle in zip(configs, oracle_walk(counter_run.history, range(16, 33))):
+        assert cfg == oracle.restricted(spans)
 
 
 def test_replay_block_emits_in_order(counter_run):
@@ -147,6 +148,7 @@ def test_two_tape_replay(machines):
     mid = rec.t // 2
     s = hs.interval_summary(rec, 1, mid)
     spans = [w.span for w in s.entry]
-    for tau in (0, 1, mid // 2, mid):
+    taus = (0, 1, mid // 2, mid)
+    for tau, oracle in zip(taus, oracle_walk(rec.history, taus)):
         cfg = hs.replay_from_summary(m, s, tau)
-        assert cfg == rec.history[tau].restricted(spans)
+        assert cfg == oracle.restricted(spans)

@@ -12,9 +12,16 @@ from types import SimpleNamespace
 import pytest
 
 import holosim as hs
+from holosim.blocks import leaf_summaries
 from holosim.samples import counter_input, load_sample, palin_input
 from holosim.streaming import VerifySink
-from support import ReferenceVerifier, random_machine, reference_trace, wide_alphabet_machine
+from support import (
+    ReferenceVerifier,
+    oracle_walk,
+    random_machine,
+    reference_trace,
+    wide_alphabet_machine,
+)
 
 
 def _oracle_and_stream(machine, word, t, b, c_int=2):
@@ -26,9 +33,14 @@ def _oracle_and_stream(machine, word, t, b, c_int=2):
     return rec, emitted, root, ledger
 
 
+def _with_oracle(rec, emitted):
+    """Each emission, in time order, beside the oracle configuration at
+    its time."""
+    return zip(emitted, oracle_walk(rec.history, [cfg.time for cfg in emitted]))
+
+
 def _assert_in_window_equal(emitted, rec):
-    for cfg in emitted:
-        oracle = rec.history[cfg.time]
+    for cfg, oracle in _with_oracle(rec, emitted):
         assert cfg.restricted(cfg.spans) == oracle.restricted(cfg.spans), (
             f"in-window mismatch at time {cfg.time}"
         )
@@ -40,8 +52,8 @@ def test_counter_stream_exact():
     rec, emitted, root, ledger = _oracle_and_stream(m, counter_input(10), t, 16)
     assert len(emitted) == t
     assert ledger.dirty_evictions == 0
-    for cfg in emitted:
-        assert cfg == rec.history[cfg.time]
+    for cfg, oracle in _with_oracle(rec, emitted):
+        assert cfg == oracle
     assert root.L == 1 and root.R == t
     assert root.q_out == rec.history[t].state
 
@@ -55,8 +67,8 @@ def test_palin_stream_exact():
     ledger = hs.attach_ledger(m, t, int(math.isqrt(t)) + 1, c_int=2)
     hs.holo_run(m, word, t, b=int(math.isqrt(t)) + 1, sink=emitted.append, ledger=ledger)
     assert ledger.dirty_evictions == 0
-    for cfg in emitted:
-        assert cfg == rec.history[cfg.time]
+    for cfg, oracle in _with_oracle(rec, emitted):
+        assert cfg == oracle
 
 
 def test_sweep_stream_in_window():
@@ -393,9 +405,10 @@ def test_reconstruct_at_matches_oracle():
     word = counter_input(8)
     t = 100
     rec = hs.run(m, word, max_steps=t)
-    for tau in (1, 7, 50, 99, 100):
+    taus = (1, 7, 50, 99, 100)
+    for tau, oracle in zip(taus, oracle_walk(rec.history, taus)):
         cfg = hs.reconstruct_at(m, word, t, tau, b=10)
-        assert cfg == rec.history[tau]
+        assert cfg == oracle
     with pytest.raises(ValueError):
         hs.reconstruct_at(m, word, t, 0)
     with pytest.raises(ValueError):
@@ -461,10 +474,13 @@ def _walk(m, word, rec, t, b, c_int) -> tuple[type | None, int]:
     positions = _tree_positions(hs.build_tree(decomp))
     walked = positions if outcome is None else positions[: len(ledger.leaves)]
     assert ledger.leaves == walked, (t, b)
+    # every parked digest starts at a block the walk finished
+    needed = max(((L - 1) // b + 1 for L, *_ in ledger.parked), default=0)
+    leaves = list(islice(leaf_summaries(rec, decomp, c_int), needed))
     merged = 0
     for L, R, q_in, heads_in, entry_spans in ledger.parked:
         block = decomp.block((L - 1) // b + 1)
-        s = hs.leaf_summary(rec, block, c_int, b)
+        s = leaves[(L - 1) // b]
         assert block[0] == L
         assert (q_in, heads_in, entry_spans) == (
             s.q_in,
@@ -587,8 +603,7 @@ def test_stream_matches_oracle_random_machines():
             continue
         initial = rec.history[0]
         assert [cfg.time for cfg in emitted] == list(range(1, t + 1))
-        for cfg in emitted:
-            oracle = rec.history[cfg.time]
+        for cfg, oracle in _with_oracle(rec, emitted):
             assert cfg.restricted(cfg.spans) == oracle.restricted(cfg.spans)
             if ledger.dirty_evictions == 0:
                 assert cfg == oracle
@@ -884,8 +899,8 @@ def test_single_block_run():
     emitted = []
     root = hs.holo_run(m, counter_input(4), t, b=t, sink=emitted.append)
     assert len(emitted) == t
-    for cfg in emitted:
-        assert cfg == rec.history[cfg.time]
+    for cfg, oracle in _with_oracle(rec, emitted):
+        assert cfg == oracle
     assert (root.L, root.R) == (1, t)
 
 
@@ -921,6 +936,6 @@ def test_writer2_exact_tiny():
     t = rec.t
     emitted = []
     root = hs.holo_run(m, "", t, b=1, sink=emitted.append)
-    for cfg in emitted:
-        assert cfg == rec.history[cfg.time]
+    for cfg, oracle in _with_oracle(rec, emitted):
+        assert cfg == oracle
     assert root.q_out == m.accept
