@@ -1,7 +1,8 @@
 """Block decomposition, interval summaries and their merge algebra.
 
 A run of t steps is cut into T = ceil(t/b) blocks of b consecutive
-steps (the last may be shorter).  The summary of a step interval
+steps (the last may be shorter); block k's bounds are arithmetic in
+(t, b), so no list of blocks is kept.  The summary of a step interval
 [L, R] records the control state and head positions on entry (time
 L-1) and exit (time R), plus interface windows carrying tape contents
 at those two times.  Adjacent summaries join with merge(); a whole run
@@ -40,31 +41,37 @@ POLICY_BOUNDARY = "boundary"
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """The cut of step range [1, t] into T = ceil(t/b) blocks of b steps,
+    the last possibly shorter.  Block k's bounds are computed from (t, b)
+    when asked for, so a decomposition holds three integers whatever
+    t/b; build one with decompose()."""
+
     t: int
     b: int
     T: int
-    blocks: tuple[tuple[int, int], ...]
 
     def block(self, k: int) -> tuple[int, int]:
+        """Step interval [L, R] of block k, 1 <= k <= T."""
         if not 1 <= k <= self.T:
             raise IndexError(f"block index {k} outside [1, {self.T}]")
-        return self.blocks[k - 1]
+        return ((k - 1) * self.b + 1, min(k * self.b, self.t))
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """Every block's (L, R) in order, built afresh on each read: T
+        pairs, so nothing that streams a run reads it."""
+        return tuple(map(self.block, range(1, self.T + 1)))
 
 
 def decompose(t: int, b: int) -> BlockDecomposition:
-    """Cut step range [1, t] into blocks of b steps.  t = 0 produces an
-    empty decomposition; negative t or non-positive b are rejected."""
+    """Cut step range [1, t] into blocks of b steps, in O(1): no block is
+    listed.  t = 0 produces an empty decomposition; negative t or
+    non-positive b are rejected."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    blocks = []
-    L = 1
-    while L <= t:
-        R = min(L + b - 1, t)
-        blocks.append((L, R))
-        L = R + 1
-    return BlockDecomposition(t=t, b=b, T=len(blocks), blocks=tuple(blocks))
+    return BlockDecomposition(t=t, b=b, T=-(-t // b))
 
 
 @dataclass(slots=True)
@@ -254,8 +261,8 @@ def leaf_summaries(
     """leaf_summary of every block of decomp (a decomposition of run.t),
     in time order, from one cursor walk over the history."""
     cursor = run.history.cursor()
-    for _, R in decomp.blocks:
-        yield _within_limit(_summarize(run, cursor, R), c_int, decomp.b)
+    for k in range(1, decomp.T + 1):
+        yield _within_limit(_summarize(run, cursor, decomp.block(k)[1]), c_int, decomp.b)
 
 
 def direct_summary(
@@ -310,7 +317,8 @@ def check_block_respecting(run: RunRecord, b: int, c_int: int) -> BlockReport:
     limit = c_int * b
     heads = (0,) * run.machine.k
     entries = []
-    for idx, (L, R) in enumerate(decomp.blocks, 1):
+    for idx in range(1, decomp.T + 1):
+        L, R = decomp.block(idx)
         heads, spans = _head_hull(run, heads, L, R)
         widths = tuple(hi - lo + 1 for lo, hi in spans)
         entries.append(

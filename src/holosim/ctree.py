@@ -83,13 +83,13 @@ def build_tree(decomp: BlockDecomposition) -> CausalTree:
     def grow(lo: int, hi: int, depth: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # type: ignore[arg-type]  # patched below
-        interval = (decomp.blocks[lo - 1][0], decomp.blocks[hi - 1][1])
         if lo == hi:
-            nodes[node_id] = TreeNode(node_id, lo, hi, interval, depth, None, None)
+            nodes[node_id] = TreeNode(node_id, lo, hi, decomp.block(lo), depth, None, None)
             return node_id
         mid = lo + split_left_count(hi - lo + 1) - 1
         left = grow(lo, mid, depth + 1)
         right = grow(mid + 1, hi, depth + 1)
+        interval = (nodes[left].interval[0], nodes[right].interval[1])
         nodes[node_id] = TreeNode(node_id, lo, hi, interval, depth, left, right)
         return node_id
 
@@ -155,13 +155,10 @@ def time_to_leaf(tau: int, b: int, t: int) -> tuple[int, int]:
 
 def leaf_to_time(k: int, delta: int, b: int, t: int) -> int:
     """Inverse of time_to_leaf; rejects offsets past the leaf's end."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    T = -(-t // b)
-    if not 1 <= k <= T:
-        raise ValueError(f"leaf {k} outside [1, {T}]")
-    L = (k - 1) * b + 1
-    R = min(k * b, t)
+    decomp = decompose(t, b)
+    if not 1 <= k <= decomp.T:
+        raise ValueError(f"leaf {k} outside [1, {decomp.T}]")
+    L, R = decomp.block(k)
     if not 0 <= delta <= R - L:
         raise ValueError(f"offset {delta} outside [0, {R - L}] for leaf {k}")
     return L + delta

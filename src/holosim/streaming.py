@@ -12,6 +12,11 @@ materializing it.  At any instant it holds:
   range its head has visited since the block began;
 * the retained entry windows of block 1, needed for the root summary.
 
+It keeps no per-block state: a leaf's step interval is computed from
+(t, b) when the leaf starts (BlockDecomposition lists no blocks), so
+nothing but the pending stack grows with the number of blocks, and that
+only as its logarithm.
+
 No entry symbols of the current block are kept.  A parked digest needs
 only the spans of its entry windows, which are the hulls; only block 1's
 symbols reach the root summary, and since that block enters at time 0

@@ -333,6 +333,40 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
         ),
     ),
+    # block bounds computed from (t, b)
+    Mutant(
+        "last-block-not-clipped",
+        _BLOCKS,
+        "min(k * self.b, self.t)",
+        "k * self.b",
+        (
+            "tests/test_blocks.py::test_decompose_block_arithmetic",
+            "tests/test_ctree.py::test_tree_shape_t10_b3",
+            _T_STREAMING + "test_walk_follows_static_tree",
+        ),
+    ),
+    Mutant(
+        "block-starts-one-low",
+        _BLOCKS,
+        "(k - 1) * self.b + 1",
+        "(k - 1) * self.b",
+        (
+            "tests/test_blocks.py::test_decompose_block_arithmetic",
+            "tests/test_ctree.py::test_single_leaf_tree",
+            _T_STREAMING + "test_counter_stream_exact",
+        ),
+    ),
+    Mutant(
+        "block-count-floored",
+        _BLOCKS,
+        "T=-(-t // b)",
+        "T=t // b",
+        (
+            "tests/test_blocks.py::test_decompose_partitions",
+            "tests/test_ctree.py::test_tree_shape_t10_b3",
+            _T_STREAMING + "test_walk_follows_static_tree",
+        ),
+    ),
 )
 
 

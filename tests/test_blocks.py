@@ -41,6 +41,23 @@ def test_decompose_rejects_bad_args():
         hs.decompose(-1, 3)
 
 
+@pytest.mark.parametrize("t, b", [(0, 4), (3, 8), (8, 8), (10, 3), (4096, 32)])
+def test_block_rejects_indices_outside_one_to_T(t, b):
+    """Past T the arithmetic would give an interval with R < L, so the
+    range check is what keeps block(k) to the T blocks there are."""
+    d = hs.decompose(t, b)
+    for k in (0, d.T + 1):
+        with pytest.raises(IndexError):
+            d.block(k)
+
+
+def test_summaries_reject_c_int_below_one(counter_run):
+    with pytest.raises(ValueError, match="c_int"):
+        hs.leaf_summary(counter_run, (1, 16), 0, 16)
+    with pytest.raises(ValueError, match="c_int"):
+        hs.check_block_respecting(counter_run, 16, 0)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         hs.TapeWindow(0, 1, ("a",))

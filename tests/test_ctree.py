@@ -131,6 +131,18 @@ def test_duality_rejects_out_of_range():
         hs.leaf_to_time(5, 0, 3, 10)
 
 
+def test_tree_helpers_reject_bad_args(counter_run):
+    with pytest.raises(ValueError):
+        hs.tree_depth_for(0)
+    with pytest.raises(ValueError):
+        hs.time_to_leaf(1, 0, 10)
+    with pytest.raises(ValueError):
+        hs.leaf_to_time(1, 0, 0, 10)
+    tree = hs.build_tree(hs.decompose(counter_run.t - 1, 32))
+    with pytest.raises(ValueError, match="tree is over"):
+        hs.label_tree(tree, counter_run, 4)
+
+
 def test_label_tree_coherence(counter_run):
     tree = hs.build_tree(hs.decompose(counter_run.t, 32))
     labeled = hs.label_tree(tree, counter_run, 4)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from types import SimpleNamespace
@@ -889,6 +891,42 @@ def test_engine_keeps_no_per_cell_state():
             for slot in type(ts).__slots__:
                 if slot not in ("live", "initial"):
                     assert isinstance(getattr(ts, slot), (int, str)), (name, slot)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="reads tracemalloc")
+@pytest.mark.parametrize(
+    "name, word", [("counter", counter_input(20)), ("sweep", "")], ids=["counter", "sweep"]
+)
+def test_heap_does_not_grow_with_run_length(name, word):
+    """The engine keeps no per-block state: at b = 32, going from
+    t = 2^12 (128 blocks) to t = 2^16 (2048 blocks) moves a bare run's
+    tracemalloc peak by a few KiB, since only the pending stack grows
+    with T, as log T.  A table of every block's (L, R) would add about
+    130 bytes a block, some 250 KiB."""
+    m = load_sample(name)
+    hs.holo_run(m, word, 256, b=32)  # build what every run shares first
+
+    def peak_kib(t):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            hs.holo_run(m, word, t, b=32)
+            return tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_kib(2**12), peak_kib(2**16)
+    assert large - small < 8, (small, large)
+
+
+def test_run_arguments_are_checked():
+    m = load_sample("counter")
+    with pytest.raises(ValueError, match="t must be"):
+        hs.RollingState(m, counter_input(4), 0, 4)
+    with pytest.raises(ValueError, match="c_int"):
+        hs.RollingState(m, counter_input(4), 8, 4, c_int=0)
+    with pytest.raises(ValueError, match="t must be"):
+        hs.default_block_length(0)
 
 
 def test_single_block_run():
