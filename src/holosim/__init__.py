@@ -72,7 +72,7 @@ from .machine import (
     serialize_machine,
     step,
 )
-from .replay import replay_all, replay_block, replay_from_summary
+from .replay import replay_all, replay_from_summary
 from .samples import SAMPLE_NAMES, counter_input, load_sample, palin_input, sample_text
 from .scaling import (
     CSV_HEADER,

@@ -244,15 +244,16 @@ def _within_limit(s: IntervalSummary, c_int: int, b: int) -> IntervalSummary:
 
 
 def leaf_summary(
-    run: RunRecord, block: tuple[int, int], c_int: int, b: int | None = None
+    run: RunRecord, block: tuple[int, int], c_int: int, b: int
 ) -> IntervalSummary:
-    """Summary of one block, enforcing the interface window limit
-    c_int * b per tape.  b defaults to the block's own length; pass the
-    decomposition's b explicitly for a short final block."""
+    """Summary of one block of a decomposition with block length b,
+    enforcing the interface window limit c_int * b per tape.  b is the
+    decomposition's, not the block's own length: a short final block
+    gets the same limit as every other block."""
     L, R = block
     if not 1 <= L <= R <= run.t:
         raise ValueError(f"block [{L},{R}] outside [1,{run.t}]")
-    return _within_limit(interval_summary(run, L, R), c_int, R - L + 1 if b is None else b)
+    return _within_limit(interval_summary(run, L, R), c_int, b)
 
 
 def leaf_summaries(

@@ -224,8 +224,13 @@ class ScreenLedger:
         and block 1's windows are retained only between leaves, and the
         node id and path change only there) and refresh every tape.
         The forming summary, block 1's retained windows and the parked
-        digests are counted here from the engine's state.  The clock's
-        bound is the leaf's last step."""
+        digests are counted here from the engine's state; their number
+        sets max_pending, since every park is followed by a leaf start
+        with no pop between.  The clock's bound is the leaf's last
+        step."""
+        pending = len(run.pending)
+        if pending > self.max_pending:
+            self.max_pending = pending
         idx = run.machine.state_index
         values = [run.tau + 1, idx[run.state], *run.heads]
         for d in run.pending:
@@ -238,7 +243,7 @@ class ScreenLedger:
         if run.retained_entry is not None:
             screen += sum(len(w) for w in run.retained_entry)
         book = self._cells(
-            (run.leaf_id, self.t, self.b, self.T, len(run.pending), run.next_id)
+            (run.leaf_id, self.t, self.b, self.T, pending, run.next_id)
         )
         if run.depth_now >= 1:
             book += self.cell_table[run.depth_now]  # path direction bits
@@ -325,10 +330,6 @@ class ScreenLedger:
             # costs a call per arrival, 5-10% of a metered palin or sweep run
             book = self._book + self._bound
             self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
-
-    def note_pending(self, depth: int) -> None:
-        if depth > self.max_pending:
-            self.max_pending = depth
 
     def note_dirty_eviction(self) -> None:
         self.dirty_evictions += 1

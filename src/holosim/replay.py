@@ -9,47 +9,31 @@ tape.  A head leaving its window would mean the summary was not
 generated from a real run; that surfaces as WindowEscape rather than
 silently reading a blank.
 
-Every replay runs one loop, _replay, which holds those checks and the
-halt check.  replay_block builds a Configuration from it after each
-step; replay_records, the history witness's path, instead writes each
-step's encoded configuration from per-tape code rows it updates in
-place.
+Every replay runs one loop, the generator _replay, which holds those
+checks and the halt check and yields each step's transition value.
+replay_from_summary drains it to one time and builds one
+Configuration; replay_all builds a Configuration after every step;
+replay_records, the history witness's path, instead writes each step's
+encoded configuration from per-tape code rows it updates in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
-from .blocks import POLICY_FULL, IntervalSummary, TapeWindow, tape_window
+from .blocks import POLICY_FULL, IntervalSummary, TapeWindow
 from .codec import configuration_record, tape_field
 from .errors import StepFromHaltError, WindowEscape
 from .machine import Configuration, MachineSpec, TransitionValue
 from .machine import steps as step_kernel
 
 
-@dataclass(frozen=True)
-class ReplayExit:
-    """End of a window replay: the final restricted configuration and
-    the windows with their exit-time contents."""
-
-    config: Configuration
-    windows: tuple[TapeWindow, ...]
-
-
-def _restricted_config(
-    machine: MachineSpec,
-    time: int,
-    state: str,
-    heads: tuple[int, ...],
-    tapes: list[dict[int, str]],
-    spans: tuple[tuple[int, int], ...],
-) -> Configuration:
-    cells = tuple([tape.copy() for tape in tapes])
-    return Configuration(
-        machine=machine, time=time, state=state, heads=heads, cells=cells, spans=spans
-    )
+def _require_full(summary: IntervalSummary) -> None:
+    if summary.policy != POLICY_FULL:
+        raise ValueError(
+            f"replay needs a {POLICY_FULL!r} summary, got {summary.policy!r}"
+        )
 
 
 def _entry(
@@ -79,70 +63,22 @@ def _replay(
     tapes: list[dict[int, str]],
     spans: tuple[tuple[int, int], ...],
     steps: int,
-    each: Callable[[int, TransitionValue], None] | None = None,
-) -> str:
+) -> Iterator[TransitionValue]:
     """The replay loop: take `steps` transitions of the kernel on heads
-    and tapes, updated in place, passing each step's number (from 1)
-    and transition value to each, when given.  Returns the final state.
-    Raises WindowEscape as soon as a head leaves its span and
-    StepFromHaltError if the machine halts before `steps`."""
+    and tapes, updated in place, yielding each step's transition value
+    once its heads are checked.  Raises WindowEscape as soon as a head
+    leaves its span and StepFromHaltError if the machine halts before
+    `steps`."""
     done = 0
     for value in islice(step_kernel(machine, state, heads, tapes), steps):
         done += 1
         for i, (lo, hi) in enumerate(spans):
             if not lo <= heads[i] <= hi:
                 raise WindowEscape(i + 1, heads[i])
-        if each is not None:
-            each(done, value)
+        yield value
         state = value[0]
     if done < steps:
         raise StepFromHaltError(state)
-    return state
-
-
-def replay_block(
-    machine: MachineSpec,
-    state: str,
-    heads: tuple[int, ...],
-    windows: tuple[TapeWindow, ...],
-    steps: int,
-    emit: Callable[[Configuration], None] | None = None,
-    time_base: int = 0,
-) -> ReplayExit:
-    """Run `steps` transitions inside the given windows.
-
-    The windows carry entry-time contents.  emit, when given, receives
-    the restricted configuration after each step at times time_base+1
-    onward.  Raises WindowEscape if a head leaves its window and
-    StepFromHaltError if asked to step a halting state.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    spans, tapes = _entry(machine, heads, windows)
-    heads_now = list(heads)
-
-    def each(done: int, value: TransitionValue) -> None:
-        config = _restricted_config(
-            machine, time_base + done, value[0], tuple(heads_now), tapes, spans
-        )
-        emit(config)
-
-    state = _replay(
-        machine, state, heads_now, tapes, spans, steps, None if emit is None else each
-    )
-    blank = machine.blank
-    exit_windows = tuple(tape_window(tape, lo, hi, blank) for tape, (lo, hi) in zip(tapes, spans))
-    config = _restricted_config(
-        machine, time_base + steps, state, tuple(heads_now), tapes, spans
-    )
-    return ReplayExit(config=config, windows=exit_windows)
-
-
-def _require_full(summary: IntervalSummary) -> None:
-    if summary.policy != POLICY_FULL:
-        raise ValueError(
-            f"replay needs a {POLICY_FULL!r} summary, got {summary.policy!r}"
-        )
 
 
 def replay_from_summary(
@@ -159,15 +95,14 @@ def replay_from_summary(
     lo, hi = summary.L - 1, summary.R
     if not lo <= tau <= hi:
         raise ValueError(f"tau {tau} outside [{lo}, {hi}]")
-    result = replay_block(
-        machine,
-        summary.q_in,
-        summary.heads_in,
-        summary.entry,
-        steps=tau - lo,
-        time_base=lo,
+    spans, tapes = _entry(machine, summary.heads_in, summary.entry)
+    heads = list(summary.heads_in)
+    state = summary.q_in
+    for state, _, _ in _replay(machine, state, heads, tapes, spans, tau - lo):
+        pass
+    return Configuration(
+        machine=machine, time=tau, state=state, heads=tuple(heads), cells=tuple(tapes), spans=spans
     )
-    return result.config
 
 
 def replay_all(
@@ -175,16 +110,21 @@ def replay_all(
 ) -> tuple[Configuration, ...]:
     """Every configuration of the summarized interval, entry through
     exit, from one replay of the entry data."""
-    configs = [replay_from_summary(machine, summary, summary.L - 1)]
-    replay_block(
-        machine,
-        summary.q_in,
-        summary.heads_in,
-        summary.entry,
-        steps=summary.steps,
-        emit=configs.append,
-        time_base=summary.L - 1,
-    )
+    _require_full(summary)
+    spans, tapes = _entry(machine, summary.heads_in, summary.entry)
+    heads = list(summary.heads_in)
+
+    def config(time: int, state: str) -> Configuration:
+        cells = tuple([tape.copy() for tape in tapes])
+        return Configuration(
+            machine=machine, time=time, state=state, heads=tuple(heads), cells=cells, spans=spans
+        )
+
+    configs = [config(summary.L - 1, summary.q_in)]
+    for time, (state, _, _) in enumerate(
+        _replay(machine, summary.q_in, heads, tapes, spans, summary.steps), summary.L
+    ):
+        configs.append(config(time, state))
     return tuple(configs)
 
 
@@ -232,8 +172,10 @@ def replay_records(
         ]
         emit(configuration_record(machine, time, state, fields))
 
-    def step(done: int, value: TransitionValue) -> None:
-        state, writes, moves = value
+    record(summary.L - 1, summary.q_in)
+    for time, (state, writes, moves) in enumerate(
+        _replay(machine, summary.q_in, heads, tapes, spans, summary.steps), summary.L
+    ):
         for i in k:
             cell = heads[i] - moves[i]
             sym = writes[i]
@@ -245,7 +187,4 @@ def replay_records(
                     his[i] = cell
             elif cell == los[i] or cell == his[i]:
                 los[i], his[i] = _hull(tapes[i], spans[i])
-        record(summary.L - 1 + done, state)
-
-    record(summary.L - 1, summary.q_in)
-    _replay(machine, summary.q_in, heads, tapes, spans, summary.steps, step)
+        record(time, state)

@@ -82,15 +82,16 @@ def area_law_study(
     input_for_t maps each t to the input word; inputs should keep the
     machine running for at least t steps.  A grid point where the
     machine halts early is rerun at the true length, and adds no row if
-    that length already has one; other failures are recorded per point
-    and do not abort the study.  The fit needs rows at 2 distinct t and
-    is None otherwise.
+    that length already has one; other failures, a halt before step 1
+    among them, are recorded under their grid point and do not abort
+    the study.  The fit needs rows at 2 distinct t and is None
+    otherwise.
     """
     rows: list[ScalingRow] = []
     failures: list[tuple[int, str]] = []
-    for t in sorted(set(int(v) for v in t_grid)):
-        word = input_for_t(t)
-        b = default_block_length(t)
+    for point in sorted(set(int(v) for v in t_grid)):
+        word = input_for_t(point)
+        t, b = point, default_block_length(point)
         try:
             try:
                 ledger = attach_ledger(machine, t, b, c_int)
@@ -105,7 +106,7 @@ def area_law_study(
                 ledger = attach_ledger(machine, t, b, c_int)
                 holo_run(machine, word, t, b=b, c_int=c_int, ledger=ledger)
         except Exception as exc:  # noqa: BLE001  - per-point isolation
-            failures.append((t, f"{type(exc).__name__}: {exc}"))
+            failures.append((point, f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(
             ScalingRow(

@@ -400,8 +400,6 @@ class RollingState:
                 f"digest parked at step {left.R} disagrees with the frontier"
             )
         self.pending.append(left)
-        if self.ledger is not None:
-            self.ledger.note_pending(len(self.pending))
         right = self._eval_range(mid + 1, hi, depth + 1)
         popped = self.pending.pop()
         if popped is not left:

@@ -248,6 +248,47 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
         ),
     ),
+    # the replay loop and its callers
+    Mutant(
+        "replay-escape-top-strict",
+        _REPLAY,
+        "if not lo <= heads[i] <= hi:",
+        "if not lo <= heads[i] < hi:",
+        (
+            "tests/test_replay.py::test_replay_every_offset_matches_oracle",
+            "tests/test_replay.py::test_boundary_determines_exit_random",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+    Mutant(
+        "replay-halt-check-one-short",
+        _REPLAY,
+        "if done < steps:",
+        "if done + 1 < steps:",
+        (
+            "tests/test_replay.py::test_step_from_halt_surfaces",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+        ),
+    ),
+    Mutant(
+        "replay-all-drops-entry",
+        _REPLAY,
+        "configs = [config(summary.L - 1, summary.q_in)]",
+        "configs = []",
+        (
+            "tests/test_replay.py::test_replay_all_spans_interval",
+            "tests/test_replay.py::test_replay_all_emits_in_order",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+        ),
+    ),
+    Mutant(
+        "pending-depth-one-low",
+        _LEDGER,
+        "self.max_pending = pending",
+        "self.max_pending = pending - 1",
+        (_T_LEDGER + "test_max_pending_is_most_right_turns_on_a_path",),
+    ),
     # the audit path's fast paths
     Mutant(
         "uvarint-one-byte-bound-inclusive",

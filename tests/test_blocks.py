@@ -63,6 +63,8 @@ def test_window_validation():
         hs.TapeWindow(0, 1, ("a",))
     with pytest.raises(ValueError):
         hs.TapeWindow(5, 3, ())
+    with pytest.raises(ValueError, match=r"empty window must be canonical \(0, -1\)"):
+        hs.TapeWindow(5, 4, ())
     w = hs.TapeWindow(2, 4, ("a", "b", "c"))
     assert w.symbol_at(3) == "b"
     assert len(w) == 3
@@ -85,6 +87,11 @@ def test_full_policy_requires_shared_span(machines):
             exit=(hs.TapeWindow(0, 2, ("1", "1", "_")),),
             policy=hs.POLICY_FULL,
         )
+
+
+def test_summary_rejects_unknown_policy(machines):
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        hs.IntervalSummary(machine=machines["writer2"], policy="nope")
 
 
 def test_writer2_whole_interval_summary(machines):
@@ -114,6 +121,18 @@ def test_leaf_summary_enforces_window_limit(counter_run):
         hs.leaf_summary(counter_run, d.block(1), 1, 1)
     assert exc.value.block == 1
     assert exc.value.limit == 1
+
+
+def test_leaf_summary_limits_a_short_final_block_by_b(machines):
+    """The final block of sweep at t = 10, b = 4 is (9, 10): its window
+    of 3 cells fits the limit c_int * b = 4, not 1 * 2 from its own
+    length."""
+    rec = hs.run(machines["sweep"], "", max_steps=10)
+    d = hs.decompose(10, 4)
+    assert d.block(d.T) == (9, 10)
+    leaf = hs.leaf_summary(rec, d.block(d.T), 1, 4)
+    assert leaf.entry[0].span == (8, 10)
+    assert leaf == hs.interval_summary(rec, 9, 10)
 
 
 def test_summaries_reject_intervals_outside_the_run(counter_run):
@@ -277,6 +296,8 @@ def test_fold_left_deep_equals_whole(counter_run):
     d = hs.decompose(counter_run.t, 16)
     leaves = [hs.leaf_summary(counter_run, d.block(k), 4, 16) for k in range(1, d.T + 1)]
     assert hs.fold_left_deep(leaves) == hs.interval_summary(counter_run, 1, counter_run.t)
+    with pytest.raises(ValueError, match="cannot fold an empty summary sequence"):
+        hs.fold_left_deep([])
 
 
 def test_check_block_respecting_against_reference(machines):

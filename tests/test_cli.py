@@ -321,3 +321,26 @@ def test_halt_before_t_is_a_model_error(capsys):
     assert capsys.readouterr() == ("", want)
     assert main(["check-blocks", "counter", "0000", "--t", "100"]) == 3
     assert capsys.readouterr() == ("", want)
+
+
+def test_scaling_names_the_grid_point_of_a_halt_at_start(tmp_path, capsys):
+    """A machine that starts in its accept state halts before step 1 at
+    every grid point: each failure is kept under its own grid point, in
+    the report and on stderr, and no row is written."""
+    path = tmp_path / "halted.tm"
+    path.write_text(
+        "machine halted\ntapes 1\nblank _\ninput_alphabet 1\nwork_alphabet 1 _\n"
+        "start acc\naccept acc\nreject rej\n"
+    )
+    report = hs.area_law_study(hs.parse_machine(path.read_text()), lambda t: "", [16, 64])
+    assert report.rows == ()
+    assert [t for t, _ in report.failures] == [16, 64]
+    for t, msg in report.failures:
+        assert msg == (
+            f"RunEndedEarly: machine halted after 0 steps but {t} were requested; rerun with t=0"
+        )
+    assert main(["scaling", str(path), "", "--grid", "16,64"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"t={t}: {msg}" for t, msg in report.failures] + [
+        "error: no grid point completed"
+    ]

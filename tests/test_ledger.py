@@ -229,6 +229,46 @@ def test_meter_matches_reference_random_machines():
     assert deep and dirty and rows > 1000
 
 
+def _most_right_turns(tree) -> int:
+    """The most right children on any root-to-leaf path of tree."""
+    nodes = {node.id: node for node in tree.nodes}
+
+    def walk(node, turns):
+        if node.is_leaf:
+            return turns
+        return max(walk(nodes[node.left], turns), walk(nodes[node.right], turns + 1))
+
+    return walk(tree.root, 0)
+
+
+def test_max_pending_is_most_right_turns_on_a_path():
+    """A digest is parked for every right turn on the way to a leaf, so
+    the deepest pending stack is the most right turns on any
+    root-to-leaf path of the static tree."""
+    runs = [(load_sample("writer2"), "", 2, b) for b in (1, 2, 3)]
+    runs += [
+        (load_sample("counter"), counter_input(9), t, b)
+        for t, b in ((600, 5), (777, 13), (1024, 32), (1024, 1))
+    ]
+    runs += [(load_sample("palin"), palin_input(500), 500, b) for b in (17, 23)]
+    runs += [(load_sample("sweep"), "", t, b) for t, b in ((400, 7), (1000, 3))]
+    rng = random.Random(24)
+    while len(runs) < 60:
+        m = random_machine(rng)
+        word = "".join(rng.choice(m.input_alphabet or ("",)) for _ in range(rng.randint(0, 5)))
+        t, _ = hs.probe_run_length(m, word, 300)
+        if t >= 1:
+            runs.append((m, word, t, rng.randint(1, 6)))
+    deepest = 0
+    for m, word, t, b in runs:
+        ledger = hs.attach_ledger(m, t, b, c_int=t + 1)
+        hs.holo_run(m, word, t, b=b, c_int=t + 1, ledger=ledger)
+        want = _most_right_turns(hs.build_tree(hs.decompose(t, b)))
+        assert ledger.max_pending == want, (m.name, t, b)
+        deepest = max(deepest, want)
+    assert deepest >= 5
+
+
 def _window_events(before, after):
     """Window moves between two consecutive steps of one tape, each
     state (lo, hi, lost_lo, lost_hi)."""

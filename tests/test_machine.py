@@ -12,6 +12,7 @@ import pytest
 import holosim as hs
 from holosim.cli import main
 from holosim.machine import MAX_TAPES, steps
+from holosim.samples import sample_path
 from support import random_machine, reference_trace
 
 WRITER2_TEXT = """
@@ -450,3 +451,12 @@ def test_run_peak_heap_holds_no_checkpoints(machines):
         tracemalloc.stop()
     assert rec.t == 2**13
     assert peak < 2**20
+
+
+def test_sample_helpers_reject_bad_args():
+    with pytest.raises(KeyError, match="unknown sample machine 'nope'; have writer2, sweep, counter, palin"):
+        sample_path("nope")
+    with pytest.raises(ValueError, match="counter needs at least one bit"):
+        hs.counter_input(0)
+    with pytest.raises(ValueError, match="step budget must be >= 1"):
+        hs.palin_input(0)

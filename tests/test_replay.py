@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import holosim as hs
+from holosim.blocks import tape_window
 from support import oracle_walk, random_machine
 
 
@@ -61,60 +63,71 @@ def test_replay_all_spans_interval(counter_run):
         assert cfg == oracle.restricted(spans)
 
 
-def test_replay_block_emits_in_order(counter_run):
-    s = hs.interval_summary(counter_run, 9, 24)
-    seen = []
-    result = hs.replay_block(
-        counter_run.machine,
-        s.q_in,
-        s.heads_in,
-        s.entry,
-        steps=s.steps,
-        emit=seen.append,
-        time_base=8,
+def _exit_windows(cfg):
+    """The windows of a replayed configuration, over its spans."""
+    return tuple(
+        tape_window(cells, lo, hi, cfg.machine.blank) for cells, (lo, hi) in zip(cfg.cells, cfg.spans)
     )
-    assert [c.time for c in seen] == list(range(9, 25))
-    assert result.config == seen[-1]
-    assert result.config.state == s.q_out
-    assert tuple(result.windows) == s.exit
 
 
-def test_replay_block_zero_steps(counter_run):
+def test_replay_all_emits_in_order(counter_run):
     s = hs.interval_summary(counter_run, 9, 24)
-    seen = []
-    result = hs.replay_block(
-        counter_run.machine, s.q_in, s.heads_in, s.entry, steps=0, emit=seen.append
-    )
-    assert seen == []
-    assert result.windows == s.entry
-    assert result.config.state == s.q_in
+    configs = hs.replay_all(counter_run.machine, s)
+    assert [c.time for c in configs] == list(range(8, 25))
+    last = hs.replay_from_summary(counter_run.machine, s, 24)
+    assert configs[-1] == last
+    assert last.state == s.q_out
+    assert _exit_windows(last) == s.exit
+
+
+def test_replay_from_summary_zero_steps(counter_run):
+    s = hs.interval_summary(counter_run, 9, 24)
+    cfg = hs.replay_from_summary(counter_run.machine, s, 8)
+    assert (cfg.time, cfg.state, cfg.heads) == (8, s.q_in, s.heads_in)
+    assert _exit_windows(cfg) == s.entry
 
 
 def test_window_escape_on_undersized_window(counter_run):
     s = hs.interval_summary(counter_run, 1, 64)
-    w = s.entry[0]
-    clipped = (hs.TapeWindow(w.lo + 1, w.hi, w.symbols[1:]),)
-    with pytest.raises((hs.WindowEscape,)):
-        hs.replay_block(
-            counter_run.machine, s.q_in, (w.lo + 1,), clipped, steps=64
-        )
+    w, x = s.entry[0], s.exit[0]
+    clipped = replace(
+        s,
+        heads_in=(w.lo + 1,),
+        entry=(hs.TapeWindow(w.lo + 1, w.hi, w.symbols[1:]),),
+        exit=(hs.TapeWindow(x.lo + 1, x.hi, x.symbols[1:]),),
+    )
+    with pytest.raises(hs.WindowEscape):
+        hs.replay_from_summary(counter_run.machine, clipped, 64)
+    with pytest.raises(hs.WindowEscape):
+        hs.replay_all(counter_run.machine, clipped)
 
 
 def test_window_escape_when_head_starts_outside(counter_run):
     s = hs.interval_summary(counter_run, 1, 16)
+    s = replace(s, heads_in=(s.entry[0].hi + 5,))
     with pytest.raises(hs.WindowEscape):
-        hs.replay_block(
-            counter_run.machine, s.q_in, (s.entry[0].hi + 5,), s.entry, steps=1
-        )
+        hs.replay_from_summary(counter_run.machine, s, 1)
+    with pytest.raises(hs.WindowEscape):
+        hs.replay_all(counter_run.machine, s)
 
 
 def test_step_from_halt_surfaces(machines):
     m = machines["writer2"]
     rec = hs.run(m, "", max_steps=10)
-    s = hs.interval_summary(rec, 1, 2)
-    # asking for more steps than the interval has steps from a halt
+    # a summary of one step more than the run has steps from a halt
+    s = replace(hs.interval_summary(rec, 1, 2), R=3)
     with pytest.raises(hs.StepFromHaltError):
-        hs.replay_block(m, s.q_in, s.heads_in, s.entry, steps=3)
+        hs.replay_from_summary(m, s, 3)
+    with pytest.raises(hs.StepFromHaltError):
+        hs.replay_all(m, s)
+    assert hs.replay_from_summary(m, s, 2).state == m.accept
+
+
+def test_replay_checks_arity(counter_run):
+    s = hs.interval_summary(counter_run, 1, 16)
+    short = replace(s, entry=(), exit=())
+    with pytest.raises(ValueError, match="expected 1 heads and windows, got 1 and 0"):
+        hs.replay_from_summary(counter_run.machine, short, 0)
 
 
 def test_boundary_determines_exit_random():
@@ -135,10 +148,10 @@ def test_boundary_determines_exit_random():
         L = rng.randint(1, rec.t - 1)
         R = rng.randint(L, rec.t)
         s = hs.interval_summary(rec, L, R)
-        result = hs.replay_block(m, s.q_in, s.heads_in, s.entry, steps=s.steps)
-        assert result.config.state == s.q_out
-        assert result.config.heads == s.heads_out
-        assert result.windows == s.exit
+        cfg = hs.replay_from_summary(m, s, R)
+        assert cfg.state == s.q_out
+        assert cfg.heads == s.heads_out
+        assert _exit_windows(cfg) == s.exit
         done += 1
 
 

@@ -218,7 +218,8 @@ def test_history_witness_equals_encoded_replay_random_machines():
 
 def _replay_outcome(m, s):
     """The records replay_records emits and the error it raises, next
-    to the encoded configurations and error of replay_all's path."""
+    to the encoded configuration replay_from_summary gives at each time
+    of the interval, up to the first time it raises, and that error."""
     got = []
     try:
         replay.replay_records(m, s, got.append)
@@ -227,11 +228,8 @@ def _replay_outcome(m, s):
         got_error = (type(e), e.args)
     want = []
     try:
-        want.append(hs.encode_configuration(hs.replay_from_summary(m, s, s.L - 1)))
-        hs.replay_block(
-            m, s.q_in, s.heads_in, s.entry, s.steps,
-            emit=lambda c: want.append(hs.encode_configuration(c)), time_base=s.L - 1,
-        )
+        for tau in range(s.L - 1, s.R + 1):
+            want.append(hs.encode_configuration(hs.replay_from_summary(m, s, tau)))
         want_error = None
     except (hs.WindowEscape, hs.StepFromHaltError) as e:
         want_error = (type(e), e.args)
