@@ -32,14 +32,18 @@ A configuration's tape contents are encoded over the hull of its
 non-blank cells; an empty tape is (lo=0, len=0).  Concatenated records
 parse back unambiguously because every field is length-driven.
 
-tape_field writes one tape's part of a configuration record and
-configuration_record the whole record, so the layout is defined once.
-encode_configuration feeds them from a Configuration.  A history is
-its count, then each record prefixed by its length; HistoryWriter
-appends either a Configuration or a record already encoded, which is
-how replay.replay_records, feeding the same two functions from code
-rows kept up to date step by step, writes the history witness's output
-without building a Configuration.
+tape_field writes one tape's part of a configuration record, given
+its head, its hull and its body (the hull's symbol codes, already
+joined), and configuration_record the whole record, so the layout is
+defined once.  encode_configuration joins each tape's codes and feeds
+them from a Configuration.  A history is its count, then each record
+prefixed by its length; HistoryWriter appends either a Configuration or
+a record already encoded.  That is how replay.replay_records writes the
+history witness's output without building a Configuration: it keeps a
+row of codes per tape up to date step by step and hands tape_field the
+row's hull slice as the body.  When the alphabet has at most 128
+symbols every code is one byte, the symbol's index, so the row is a
+bytearray and the slice is the body as it stands.
 """
 
 from __future__ import annotations
@@ -282,15 +286,14 @@ def configuration_record(
     )
 
 
-def tape_field(head: int, lo: int, hi: int, codes: Iterable[bytes]) -> bytes:
+def tape_field(head: int, lo: int, hi: int, body: bytes) -> bytes:
     """One tape of a configuration record: head, the hull [lo, hi] of
-    its non-blank cells and the symbol code of each cell of the hull.
-    hi < lo means an empty tape, written as (lo=0, len=0)."""
+    its non-blank cells and the body, the symbol codes of the hull's
+    cells already joined (any bytes-like object).  hi < lo means an
+    empty tape, written as (lo=0, len=0), and the body is not read."""
     if hi < lo:
         return encode_svarint(head) + _EMPTY_HULL
-    return (
-        encode_svarint(head) + encode_svarint(lo) + encode_uvarint(hi - lo + 1) + b"".join(codes)
-    )
+    return encode_svarint(head) + encode_svarint(lo) + encode_uvarint(hi - lo + 1) + body
 
 
 def encode_configuration(c: Configuration) -> bytes:
@@ -300,7 +303,7 @@ def encode_configuration(c: Configuration) -> bytes:
     for head, tape in zip(c.heads, c.cells):
         lo, hi = (min(tape), max(tape)) if tape else (0, -1)
         cells = map(tape.get, range(lo, hi + 1), repeat(m.blank))
-        fields.append(tape_field(head, lo, hi, map(code, cells)))
+        fields.append(tape_field(head, lo, hi, b"".join(map(code, cells))))
     return configuration_record(m, c.time, c.state, fields)
 
 

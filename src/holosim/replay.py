@@ -14,7 +14,9 @@ checks and the halt check and yields each step's transition value.
 replay_from_summary drains it to one time and builds one
 Configuration; replay_all builds a Configuration after every step;
 replay_records, the history witness's path, instead writes each step's
-encoded configuration from per-tape code rows it updates in place.
+encoded configuration from per-tape code rows it updates in place: one
+byte per cell when every symbol code is one byte, so that each record
+copies its rows' hull slices instead of joining them cell by cell.
 """
 
 from __future__ import annotations
@@ -149,24 +151,32 @@ def replay_records(
     of every cell of its window, and the hull [lo, hi] of its non-blank
     cells (lo > hi when it has none).  A step sets the code of the cell
     each tape wrote and widens the hull on a non-blank write; only a
-    blank written at an end of the hull rescans that tape.  A record
-    then joins each row over its hull, so a step costs O(k) in Python
-    beyond the C-level join of the output itself.
+    blank written at an end of the hull rescans that tape.  When the
+    alphabet has at most 128 symbols every code is one byte, the
+    symbol's index, so a row is a bytearray and a record's body is its
+    hull slice, copied in C; a wider alphabet keeps a list of code
+    bytes and joins its hull slice.  A step costs O(k) in Python either
+    way, beyond the C-level copy or join of the output itself.
     """
     _require_full(summary)
     spans, tapes = _entry(machine, summary.heads_in, summary.entry)
-    code = machine.symbol_codes.__getitem__
+    # an index under 0x80 is its own one-byte uvarint, the rule
+    # codec._decode_symbols reads runs by
+    if len(machine.work_alphabet) <= 0x80:
+        code, row, body = machine.symbol_index.__getitem__, bytearray, bytes
+    else:
+        code, row, body = machine.symbol_codes.__getitem__, list, b"".join
     blank = machine.blank
     heads = list(summary.heads_in)
     bases = [lo for lo, _ in spans]
-    rows = [list(map(code, w.symbols)) for w in summary.entry]
+    rows = [row(map(code, w.symbols)) for w in summary.entry]
     los, his = map(list, zip(*map(_hull, tapes, spans)))
     k = range(machine.k)
 
     def record(time: int, state: str) -> None:
         fields = [
             tape_field(
-                heads[i], los[i], his[i], rows[i][los[i] - bases[i] : his[i] - bases[i] + 1]
+                heads[i], los[i], his[i], body(rows[i][los[i] - bases[i] : his[i] - bases[i] + 1])
             )
             for i in k
         ]

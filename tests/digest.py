@@ -1,0 +1,196 @@
+"""A behaviour digest: one sha256 per section of holosim's outputs.
+
+Run
+
+    python tests/digest.py
+
+from the repository root, once on each of two checkouts, and compare the
+lines: a change that keeps behaviour prints the same hashes.  Each
+section hashes a fixed, seeded set of outputs, every item prefixed by
+its length:
+
+* history-bundled, pointwise-bundled: the history and pointwise
+  witnesses of counter, palin and sweep at t = 2^13, on intervals of
+  64, 256 and 1024 steps at the start, the middle and the end of the
+  run, the pointwise one at every time of each interval;
+* history-random, pointwise-random: both witnesses on the random, wide
+  alphabet and blinker cases of
+  test_history_witness_equals_encoded_replay_random_machines, the
+  pointwise one at every time of each interval;
+* error-parity: for the 600 crafted summaries of
+  test_history_witness_error_parity_on_crafted_summaries, the records
+  replay_records emits, the error it raises, and what the history
+  witness returns or raises, as class and args;
+* roots, ledgers: the root summary bytes and the ledger figures of each
+  bundled machine's streamed run at t = 2^13 (writer2 at its halt), at
+  b = 91 and at the default b.
+
+The digest is not part of the test suite and uses only the standard
+library, holosim and tests/support.py.  It takes about 8 seconds on two
+cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import holosim as hs  # noqa: E402
+from holosim import replay  # noqa: E402
+from holosim.samples import counter_input, load_sample, palin_input  # noqa: E402
+from support import (  # noqa: E402
+    blinker_machine,
+    random_machine,
+    random_summary,
+    wide_alphabet_machine,
+)
+
+T = 2**13
+BUNDLED = (("counter", counter_input(20)), ("palin", palin_input(T)), ("sweep", ""))
+LENGTHS = (64, 256, 1024)
+_REPLAY_ERRORS = (hs.WindowEscape, hs.StepFromHaltError)
+
+
+class Section:
+    """A running sha256 over length-prefixed items."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.items = 0
+        self._hash = hashlib.sha256()
+
+    def add(self, item: bytes | str) -> None:
+        if isinstance(item, str):
+            item = item.encode("utf-8")
+        self._hash.update(len(item).to_bytes(8, "little") + item)
+        self.items += 1
+
+    def line(self) -> str:
+        return f"{self.name:18} {self.items:6} {self._hash.hexdigest()}"
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}{exc.args!r}"
+
+
+def _add_interval(history: Section, pointwise: Section, m, rec, L, R, taus) -> None:
+    hw, pw = hs.build_witness(m, hs.KIND_HISTORY), hs.build_witness(m, hs.KIND_POINTWISE)
+    blob = hs.encode_summary(hs.interval_summary(rec, L, R))
+    history.add(hs.run_witness(hw, [blob]))
+    for tau in taus:
+        pointwise.add(hs.run_witness(pw, [blob, hs.encode_uvarint(tau)]))
+
+
+def bundled_witnesses() -> tuple[Section, Section]:
+    history, pointwise = Section("history-bundled"), Section("pointwise-bundled")
+    for name, word in BUNDLED:
+        m = load_sample(name)
+        rec = hs.run(m, word, T)
+        for n in LENGTHS:
+            for L in (1, T // 2 - n // 2 + 1, T - n + 1):
+                R = L + n - 1
+                _add_interval(history, pointwise, m, rec, L, R, range(L - 1, R + 1))
+    return history, pointwise
+
+
+def random_witnesses() -> tuple[Section, Section]:
+    """The cases of test_history_witness_equals_encoded_replay_random_machines,
+    drawn in the same order from the same seed."""
+    history, pointwise = Section("history-random"), Section("pointwise-random")
+    rng = random.Random(2020)
+    machines = [random_machine(rng, k=1 + n % 3) for n in range(540)]
+    machines += [wide_alphabet_machine(rng) for _ in range(12)] + [blinker_machine()]
+    for m in machines:
+        n = rng.randint(0, 6) if m.input_alphabet else 0
+        word = [rng.choice(m.input_alphabet) for _ in range(n)]
+        rec = hs.run(m, word, max_steps=rng.randint(1, 90))
+        if rec.t == 0:
+            continue
+        for _ in range(2):
+            L = 1 if rng.random() < 0.3 else rng.randint(1, rec.t)
+            R = rng.randint(L, rec.t)
+            _add_interval(history, pointwise, m, rec, L, R, range(L - 1, R + 1))
+    return history, pointwise
+
+
+def error_parity() -> Section:
+    """The crafted summaries of
+    test_history_witness_error_parity_on_crafted_summaries, drawn in the
+    same order from the same seed."""
+    section = Section("error-parity")
+    rng = random.Random(404)
+    for n in range(600):
+        m = random_machine(rng, k=1 + n % 3) if n % 10 else wide_alphabet_machine(rng)
+        s = random_summary(rng, m)
+        if s.policy != hs.POLICY_FULL:
+            s = replace(s, policy=hs.POLICY_FULL, exit=s.entry, heads_out=s.heads_in)
+        if n % 7 == 0:
+            s = replace(s, q_in=rng.choice((m.accept, m.reject)))
+        if n % 11 == 0:
+            w = s.entry[0]
+            s = replace(s, heads_in=(rng.choice((w.lo - 1, w.hi + 1)),) + s.heads_in[1:])
+        records: list[bytes] = []
+        try:
+            replay.replay_records(m, s, records.append)
+            outcome = "ok"
+        except _REPLAY_ERRORS as exc:
+            outcome = _error(exc)
+        for record in records:
+            section.add(record)
+        section.add(f"{len(records)} records, {outcome}")
+        try:
+            history = hs.build_witness(m, hs.KIND_HISTORY)
+            section.add(hs.run_witness(history, [hs.encode_summary(s)]))
+        except (*_REPLAY_ERRORS, hs.CodecError) as exc:
+            section.add(_error(exc))
+    return section
+
+
+def streamed_runs() -> tuple[Section, Section]:
+    roots, ledgers = Section("roots"), Section("ledgers")
+    for name, word in (*BUNDLED, ("writer2", "")):
+        m = load_sample(name)
+        t = min(hs.probe_run_length(m, word, T)[0], T)
+        for b in (91, hs.default_block_length(t)):
+            ledger = hs.attach_ledger(m, t, b)
+            roots.add(hs.encode_summary(hs.holo_run(m, word, t, b=b, ledger=ledger)))
+            ledgers.add(
+                repr(
+                    (
+                        name,
+                        t,
+                        b,
+                        ledger.max_screen,
+                        ledger.max_book,
+                        ledger.max_total,
+                        ledger.argmax_screen,
+                        ledger.argmax_book,
+                        ledger.argmax_total,
+                        ledger.max_pending,
+                        ledger.dirty_evictions,
+                        ledger.steps_recorded,
+                    )
+                )
+            )
+    return roots, ledgers
+
+
+def main() -> int:
+    for section in (
+        *bundled_witnesses(),
+        *random_witnesses(),
+        error_parity(),
+        *streamed_runs(),
+    ):
+        print(section.line(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -248,6 +248,23 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
         ),
     ),
+    Mutant(
+        "rows-one-byte-bound-one-high",
+        _REPLAY,
+        "if len(machine.work_alphabet) <= 0x80:",
+        "if len(machine.work_alphabet) <= 0x81:",
+        (_T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",),
+    ),
+    Mutant(
+        "tape-field-length-in-bytes",
+        _CODEC,
+        "encode_uvarint(hi - lo + 1) + body",
+        "encode_uvarint(len(body)) + body",
+        (
+            _T_CODEC + "test_wide_alphabet_round_trips_with_two_byte_indices",
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",
+        ),
+    ),
     # the replay loop and its callers
     Mutant(
         "replay-escape-top-strict",
@@ -372,6 +389,126 @@ MUTANTS = (
             _T_WITNESS + "test_witness_parses_each_program_once",
             _T_WITNESS + "test_witness_cache_is_bounded_and_keeps_no_error",
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+        ),
+    ),
+    # summary merge, tree walk, ledger, kernel and window revert
+    Mutant(
+        "overlay-left-one-long",
+        _BLOCKS,
+        "left = under.symbols[: lo - under.lo] if",
+        "left = under.symbols[: lo - under.lo + 1] if",
+        (
+            "tests/test_acceptance.py::test_criterion_7_tree_structure",
+            "tests/test_blocks.py::test_merge_area_subadditive_random_runs",
+            "tests/test_blocks.py::test_merge_associative_random_runs",
+            "tests/test_blocks.py::test_merge_equals_direct_summary_random_runs",
+            "tests/test_blocks.py::test_merge_fills_right_only_cells_without_initial_tape",
+            "tests/test_blocks.py::test_merge_matches_cell_by_cell_reference",
+            "tests/test_ctree.py::test_label_tree_matches_leaf_and_direct_summaries_bundled",
+            "tests/test_ctree.py::test_label_tree_matches_leaf_and_direct_summaries_random",
+            "tests/test_ctree.py::test_label_tree_non_block_respecting_matches_leaf_summary",
+            "tests/test_ctree.py::test_random_fold_against_label_root",
+        ),
+    ),
+    Mutant(
+        "merged-entry-spans-from-right",
+        _STREAMING,
+        "entry_spans=left.entry_spans,",
+        "entry_spans=right.entry_spans,",
+        (
+            _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[palin]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[palin]",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[sweep]",
+            _T_STREAMING + "test_walk_follows_static_tree",
+            _T_STREAMING + "test_walk_follows_static_tree_random_machines",
+        ),
+    ),
+    Mutant(
+        "snapshot-charge-one-short",
+        _LEDGER,
+        "screen = ts.blk_hi - ts.blk_lo + 1",
+        "screen = ts.blk_hi - ts.blk_lo",
+        (
+            "tests/test_cli.py::test_scaling_writer2_fits_nothing",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[counter]",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[palin]",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[sweep]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[counter]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[palin]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[sweep]",
+            _T_LEDGER + "test_meter_matches_reference_bundled[writer2]",
+            _T_LEDGER + "test_meter_matches_reference_random_machines",
+            _T_LEDGER + "test_meter_matches_reference_wide_random_machines",
+        ),
+    ),
+    Mutant(
+        "kernel-stores-blank",
+        _MACHINE,
+        "tapes[i].pop(h, None)",
+        "tapes[i][h] = blank",
+        (
+            "tests/test_acceptance.py::test_criterion_1_oracle_equivalence",
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+            "tests/test_cli.py::test_simulate_auto_t",
+            "tests/test_cli.py::test_simulate_verify_records_no_history",
+            "tests/test_cli.py::test_simulate_with_verify",
+            "tests/test_ctree.py::test_audit_walks_agree",
+            "tests/test_machine.py::test_kernel_in_place_bundled",
+            "tests/test_machine.py::test_kernel_in_place_random_machines",
+            "tests/test_replay.py::test_replay_all_spans_interval",
+            "tests/test_replay.py::test_replay_every_offset_matches_oracle",
+            "tests/test_replay.py::test_two_tape_replay",
+            _T_STREAMING + "test_block_length_one",
+            _T_STREAMING + "test_counter_stream_exact",
+            _T_STREAMING + "test_palin_stream_exact",
+            _T_STREAMING + "test_reconstruct_at_matches_oracle",
+            _T_STREAMING + "test_single_block_run",
+            _T_STREAMING + "test_stream_matches_oracle_random_machines",
+            _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
+            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_counts_strict_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+            _T_STREAMING + "test_verify_sink_refuses_skipped_and_late_times",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[cell-in-span]",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[head]",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[state]",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_witness_long_hulls[palin]",
+            _T_WITNESS + "test_witness_parses_each_program_once",
+        ),
+    ),
+    Mutant(
+        "revert-keeps-shown-cells",
+        _STREAMING,
+        "ts.live[evict] = initial\n                    self.shown_cells = None",
+        "ts.live[evict] = initial\n                    pass",
+        (
+            _T_STREAMING + "test_emissions_share_what_did_not_change_random_machines",
+            _T_STREAMING + "test_stream_matches_oracle_random_machines",
+            _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "revert-deletes-cell",
+        _STREAMING,
+        "ts.live[evict] = initial\n",
+        "del ts.live[evict]\n",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_meter_matches_reference_random_machines",
+            _T_LEDGER + "test_meter_matches_reference_wide_random_machines",
+            _T_LEDGER + "test_steps_recorded_on_violations[StaleWindowReentry]",
+            _T_STREAMING + "test_emissions_share_what_did_not_change_random_machines",
+            _T_STREAMING + "test_stale_window_reentry",
+            _T_STREAMING + "test_stream_matches_oracle_random_machines",
+            _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+            _T_STREAMING + "test_walk_follows_static_tree_random_machines",
         ),
     ),
     # block bounds computed from (t, b)

@@ -207,6 +207,24 @@ def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSp
     )
 
 
+def blinker_machine() -> MachineSpec:
+    """Writes two marks, erases the right one, then the left, which
+    empties the tape, and refills it one cell further on, forever."""
+    plan = {
+        ("go", "_"): ("s1", "1", 1),
+        ("s1", "_"): ("s2", "1", -1),
+        ("s2", "1"): ("s3", "1", 1),
+        ("s3", "1"): ("s4", "_", -1),
+        ("s4", "1"): ("go", "_", 1),
+    }
+    delta = {}
+    for q in ("go", "s1", "s2", "s3", "s4"):
+        for sym in ("_", "1"):
+            q2, w, move = plan.get((q, sym), (q, sym, 0))
+            delta[(q, (sym,))] = (q2, (w,), (move,))
+    return build_machine("blinker", 1, "go", "yes", "no", ["1"], ["_", "1"], "_", delta)
+
+
 def random_window(rng: random.Random, machine: MachineSpec, span=None) -> TapeWindow:
     if span is None:
         lo = rng.randint(-30, 30)

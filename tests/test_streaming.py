@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import holosim as hs
+from holosim import streaming
 from holosim.blocks import leaf_summaries
 from holosim.samples import counter_input, load_sample, palin_input
 from holosim.streaming import VerifySink
@@ -871,6 +872,94 @@ def test_audit_checks_block_hull(corrupt):
     corrupt(engine.tapes[0], engine.heads)
     with pytest.raises(hs.InternalInvariantError, match="block hull"):
         engine._audit()
+
+
+def _walk_engine(corrupt=None, leaf=None):
+    """A counter run of t = 100 in ten leaves, whose walk (node ids in
+    preorder: leaf 1 is node 4, the pair [9, 10] node 16) hands the
+    digest of leaf `leaf` to corrupt(engine, digest) and goes on with
+    what it returns."""
+    engine = hs.RollingState(load_sample("counter"), counter_input(8), 100, 10)
+    if corrupt is not None:
+        run_leaf = engine._run_leaf
+
+        def corrupted(k, depth):
+            digest = run_leaf(k, depth)
+            return corrupt(engine, digest) if k == leaf else digest
+
+        engine._run_leaf = corrupted
+    return engine
+
+
+def _bottom_of_stack(engine, digest):
+    engine.pending.insert(0, digest)
+    return digest
+
+
+def _top_of_stack(engine, digest):
+    engine.pending.append(digest)
+    return digest
+
+
+def _drop_last_exit(engine, digest):
+    engine.last_exit = None
+    return digest
+
+
+@pytest.mark.parametrize(
+    "leaf, corrupt, message",
+    [
+        (
+            1,
+            lambda e, d: replace(d, heads_out=(d.heads_out[0] + 1,)),
+            "digest parked at step 10 disagrees with the frontier",
+        ),
+        (10, lambda e, d: replace(d, L=92), "digest intervals [81,90] and [92,100] are not"),
+        (10, lambda e, d: replace(d, q_in="lost"), "digest interfaces disagree at step 90: "),
+        (10, _top_of_stack, "pending stack corrupted at node 16"),
+        (10, _drop_last_exit, "walk finished without boundary windows"),
+        (10, _bottom_of_stack, "1 digests left pending"),
+        (10, lambda e, d: replace(d, R=99), "root digest covers [1,99], expected [1,100]"),
+    ],
+    ids=[
+        "park", "adjacency", "interfaces", "stack-pop", "boundary-windows", "left-pending",
+        "root-cover",
+    ],
+)
+def test_walk_checks_digests(leaf, corrupt, message):
+    """Each tree-walk check refuses a leaf digest or walk state that a
+    correct engine never makes."""
+    with pytest.raises(hs.InternalInvariantError) as exc:
+        _walk_engine(corrupt, leaf).run()
+    assert str(exc.value).startswith(message)
+
+
+def test_leaf_checks_the_clock():
+    engine = _walk_engine()
+    engine.tau = 3
+    with pytest.raises(hs.InternalInvariantError) as exc:
+        engine.run()
+    assert str(exc.value) == "leaf 1 starts at step 0 but clock is at 3"
+
+
+def test_capture_sink_refuses_a_second_delivery():
+    m = load_sample("counter")
+    config = hs.run(m, counter_input(8), 10).history[5]
+    sink = hs.CaptureSink(5)
+    sink(config)
+    assert sink.config is config and sink.hits == 1
+    with pytest.raises(hs.InternalInvariantError, match=r"^time 5 emitted 2 times$"):
+        sink(config)
+
+
+def test_reconstruct_at_refuses_a_run_that_stops_short(monkeypatch):
+    """A stream that ends before tau never delivers it."""
+    holo_run = streaming.holo_run
+    monkeypatch.setattr(
+        streaming, "holo_run", lambda m, word, t, **kw: holo_run(m, word, t - 1, **kw)
+    )
+    with pytest.raises(hs.InternalInvariantError, match=r"^time 40 was never emitted$"):
+        hs.reconstruct_at(load_sample("counter"), counter_input(8), 100, 40, b=10)
 
 
 def test_engine_keeps_no_per_cell_state():

@@ -9,8 +9,8 @@ import pytest
 
 import holosim as hs
 from holosim import codec, replay, witness
-from holosim.samples import counter_input, load_sample
-from support import random_machine, random_summary, wide_alphabet_machine
+from holosim.samples import counter_input, load_sample, palin_input
+from support import blinker_machine, random_machine, random_summary, wide_alphabet_machine
 
 
 def _random_interval(rng, t):
@@ -150,24 +150,6 @@ def test_conditional_arity_checked():
         hs.run_witness(pw, [hs.encode_summary(s), hs.encode_uvarint(1) + b"\x00"])
 
 
-def _blinker() -> hs.MachineSpec:
-    """Writes two marks, erases the right one, then the left, which
-    empties the tape, and refills it one cell further on, forever."""
-    plan = {
-        ("go", "_"): ("s1", "1", 1),
-        ("s1", "_"): ("s2", "1", -1),
-        ("s2", "1"): ("s3", "1", 1),
-        ("s3", "1"): ("s4", "_", -1),
-        ("s4", "1"): ("go", "_", 1),
-    }
-    delta = {}
-    for q in ("go", "s1", "s2", "s3", "s4"):
-        for sym in ("_", "1"):
-            q2, w, move = plan.get((q, sym), (q, sym, 0))
-            delta[(q, (sym,))] = (q2, (w,), (move,))
-    return hs.build_machine("blinker", 1, "go", "yes", "no", ["1"], ["_", "1"], "_", delta)
-
-
 def _hull_events(configs, counts):
     """Count, per tape and consecutive pair of configurations, a hull
     end given up to a blank with cells left, a tape emptied, and an
@@ -191,7 +173,7 @@ def test_history_witness_equals_encoded_replay_random_machines():
     machine and a machine that empties and refills its tape."""
     rng = random.Random(2020)
     machines = [random_machine(rng, k=1 + n % 3) for n in range(540)]
-    machines += [wide_alphabet_machine(rng) for _ in range(12)] + [_blinker()]
+    machines += [wide_alphabet_machine(rng) for _ in range(12)] + [blinker_machine()]
     counts = {"end blanked": 0, "emptied": 0, "refilled": 0}
     cases = starts_at_1 = two_byte = 0
     for m in machines:
@@ -214,6 +196,52 @@ def test_history_witness_equals_encoded_replay_random_machines():
             two_byte += len(m.work_alphabet) > 128
     assert cases >= 1000 and starts_at_1 >= 200 and two_byte >= 20
     assert min(counts.values()) >= 10, counts
+
+
+@pytest.mark.parametrize("n_symbols, code_bytes", [(128, 1), (129, 2)])
+def test_history_witness_at_the_one_byte_bound(n_symbols, code_bytes):
+    """At 128 symbols every code is one byte and index 127 is written;
+    at 129, index 128 takes two bytes.  Either way the history witness
+    gives encode_history(replay_all(...)), which decodes back to
+    replay_all's configurations."""
+    rng = random.Random(n_symbols)
+    top_written = 0
+    for _ in range(8):
+        m = wide_alphabet_machine(rng, n_symbols=n_symbols)
+        top = m.work_alphabet[-1]
+        assert len(m.symbol_codes[top]) == code_bytes
+        rec = hs.run(m, [], max_steps=80)
+        hw = hs.build_witness(m, hs.KIND_HISTORY)
+        for L, R in ((1, rec.t), (rec.t // 2, rec.t)):
+            s = hs.interval_summary(rec, L, R)
+            configs = hs.replay_all(m, s)
+            out = hs.run_witness(hw, [hs.encode_summary(s)])
+            assert out == hs.encode_history(configs)
+            assert hs.decode_history_exact(out, m) == configs
+            top_written += sum(top in tape.values() for c in configs for tape in c.cells)
+    assert top_written >= 50
+
+
+@pytest.mark.parametrize(
+    "name, word, figures",
+    [("sweep", "", (1024, 4608, 1035)), ("palin", palin_input(2**13), (99, 115, 112))],
+    ids=["sweep", "palin"],
+)
+def test_history_witness_long_hulls(name, word, figures):
+    """A 1024-step interval from the middle of a 2^13-step run: heads
+    past +-64 take two-byte svarints, and on sweep the hull reaches
+    1024 cells and records pass 127 bytes, so their length prefixes take
+    two bytes.  figures is (widest hull, farthest head, longest record)."""
+    m = load_sample(name)
+    rec = hs.run(m, word, max_steps=2**13)
+    s = hs.interval_summary(rec, 2**12 - 511, 2**12 + 512)
+    configs = hs.replay_all(m, s)
+    want = hs.encode_history(configs)
+    assert hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)]) == want
+    widest = max(max(tape) - min(tape) + 1 for c in configs for tape in c.cells if tape)
+    farthest = max(abs(h) for c in configs for h in c.heads)
+    longest = max(len(hs.encode_configuration(c)) for c in configs)
+    assert (widest, farthest, longest) == figures
 
 
 def _replay_outcome(m, s):
