@@ -8,22 +8,35 @@ version byte, then their fields in declared order.  States and symbols
 are encoded as indices into the machine's canonical state order and
 declared work alphabet, so decoding needs the machine at hand.
 
-Symbol runs move through C-level calls: encoding joins the bytes of a
-per-machine table (MachineSpec.symbol_codes, symbol -> uvarint index),
-and decoding takes a run of single-byte indices as one slice mapped
-through one itemgetter call, falling back to the varint loop only
-where a continuation byte appears (alphabets over 128 symbols, or
-corrupt input).  Single-byte integers, nearly every head, window end,
-length and state a record holds, skip the varint loop the same way:
-decode_uvarint returns a byte under 0x80 at once, a window's lo± and
-length and a tape's two heads are read as a pair, and the encoders
-return a cached byte.  The layout below is the same either way.
+Symbol runs move through C-level calls.  A machine with at most 128
+symbols, each one Latin-1 character, has MachineSpec.code_table: every
+code is one byte, the symbol's index, and the table is a pair of
+bytes.translate tables built once per machine.  A run then encodes as
+one string of its symbols, encoded as Latin-1 and translated to
+indices.  A symbol outside the alphabet leaves the table's 0xFF byte,
+changes the run's length or fails to encode, and the run falls back to
+joining the per-symbol codes of MachineSpec.symbol_codes, which raises
+KeyError for it.  (Empty strings that make up for longer ones, as in
+("ab", ""), keep the length and pass; nothing in the package builds a
+summary or configuration holding a symbol outside its machine's
+alphabet.)  A run of single-byte indices decodes as one slice,
+range-checked by its max, then translated back to characters and split
+into a tuple; without a table the slice maps through one itemgetter
+call.  Machines without a table encode through symbol_codes, and a
+continuation byte in a run (an alphabet over 128 symbols, or corrupt
+input) sends it to the varint loop.  Integers of one or two bytes,
+nearly every head, window end, length and state a record holds, skip
+the varint loop too: decode_uvarint reads them at once, a window's lo±
+and length and a tape's two heads are read as a pair, and the encoders
+return a cached byte or build two.  The layout below is the same on
+every path.
 
 Record layouts (version 1):
 
   summary        0x53 | L | R | q_in | q_out |
                  per tape: head_in± head_out± entry_lo± entry_len
                  entry_syms* exit_lo± exit_len exit_syms* | policy
+                 (one byte: 0x00 full, 0x01 boundary)
   configuration  0x43 | time | state | per tape: head± lo± len syms*
   history        0x48 | count | per entry: byte_length config_bytes
   witness        0x57 | kind | machine_blob_len machine_blob
@@ -91,9 +104,11 @@ def encode_uvarint(value: int) -> bytes:
 
 
 def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    # a one-byte value skips the loop, as in encode_uvarint
+    # values of one or two bytes skip the loop, as in encode_uvarint
     if offset < len(data) and data[offset] < 0x80:
         return data[offset], offset + 1
+    if offset + 1 < len(data) and data[offset + 1] < 0x80:
+        return data[offset] & 0x7F | data[offset + 1] << 7, offset + 2
     value = 0
     shift = 0
     while True:
@@ -136,6 +151,23 @@ def _expect(data: bytes, offset: int, magic: int, what: str) -> int:
     return offset + 2
 
 
+def _symbol_run(m: MachineSpec, symbols: Sequence[str]) -> bytes:
+    """The codes of symbols, joined.  With the machine's code table the
+    run is one translate call.  A symbol outside the alphabet leaves a
+    0xFF byte, changes the run's length or fails to encode, and the run
+    then takes the per-symbol join, which raises for it."""
+    table = m.code_table
+    if table is not None:
+        try:
+            run = "".join(symbols).encode("latin-1").translate(table[0])
+        except (TypeError, UnicodeEncodeError):
+            pass
+        else:
+            if len(run) == len(symbols) and 0xFF not in run:
+                return run
+    return b"".join(map(m.symbol_codes.__getitem__, symbols))
+
+
 def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
     alphabet = machine.work_alphabet
     run = data[offset : offset + count]
@@ -144,6 +176,9 @@ def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
         if run and max(run) >= len(alphabet):
             idx = next(i for i in run if i >= len(alphabet))
             raise CodecError(f"symbol index {idx} out of range")
+        table = machine.code_table
+        if table is not None:
+            return tuple(run.translate(table[1]).decode("latin-1")), offset + count
         if count > 1:
             return itemgetter(*run)(alphabet), offset + count
         return tuple(map(alphabet.__getitem__, run)), offset + count
@@ -185,7 +220,6 @@ def _decode_window(data: bytes, offset: int, machine: MachineSpec):
 
 def encode_summary(s: IntervalSummary) -> bytes:
     m = s.machine
-    code = m.symbol_codes.__getitem__
     out = bytearray((MAGIC_SUMMARY, VERSION))
     out += encode_uvarint(s.L)
     out += encode_uvarint(s.R)
@@ -198,7 +232,7 @@ def encode_summary(s: IntervalSummary) -> bytes:
             if w.symbols:
                 out += encode_svarint(w.lo)
                 out += encode_uvarint(len(w.symbols))
-                out += b"".join(map(code, w.symbols))
+                out += _symbol_run(m, w.symbols)
             else:
                 out += _EMPTY_HULL
     out.append(_POLICY_TAGS[s.policy])
@@ -298,12 +332,11 @@ def tape_field(head: int, lo: int, hi: int, body: bytes) -> bytes:
 
 def encode_configuration(c: Configuration) -> bytes:
     m = c.machine
-    code = m.symbol_codes.__getitem__
     fields = []
     for head, tape in zip(c.heads, c.cells):
         lo, hi = (min(tape), max(tape)) if tape else (0, -1)
-        cells = map(tape.get, range(lo, hi + 1), repeat(m.blank))
-        fields.append(tape_field(head, lo, hi, b"".join(map(code, cells))))
+        cells = [*map(tape.get, range(lo, hi + 1), repeat(m.blank))]
+        fields.append(tape_field(head, lo, hi, _symbol_run(m, cells)))
     return configuration_record(m, c.time, c.state, fields)
 
 

@@ -81,6 +81,27 @@ class MachineSpec:
         return {s: encode_uvarint(i) for s, i in self.symbol_index.items()}
 
     @cached_property
+    def code_table(self) -> tuple[bytes, bytes] | None:
+        """The symbol codes as a pair of bytes.translate tables, or None.
+
+        They exist when every code is one byte, the symbol's index (at
+        most 128 symbols), and every symbol is one Latin-1 character,
+        so that a run of symbols is one Latin-1 string.  The first maps
+        each symbol's character to its index and every other byte to
+        0xFF, which no index takes; the second maps each index back to
+        its symbol's character.
+        """
+        work = self.work_alphabet
+        if len(work) > 0x80 or not all(len(s) == 1 and s <= "\xff" for s in work):
+            return None
+        to_code = bytearray(b"\xff" * 256)
+        to_char = bytearray(256)
+        for i, s in enumerate(work):
+            to_code[ord(s)] = i
+            to_char[i] = ord(s)
+        return bytes(to_code), bytes(to_char)
+
+    @cached_property
     def step_table(self) -> dict[str, dict]:
         """The transition map compiled for steps(): a read-symbol trie.
 

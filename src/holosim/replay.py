@@ -15,7 +15,7 @@ replay_from_summary drains it to one time and builds one
 Configuration; replay_all builds a Configuration after every step;
 replay_records, the history witness's path, instead writes each step's
 encoded configuration from per-tape code rows it updates in place: one
-byte per cell when every symbol code is one byte, so that each record
+byte per cell when the machine has a code table, so that each record
 copies its rows' hull slices instead of joining them cell by cell.
 """
 
@@ -152,17 +152,17 @@ def replay_records(
     cells (lo > hi when it has none).  A step sets the code of the cell
     each tape wrote and widens the hull on a non-blank write; only a
     blank written at an end of the hull rescans that tape.  When the
-    alphabet has at most 128 symbols every code is one byte, the
-    symbol's index, so a row is a bytearray and a record's body is its
-    hull slice, copied in C; a wider alphabet keeps a list of code
-    bytes and joins its hull slice.  A step costs O(k) in Python either
-    way, beyond the C-level copy or join of the output itself.
+    machine has a code table (MachineSpec.code_table) every code is one
+    byte, the symbol's index, so a row is a bytearray and a record's
+    body is its hull slice, copied in C; any other machine keeps a list
+    of code bytes and joins its hull slice.  A step costs O(k) in
+    Python either way, beyond the C-level copy or join of the output
+    itself.
     """
     _require_full(summary)
     spans, tapes = _entry(machine, summary.heads_in, summary.entry)
-    # an index under 0x80 is its own one-byte uvarint, the rule
-    # codec._decode_symbols reads runs by
-    if len(machine.work_alphabet) <= 0x80:
+    # with a code table every code is one byte, the symbol's index
+    if machine.code_table is not None:
         code, row, body = machine.symbol_index.__getitem__, bytearray, bytes
     else:
         code, row, body = machine.symbol_codes.__getitem__, list, b"".join

@@ -14,9 +14,10 @@ interval and emits encoded configurations:
   (time L-1) through exit (time R).  Each record comes from
   replay.replay_records, which updates per-tape code rows in place
   instead of building and re-encoding every configuration: a row is a
-  bytearray of symbol indices when the alphabet has at most 128
-  symbols, so each record copies its rows' hull slices.  The bytes are
-  those of encode_history(replay_all(...)).
+  bytearray of symbol indices when the machine has a code table (at
+  most 128 symbols, each one Latin-1 character), so each record copies
+  its rows' hull slices.  The bytes are those of
+  encode_history(replay_all(...)).
 
 Program layout: magic 0x57, version, kind tag, then the machine's
 canonical text serialization as a length-prefixed UTF-8 blob.

@@ -23,10 +23,18 @@ its length:
   witness returns or raises, as class and args;
 * roots, ledgers: the root summary bytes and the ledger figures of each
   bundled machine's streamed run at t = 2^13 (writer2 at its halt), at
-  b = 91 and at the default b.
+  b = 91 and at the default b;
+* reference, reference-mismatch: the codec's encodings of every label
+  of each bundled machine's summary tree at t = 2^13 and b = 16, of
+  every 64th configuration of those runs and of the history of a
+  64-step interval of each, and of random summaries and configurations
+  over random machines, one-character alphabets of 128 and 129
+  symbols and the alphabets without a code table; the second section
+  holds only those that differ from the reference encoders of
+  tests/support.py, so it reads 0 items when the two agree.
 
 The digest is not part of the test suite and uses only the standard
-library, holosim and tests/support.py.  It takes about 8 seconds on two
+library, holosim and tests/support.py.  It takes about 10 seconds on two
 cores.
 """
 
@@ -45,9 +53,17 @@ import holosim as hs  # noqa: E402
 from holosim import replay  # noqa: E402
 from holosim.samples import counter_input, load_sample, palin_input  # noqa: E402
 from support import (  # noqa: E402
+    NO_TABLE_ALPHABETS,
+    alphabet_machine,
     blinker_machine,
+    glyph_machine,
+    oracle_walk,
+    random_configuration,
     random_machine,
     random_summary,
+    reference_encode_configuration,
+    reference_encode_history,
+    reference_encode_summary,
     wide_alphabet_machine,
 )
 
@@ -181,12 +197,45 @@ def streamed_runs() -> tuple[Section, Section]:
     return roots, ledgers
 
 
+def reference_encoders() -> tuple[Section, Section]:
+    checked, mismatched = Section("reference"), Section("reference-mismatch")
+
+    def check(encoded: bytes, reference: bytes) -> None:
+        checked.add(encoded)
+        if encoded != reference:
+            mismatched.add(encoded + b" != " + reference)
+
+    for name, word in BUNDLED:
+        m = load_sample(name)
+        rec = hs.run(m, word, T)
+        tree = hs.label_tree(hs.build_tree(hs.decompose(T, 16)), rec, 2)
+        for node in tree.nodes:
+            label = tree.labels[node.id]
+            check(hs.encode_summary(label), reference_encode_summary(label))
+        configs = hs.replay_all(m, hs.interval_summary(rec, T // 2, T // 2 + 63))
+        check(hs.encode_history(configs), reference_encode_history(configs))
+        for c in oracle_walk(rec.history, range(0, T + 1, 64)):
+            check(hs.encode_configuration(c), reference_encode_configuration(c))
+    rng = random.Random(26)
+    machines = [random_machine(rng, k=1 + n % 3) for n in range(60)]
+    machines += [glyph_machine(rng, 128), glyph_machine(rng, 129), wide_alphabet_machine(rng)]
+    machines += [alphabet_machine(rng, work) for work in NO_TABLE_ALPHABETS.values()]
+    for m in machines:
+        for _ in range(10):
+            s = random_summary(rng, m)
+            check(hs.encode_summary(s), reference_encode_summary(s))
+            c = random_configuration(rng, m)
+            check(hs.encode_configuration(c), reference_encode_configuration(c))
+    return checked, mismatched
+
+
 def main() -> int:
     for section in (
         *bundled_witnesses(),
         *random_witnesses(),
         error_parity(),
         *streamed_runs(),
+        *reference_encoders(),
     ):
         print(section.line(), flush=True)
     return 0

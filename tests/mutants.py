@@ -251,18 +251,93 @@ MUTANTS = (
     Mutant(
         "rows-one-byte-bound-one-high",
         _REPLAY,
-        "if len(machine.work_alphabet) <= 0x80:",
-        "if len(machine.work_alphabet) <= 0x81:",
-        (_T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",),
+        "if machine.code_table is not None:",
+        "if machine.code_table is not None or len(machine.work_alphabet) == 0x81:",
+        (
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-129]",
+        ),
     ),
+    # the record layout, which the witness and encode_history share
     Mutant(
         "tape-field-length-in-bytes",
         _CODEC,
         "encode_uvarint(hi - lo + 1) + body",
         "encode_uvarint(len(body)) + body",
         (
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[129]",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[wide]",
             _T_CODEC + "test_wide_alphabet_round_trips_with_two_byte_indices",
             _T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-129]",
+        ),
+    ),
+    Mutant(
+        "record-time-as-svarint",
+        _CODEC,
+        "encode_uvarint(time),",
+        "encode_svarint(time),",
+        (
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+            "tests/test_acceptance.py::test_criterion_8_encoding_round_trips",
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[128]",
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[129]",
+            _T_CODEC + "test_concatenated_mixed_records",
+            _T_CODEC + "test_configuration_round_trip_random",
+            _T_CODEC + "test_encoders_match_reference_bundled",
+            _T_CODEC + "test_encoders_match_reference_random",
+            _T_CODEC + "test_history_round_trip_writer2",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[multi-char]",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[not-latin-1]",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[wide]",
+            _T_CODEC + "test_wide_alphabet_round_trips_with_two_byte_indices",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[128-1]",
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",
+            _T_WITNESS + "test_history_witness_builds_no_configuration",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_witness_long_hulls[palin]",
+            _T_WITNESS + "test_history_witness_long_hulls[sweep]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-128]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-129]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[multi-char]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[not-latin-1]",
+            _T_WITNESS + "test_pointwise_output_equals_direct_replay",
+        ),
+    ),
+    # the per-machine code table
+    Mutant(
+        "code-table-sentinel-unchecked",
+        _CODEC,
+        "if len(run) == len(symbols) and 0xFF not in run:",
+        "if len(run) == len(symbols):",
+        (
+            _T_CODEC + "test_symbol_outside_the_alphabet_raises_key_error[latin-1-char-counter]",
+        ),
+    ),
+    Mutant(
+        "code-table-decode-range-unchecked",
+        _CODEC,
+        "if run and max(run) >= len(alphabet):",
+        "if machine.code_table is None and run and max(run) >= len(alphabet):",
+        (
+            _T_CODEC + "test_out_of_range_symbol_index_rejected",
+            _T_CODEC + "test_short_symbol_runs_decode[False]",
+            _T_HOSTILE + "test_edge_summaries_truncated_or_changed_decode_as_the_reference_does",
+        ),
+    ),
+    Mutant(
+        "code-table-over-128-symbols",
+        _MACHINE,
+        "if len(work) > 0x80 or",
+        "if len(work) > 0x81 or",
+        (
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[129]",
+            _T_CODEC + "test_code_table_only_for_one_byte_latin_1_alphabets",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-129]",
         ),
     ),
     # the replay loop and its callers
@@ -316,6 +391,57 @@ MUTANTS = (
             _T_CODEC + "test_uvarint_round_trip",
             _T_HOSTILE + "test_edge_summaries_decode_as_the_reference_does",
             _T_HOSTILE + "test_edge_summaries_truncated_or_changed_decode_as_the_reference_does",
+        ),
+    ),
+    Mutant(
+        "uvarint-two-byte-shift-one-high",
+        _CODEC,
+        "data[offset + 1] << 7",
+        "data[offset + 1] << 8",
+        (
+            "tests/test_acceptance.py::test_criterion_6_witness_constancy",
+            "tests/test_acceptance.py::test_criterion_8_encoding_round_trips",
+            "tests/test_cli.py::test_simulate_outputs",
+            "tests/test_cli.py::test_witness_out_file",
+            "tests/test_cli.py::test_witness_stdout",
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[128]",
+            _T_CODEC + "test_code_table_at_the_one_byte_bound[129]",
+            _T_CODEC + "test_configuration_round_trip_random",
+            _T_CODEC + "test_encoders_match_reference_bundled",
+            _T_CODEC + "test_encoders_match_reference_random",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[multi-char]",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[not-latin-1]",
+            _T_CODEC + "test_machines_without_a_code_table_encode_as_the_reference[wide]",
+            _T_CODEC + "test_out_of_range_symbol_index_names_the_first[multi-char]",
+            _T_CODEC + "test_out_of_range_symbol_index_names_the_first[not-latin-1]",
+            _T_CODEC + "test_out_of_range_symbol_index_rejected",
+            _T_CODEC + "test_short_symbol_runs_decode[True]",
+            _T_CODEC + "test_summary_round_trip_oracle",
+            _T_CODEC + "test_summary_round_trip_random",
+            _T_CODEC + "test_uvarint_decodes_every_one_and_two_byte_value",
+            _T_CODEC + "test_wide_alphabet_round_trips_with_two_byte_indices",
+            _T_HOSTILE + "test_edge_summaries_decode_as_the_reference_does",
+            _T_HOSTILE + "test_edge_summaries_truncated_or_changed_decode_as_the_reference_does",
+            _T_WITNESS + "test_conditional_arity_checked",
+            _T_WITNESS + "test_history_output_equals_direct_replay",
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[128-1]",
+            _T_WITNESS + "test_history_witness_at_the_one_byte_bound[129-2]",
+            _T_WITNESS + "test_history_witness_builds_no_configuration",
+            _T_WITNESS + "test_history_witness_equals_encoded_replay_random_machines",
+            _T_WITNESS + "test_history_witness_error_parity_on_crafted_summaries",
+            _T_WITNESS + "test_history_witness_long_hulls[palin]",
+            _T_WITNESS + "test_history_witness_long_hulls[sweep]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-128]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[glyphs-129]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[multi-char]",
+            _T_WITNESS + "test_history_witness_with_and_without_a_code_table[not-latin-1]",
+            _T_WITNESS + "test_length_constant_across_inputs",
+            _T_WITNESS + "test_malformed_witness_rejected",
+            _T_WITNESS + "test_parse_round_trip",
+            _T_WITNESS + "test_pointwise_output_equals_direct_replay",
+            _T_WITNESS + "test_witness_accepts_raw_bytes",
+            _T_WITNESS + "test_witness_cache_is_bounded_and_keeps_no_error",
+            _T_WITNESS + "test_witness_parses_each_program_once",
         ),
     ),
     Mutant(

@@ -183,11 +183,10 @@ def random_machine(rng: random.Random, k: int | None = None) -> MachineSpec:
     )
 
 
-def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSpec:
-    """A one-tape total machine over n_symbols work symbols, so that
-    symbol indices from 128 up take two-byte varints.  Half its writes
-    pick one of the four highest indices; it never halts."""
-    work = ["_"] + [f"x{i}" for i in range(1, n_symbols)]
+def alphabet_machine(rng: random.Random, work: list[str], name: str = "alpha") -> MachineSpec:
+    """A one-tape total machine over the work alphabet work, at least
+    four symbols with the blank first.  Half its writes pick one of the
+    four last symbols; it never halts."""
     states = ("go", "s0")
     delta = {}
     for q in states:
@@ -195,16 +194,43 @@ def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSp
             w = work[-1 - rng.randrange(4)] if rng.random() < 0.5 else rng.choice(work)
             delta[(q, (s,))] = (rng.choice(states), (w,), (rng.choice((-1, 0, 1)),))
     return build_machine(
-        name=f"wide{rng.randrange(10**6)}",
+        name=f"{name}{rng.randrange(10**6)}",
         k=1,
         start="go",
         accept="yes",
         reject="no",
-        input_alphabet=work[1:3] + work[-2:],
+        input_alphabet=list(dict.fromkeys(work[1:3] + work[-2:])),
         work_alphabet=work,
         blank="_",
         delta=delta,
     )
+
+
+def wide_alphabet_machine(rng: random.Random, n_symbols: int = 130) -> MachineSpec:
+    """A one-tape total machine over n_symbols work symbols, so that
+    symbol indices from 128 up take two-byte varints.  Half its writes
+    pick one of the four highest indices; it never halts."""
+    return alphabet_machine(rng, ["_"] + [f"x{i}" for i in range(1, n_symbols)], "wide")
+
+
+# one-character symbols that survive the machine text format: printable
+# Latin-1 but for '#' (it opens a comment), blank first
+GLYPHS = "_" + "".join(
+    c for c in map(chr, [*range(0x21, 0x7F), *range(0xA1, 0x100)]) if c not in "#_"
+)
+
+
+def glyph_machine(rng: random.Random, n_symbols: int) -> MachineSpec:
+    """alphabet_machine over n_symbols one-character Latin-1 symbols:
+    with at most 128 of them it has a code table."""
+    return alphabet_machine(rng, list(GLYPHS[:n_symbols]), "glyph")
+
+
+# work alphabets of at most 128 symbols that still have no code table
+NO_TABLE_ALPHABETS = {
+    "multi-char": ["_", "ab", "cd", "e"],
+    "not-latin-1": ["_", "0", "1", "λ"],
+}
 
 
 def blinker_machine() -> MachineSpec:
@@ -369,3 +395,71 @@ def reference_decode_summary(data: bytes, machine: MachineSpec) -> IntervalSumma
         )
     except ValueError as e:
         raise CodecError(str(e)) from e
+
+
+# ---------------------------------------------------------------------------
+# reference encoders
+
+
+def _uvarint(n: int) -> list[int]:
+    """Little-endian base 128, high bit set on every byte but the last."""
+    out = []
+    while n >= 128:
+        out.append(n % 128 + 128)
+        n //= 128
+    return out + [n]
+
+
+def _svarint(v: int) -> list[int]:
+    return _uvarint(2 * v if v >= 0 else -2 * v - 1)
+
+
+def _symbols(machine: MachineSpec, symbols) -> list[int]:
+    out = []
+    for sym in symbols:
+        out += _uvarint(machine.work_alphabet.index(sym))
+    return out
+
+
+def reference_encode_summary(s: IntervalSummary) -> bytes:
+    """encode_summary written cell by cell from the record layout in
+    codec.py's docstring, apart from the codec: its own varints, each
+    index looked up in the machine's state order or work alphabet."""
+    m = s.machine
+    out = [0x53, 1] + _uvarint(s.L) + _uvarint(s.R)
+    out += _uvarint(m.states.index(s.q_in)) + _uvarint(m.states.index(s.q_out))
+    for i in range(m.k):
+        out += _svarint(s.heads_in[i]) + _svarint(s.heads_out[i])
+        for w in (s.entry[i], s.exit[i]):
+            out += _svarint(w.lo if w.symbols else 0) + _uvarint(len(w.symbols))
+            out += _symbols(m, w.symbols)
+    out.append({POLICY_FULL: 0x00, POLICY_BOUNDARY: 0x01}[s.policy])
+    return bytes(out)
+
+
+def reference_encode_configuration(c: Configuration) -> bytes:
+    """encode_configuration written cell by cell from the record layout
+    in codec.py's docstring: each tape over the hull of its non-blank
+    cells, (lo=0, len=0) when it has none."""
+    m = c.machine
+    out = [0x43, 1] + _uvarint(c.time) + _uvarint(m.states.index(c.state))
+    for head, tape in zip(c.heads, c.cells):
+        out += _svarint(head)
+        written = [cell for cell, sym in tape.items() if sym != m.blank]
+        if written:
+            lo, hi = min(written), max(written)
+            out += _svarint(lo) + _uvarint(hi - lo + 1)
+            out += _symbols(m, [tape.get(cell, m.blank) for cell in range(lo, hi + 1)])
+        else:
+            out += _svarint(0) + _uvarint(0)
+    return bytes(out)
+
+
+def reference_encode_history(configs) -> bytes:
+    """encode_history from the record layout: the count, then each
+    configuration record prefixed by its length in bytes."""
+    out = [0x48, 1] + _uvarint(len(configs))
+    for c in configs:
+        record = reference_encode_configuration(c)
+        out += _uvarint(len(record)) + list(record)
+    return bytes(out)

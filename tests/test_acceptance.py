@@ -22,6 +22,8 @@ from support import (
     random_machine,
     random_summary,
     reference_block_spans,
+    reference_encode_configuration,
+    reference_encode_history,
 )
 
 
@@ -269,6 +271,9 @@ def test_criterion_6_witness_constancy():
                 got_hist = hs.run_witness(hw, [hs.encode_summary(s)])
                 assert got_point == want_point
                 assert got_hist == want_hist
+                # and the layout as written apart from the codec
+                assert got_point == reference_encode_configuration(window[tau - L + 1])
+                assert got_hist == reference_encode_history(window)
                 lengths.setdefault((name, "pointwise"), set()).add(len(pw))
                 lengths.setdefault((name, "history"), set()).add(len(hw))
                 cases += 1

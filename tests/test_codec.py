@@ -19,7 +19,18 @@ from holosim.codec import (
     HistoryWriter,
     _decode_symbols,
 )
-from support import random_configuration, random_machine, random_summary, wide_alphabet_machine
+from support import (
+    NO_TABLE_ALPHABETS,
+    alphabet_machine,
+    glyph_machine,
+    random_configuration,
+    random_machine,
+    random_summary,
+    reference_encode_configuration,
+    reference_encode_history,
+    reference_encode_summary,
+    wide_alphabet_machine,
+)
 
 
 def test_uvarint_forced_bytes():
@@ -62,6 +73,18 @@ def test_uvarint_truncation():
         hs.decode_uvarint(b"\x80")
     with pytest.raises(hs.CodecError, match="truncated"):
         hs.decode_uvarint(b"")
+
+
+def test_uvarint_decodes_every_one_and_two_byte_value():
+    """Values up to 16383 take the decoder's one- and two-byte paths,
+    at any offset; a two-byte varint cut short is still truncated."""
+    for v in range(2**14 + 2):
+        data = b"\x05" + hs.encode_uvarint(v) + b"\x05"
+        assert hs.decode_uvarint(data, 1) == (v, len(data) - 1)
+    assert hs.decode_uvarint(b"\x80\x00") == (0, 2)  # not canonical, still read
+    for data, offset in ((b"\x80", 0), (b"\x80\x80", 0), (b"\x01\xff", 1)):
+        with pytest.raises(hs.CodecError, match="^truncated varint$"):
+            hs.decode_uvarint(data, offset)
 
 
 def test_summary_round_trip_oracle(counter_run):
@@ -258,16 +281,21 @@ def _ref_history(configs) -> bytes:
 
 
 def _check_against_reference(s, configs):
+    """Against the per-symbol encoders above and the independent ones
+    of tests/support.py, which share no code with the codec."""
     m = s.machine
     blob = hs.encode_summary(s)
     assert blob == _ref_summary(s)
+    assert blob == reference_encode_summary(s)
     assert hs.decode_summary_exact(blob, m) == s
     for c in configs:
         blob = hs.encode_configuration(c)
         assert blob == _ref_configuration(c)
+        assert blob == reference_encode_configuration(c)
         assert hs.decode_configuration_exact(blob, m) == c
     blob = hs.encode_history(configs)
     assert blob == _ref_history(configs)
+    assert blob == reference_encode_history(configs)
     assert hs.decode_history_exact(blob, m) == tuple(configs)
 
 
@@ -311,6 +339,113 @@ def test_wide_alphabet_round_trips_with_two_byte_indices():
             s = random_summary(rng, m)
             _check_against_reference(s, [random_configuration(rng, m) for _ in range(3)])
     assert two_byte > 100
+
+
+# ---------------------------------------------------------------------------
+# the per-machine code table and the machines that cannot have one
+
+
+def _no_table_machine(name, rng=None):
+    rng = rng or random.Random(26)
+    if name == "wide":
+        return wide_alphabet_machine(rng)
+    return alphabet_machine(rng, NO_TABLE_ALPHABETS[name])
+
+
+def test_code_table_only_for_one_byte_latin_1_alphabets(machines):
+    rng = random.Random(8)
+    with_table = [*machines.values(), glyph_machine(rng, 4), glyph_machine(rng, 128)]
+    without = [glyph_machine(rng, 129), wide_alphabet_machine(rng, n_symbols=128)]
+    without += [_no_table_machine(name) for name in (*NO_TABLE_ALPHABETS, "wide")]
+    for m in with_table:
+        to_code, to_char = m.code_table
+        run = "".join(m.work_alphabet).encode("latin-1")
+        assert run.translate(to_code) == bytes(range(len(m.work_alphabet)))
+        assert bytes(range(len(m.work_alphabet))).translate(to_char) == run
+        assert to_code.count(0xFF) == 256 - len(m.work_alphabet)
+    assert all(m.code_table is None for m in without)
+
+
+def _encode_runs(make):
+    """For four machines make(rng) builds: every configuration of a run
+    and summaries over it, and random summaries and configurations, each
+    checked against the reference encoders and decoded back.  Returns
+    the machines and the runs' configurations."""
+    rng = random.Random(26)
+    machines, configs = [], []
+    for _ in range(4):
+        m = make(rng)
+        rec = hs.run(m, [m.input_alphabet[-1]] * 3, max_steps=120)
+        run = list(rec.history.configurations())
+        _check_against_reference(hs.interval_summary(rec, 1, rec.t), run)
+        _check_against_reference(hs.interval_summary(rec, 40, 90), run[39:91])
+        for _ in range(20):
+            s = random_summary(rng, m)
+            _check_against_reference(s, [random_configuration(rng, m) for _ in range(3)])
+        machines.append(m)
+        configs += run
+    return machines, configs
+
+
+@pytest.mark.parametrize("n_symbols", [128, 129])
+def test_code_table_at_the_one_byte_bound(n_symbols):
+    """128 one-character symbols have a table and write index 127 as
+    one byte; at 129 there is none and index 128 takes two bytes."""
+    machines, configs = _encode_runs(lambda rng: glyph_machine(rng, n_symbols))
+    top = machines[0].work_alphabet[-1]
+    for m in machines:
+        assert (m.code_table is not None) == (n_symbols == 128)
+        assert len(m.symbol_codes[top]) == 1 + (n_symbols == 129)
+    assert sum(top in c.cells[0].values() for c in configs) > 50
+
+
+@pytest.mark.parametrize("name", [*NO_TABLE_ALPHABETS, "wide"])
+def test_machines_without_a_code_table_encode_as_the_reference(name):
+    machines, configs = _encode_runs(lambda rng: _no_table_machine(name, rng))
+    assert all(m.code_table is None for m in machines)
+    assert len({sym for c in configs for sym in c.cells[0].values()}) >= 3
+
+
+_OUTSIDE = ("\x07", "Ω", "zz", "", None)
+
+
+@pytest.mark.parametrize("name", ["counter", *NO_TABLE_ALPHABETS, "wide"])
+@pytest.mark.parametrize("bad", _OUTSIDE, ids=["latin-1-char", "other-char", "two-chars", "empty", "none"])
+def test_symbol_outside_the_alphabet_raises_key_error(machines, name, bad):
+    """A symbol outside the alphabet, of any kind, in a window or on a
+    tape, raises the KeyError of the per-symbol code lookup, with or
+    without a code table."""
+    m = machines[name] if name in machines else _no_table_machine(name)
+    good = m.work_alphabet[1]
+    w = hs.TapeWindow(0, 2, (good, bad, m.blank))
+    s = hs.IntervalSummary(
+        machine=m,
+        q_in=m.start,
+        q_out=m.start,
+        heads_in=(0,) * m.k,
+        heads_out=(0,) * m.k,
+        entry=(w,) * m.k,
+        exit=(w,) * m.k,
+    )
+    with pytest.raises(KeyError):
+        hs.encode_summary(s)
+    tape = {0: good, 1: bad, 2: good}
+    c = hs.Configuration(machine=m, state=m.start, heads=(0,) * m.k, cells=(tape,) * m.k)
+    with pytest.raises(KeyError):
+        hs.encode_configuration(c)
+
+
+@pytest.mark.parametrize("name", [*NO_TABLE_ALPHABETS])
+def test_out_of_range_symbol_index_names_the_first(name):
+    """As on writer2 below, which has a code table: a decoded index past
+    the alphabet raises the CodecError that names the first such index."""
+    m = _no_table_machine(name)
+    n = len(m.work_alphabet)
+    # configuration at time 0, state 0, one tape: head 0, lo 0, three cells
+    head = bytes((MAGIC_CONFIGURATION, VERSION, 0, 0, 0, 0, 3))
+    for syms, bad in ((bytes((0, n, n + 4)), n), (bytes((n + 3, 1, n)), n + 3), (bytes((1, 0xC1, 0x01)), 193)):
+        with pytest.raises(hs.CodecError, match=rf"^symbol index {bad} out of range$"):
+            hs.decode_configuration_exact(head + syms, m)
 
 
 def test_out_of_range_symbol_index_rejected():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import holosim as hs
 from support import (
+    NO_TABLE_ALPHABETS,
+    alphabet_machine,
     random_configuration,
     random_machine,
     random_summary,
@@ -25,23 +27,26 @@ from support import (
 SEEDS = st.integers(min_value=0, max_value=2**32)
 MUTATIONS_PER_SEED = 15
 
+# machines without a code table: two with 130 symbols, and those of at
+# most 128 symbols that are not all one Latin-1 character
+_NO_TABLE_MACHINES = [wide_alphabet_machine(random.Random(seed)) for seed in (1, 2)] + [
+    alphabet_machine(random.Random(3), work) for work in NO_TABLE_ALPHABETS.values()
+]
 # each run with its configurations, read off one forward walk
-_WIDE_RUNS = [
+_NO_TABLE_RUNS = [
     (rec, list(rec.history.configurations()))
-    for rec in (
-        hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=40)
-        for m in (wide_alphabet_machine(random.Random(seed)) for seed in (1, 2))
-    )
+    for rec in (hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=40) for m in _NO_TABLE_MACHINES)
 ]
 
 
 def _encodings(rng: random.Random):
     """A random machine and one valid encoding per decoder, with the
-    decoder as f(data, machine).  One time in three the machine has a
-    130-symbol alphabet and the encodings come from a run of it, so
-    symbol runs mix one- and two-byte indices."""
+    decoder as f(data, machine).  One time in three the machine is one
+    of _NO_TABLE_MACHINES and the encodings come from a run of it, so
+    symbol runs mix one- and two-byte indices or decode without a code
+    table."""
     if rng.random() < 1 / 3:
-        rec, walk = _WIDE_RUNS[rng.randrange(len(_WIDE_RUNS))]
+        rec, walk = _NO_TABLE_RUNS[rng.randrange(len(_NO_TABLE_RUNS))]
         m = rec.machine
         L = rng.randint(1, rec.t)
         summary = hs.interval_summary(rec, L, rng.randint(L, rec.t))
@@ -131,12 +136,14 @@ def _edge_window(rng: random.Random, m: hs.MachineSpec, slot: int) -> hs.TapeWin
 def _edge_summaries():
     """Summaries with every field on a varint edge: windows at lo -65,
     -64, 63 and 64 holding 0, 1, 127 and 128 cells, heads on window
-    ends, L and R at 127/128 and 16383/16384, on one to three tapes and
-    on a 130-symbol alphabet.  A summary with an empty window does not
-    decode: no head lies inside it."""
+    ends, L and R at 127/128 and 16383/16384, on one to three tapes, on
+    a 130-symbol alphabet and on the small alphabets without a code
+    table.  A summary with an empty window does not decode: no head
+    lies inside it."""
     rng = random.Random(11)
     out = []
-    for m in [random_machine(rng, k) for k in (1, 2, 3)] + [wide_alphabet_machine(rng)]:
+    machines = [random_machine(rng, k) for k in (1, 2, 3)] + [wide_alphabet_machine(rng)]
+    for m in machines + _NO_TABLE_MACHINES[2:]:
         for j in range(8):
             full = j % 2 == 1
             entry = [_edge_window(rng, m, 2 * j + 5 * i) for i in range(m.k)]

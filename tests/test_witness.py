@@ -10,7 +10,17 @@ import pytest
 import holosim as hs
 from holosim import codec, replay, witness
 from holosim.samples import counter_input, load_sample, palin_input
-from support import blinker_machine, random_machine, random_summary, wide_alphabet_machine
+from support import (
+    NO_TABLE_ALPHABETS,
+    alphabet_machine,
+    blinker_machine,
+    glyph_machine,
+    random_machine,
+    random_summary,
+    reference_encode_configuration,
+    reference_encode_history,
+    wide_alphabet_machine,
+)
 
 
 def _random_interval(rng, t):
@@ -70,7 +80,8 @@ def test_pointwise_output_equals_direct_replay():
         s = hs.interval_summary(rec, L, R)
         tau = rng.randint(L - 1, R)
         out = hs.run_witness(w, [hs.encode_summary(s), hs.encode_uvarint(tau)])
-        assert out == hs.encode_configuration(hs.replay_from_summary(m, s, tau))
+        config = hs.replay_from_summary(m, s, tau)
+        assert out == hs.encode_configuration(config) == reference_encode_configuration(config)
 
 
 def test_history_output_equals_direct_replay():
@@ -79,7 +90,8 @@ def test_history_output_equals_direct_replay():
     w = hs.build_witness(m, hs.KIND_HISTORY)
     s = hs.interval_summary(rec, 2, rec.t - 1)
     out = hs.run_witness(w, [hs.encode_summary(s)])
-    assert out == hs.encode_history(hs.replay_all(m, s))
+    configs = hs.replay_all(m, s)
+    assert out == hs.encode_history(configs) == reference_encode_history(configs)
 
 
 def test_witness_accepts_raw_bytes():
@@ -190,6 +202,7 @@ def test_history_witness_equals_encoded_replay_random_machines():
             configs = hs.replay_all(m, s)
             out = hs.run_witness(hw, [hs.encode_summary(s)])
             assert out == hs.encode_history(configs), (m.name, L, R)
+            assert out == reference_encode_history(configs), (m.name, L, R)
             _hull_events(configs, counts)
             cases += 1
             starts_at_1 += L == 1
@@ -217,9 +230,33 @@ def test_history_witness_at_the_one_byte_bound(n_symbols, code_bytes):
             configs = hs.replay_all(m, s)
             out = hs.run_witness(hw, [hs.encode_summary(s)])
             assert out == hs.encode_history(configs)
+            assert out == reference_encode_history(configs)
             assert hs.decode_history_exact(out, m) == configs
             top_written += sum(top in tape.values() for c in configs for tape in c.cells)
     assert top_written >= 50
+
+
+@pytest.mark.parametrize("alphabet", ["glyphs-128", "glyphs-129", *NO_TABLE_ALPHABETS])
+def test_history_witness_with_and_without_a_code_table(alphabet):
+    """128 one-character Latin-1 symbols give a code table and byte
+    rows; 129 of them, multi-character symbols and a symbol outside
+    Latin-1 give none.  Either way the history witness gives what the
+    reference encoder writes for replay_all's configurations."""
+    rng = random.Random(len(alphabet))
+    for _ in range(8):
+        if alphabet.startswith("glyphs"):
+            m = glyph_machine(rng, int(alphabet[-3:]))
+        else:
+            m = alphabet_machine(rng, NO_TABLE_ALPHABETS[alphabet])
+        assert (m.code_table is not None) == (alphabet == "glyphs-128")
+        rec = hs.run(m, [m.input_alphabet[-1]] * 2, max_steps=80)
+        hw = hs.build_witness(m, hs.KIND_HISTORY)
+        for L, R in ((1, rec.t), (rec.t // 2, rec.t)):
+            s = hs.interval_summary(rec, L, R)
+            configs = hs.replay_all(m, s)
+            out = hs.run_witness(hw, [hs.encode_summary(s)])
+            assert out == reference_encode_history(configs) == hs.encode_history(configs)
+            assert hs.decode_history_exact(out, m) == configs
 
 
 @pytest.mark.parametrize(
@@ -237,6 +274,7 @@ def test_history_witness_long_hulls(name, word, figures):
     s = hs.interval_summary(rec, 2**12 - 511, 2**12 + 512)
     configs = hs.replay_all(m, s)
     want = hs.encode_history(configs)
+    assert want == reference_encode_history(configs)
     assert hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)]) == want
     widest = max(max(tape) - min(tape) + 1 for c in configs for tape in c.cells if tape)
     farthest = max(abs(h) for c in configs for h in c.heads)
@@ -257,7 +295,9 @@ def _replay_outcome(m, s):
     want = []
     try:
         for tau in range(s.L - 1, s.R + 1):
-            want.append(hs.encode_configuration(hs.replay_from_summary(m, s, tau)))
+            config = hs.replay_from_summary(m, s, tau)
+            want.append(hs.encode_configuration(config))
+            assert want[-1] == reference_encode_configuration(config)
         want_error = None
     except (hs.WindowEscape, hs.StepFromHaltError) as e:
         want_error = (type(e), e.args)
@@ -291,9 +331,9 @@ def test_history_witness_error_parity_on_crafted_summaries():
             with pytest.raises(hs.CodecError, match="entry head"):
                 hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)])
         elif want_error is None:
-            assert hs.encode_history(hs.replay_all(m, s)) == hs.run_witness(
-                hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)]
-            )
+            configs = hs.replay_all(m, s)
+            out = hs.run_witness(hs.build_witness(m, hs.KIND_HISTORY), [hs.encode_summary(s)])
+            assert out == hs.encode_history(configs) == reference_encode_history(configs)
         else:
             with pytest.raises(want_error[0]) as exc:
                 hs.replay_all(m, s)
@@ -311,7 +351,9 @@ def test_history_witness_builds_no_configuration(monkeypatch):
     m = load_sample("sweep")
     rec = hs.run(m, "", max_steps=2048)
     s = hs.interval_summary(rec, 512, 1535)
-    want = hs.encode_history(hs.replay_all(m, s))
+    configs = hs.replay_all(m, s)
+    want = hs.encode_history(configs)
+    assert want == reference_encode_history(configs)
     calls = {"encode_configuration": 0, "Configuration": 0}
 
     def counted(name, fn):
