@@ -16,19 +16,19 @@ one string of its symbols, encoded as Latin-1 and translated to
 indices.  A symbol outside the alphabet leaves the table's 0xFF byte,
 changes the run's length or fails to encode, and the run falls back to
 joining the per-symbol codes of MachineSpec.symbol_codes, which raises
-KeyError for it.  (Empty strings that make up for longer ones, as in
-("ab", ""), keep the length and pass; nothing in the package builds a
-summary or configuration holding a symbol outside its machine's
-alphabet.)  A run of single-byte indices decodes as one slice,
-range-checked by its max, then translated back to characters and split
-into a tuple; without a table the slice maps through one itemgetter
-call.  Machines without a table encode through symbol_codes, and a
-continuation byte in a run (an alphabet over 128 symbols, or corrupt
-input) sends it to the varint loop.  Integers of one or two bytes,
-nearly every head, window end, length and state a record holds, skip
-the varint loop too: decode_uvarint reads them at once, a window's lo±
-and length and a tape's two heads are read as a pair, and the encoders
-return a cached byte or build two.  The layout below is the same on
+KeyError for it.  A run holding an empty symbol takes that join at
+once, since an empty string can make up for a longer one, as in
+("ab", "").  A run of single-byte indices decodes as one slice,
+translated back to characters, where an index past the alphabet
+becomes the table's spare byte, found by one `in` test, and split into
+a tuple; without a table the slice is range-checked by its max and
+maps through one itemgetter call.  Machines without a table encode
+through symbol_codes, and a continuation byte in a run (an alphabet
+over 128 symbols, or corrupt input) sends it to the varint loop.
+Integers of one or two bytes, nearly every head, window end, length and
+state a record holds, skip the varint loop too: decode_uvarint reads
+them at once, a window's lo± and length and a tape's two heads are read
+as a pair, and the encoders return a cached byte or build two.  The layout below is the same on
 every path.
 
 Record layouts (version 1):
@@ -152,12 +152,13 @@ def _expect(data: bytes, offset: int, magic: int, what: str) -> int:
 
 
 def _symbol_run(m: MachineSpec, symbols: Sequence[str]) -> bytes:
-    """The codes of symbols, joined.  With the machine's code table the
-    run is one translate call.  A symbol outside the alphabet leaves a
-    0xFF byte, changes the run's length or fails to encode, and the run
-    then takes the per-symbol join, which raises for it."""
+    """The codes of symbols, joined.  With the machine's code table and
+    no empty symbol the run is one translate call.  A symbol outside
+    the alphabet then leaves a 0xFF byte, changes the run's length or
+    fails to encode, and the run takes the per-symbol join, which
+    raises for it."""
     table = m.code_table
-    if table is not None:
+    if table is not None and all(symbols):
         try:
             run = "".join(symbols).encode("latin-1").translate(table[0])
         except (TypeError, UnicodeEncodeError):
@@ -173,15 +174,18 @@ def _decode_symbols(data: bytes, offset: int, machine: MachineSpec, count: int):
     run = data[offset : offset + count]
     if len(run) == count and run.isascii():
         # every byte is a whole uvarint
-        if run and max(run) >= len(alphabet):
-            idx = next(i for i in run if i >= len(alphabet))
-            raise CodecError(f"symbol index {idx} out of range")
         table = machine.code_table
         if table is not None:
-            return tuple(run.translate(table[1]).decode("latin-1")), offset + count
-        if count > 1:
-            return itemgetter(*run)(alphabet), offset + count
-        return tuple(map(alphabet.__getitem__, run)), offset + count
+            # an index past the alphabet translates to the spare byte
+            chars = run.translate(table[1])
+            if table[1][-1] not in chars:
+                return tuple(chars.decode("latin-1")), offset + count
+        elif not run or max(run) < len(alphabet):
+            if count > 1:
+                return itemgetter(*run)(alphabet), offset + count
+            return tuple(map(alphabet.__getitem__, run)), offset + count
+        idx = next(i for i in run if i >= len(alphabet))
+        raise CodecError(f"symbol index {idx} out of range")
     syms = []
     for _ in range(count):
         idx, offset = decode_uvarint(data, offset)

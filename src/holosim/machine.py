@@ -89,16 +89,18 @@ class MachineSpec:
         so that a run of symbols is one Latin-1 string.  The first maps
         each symbol's character to its index and every other byte to
         0xFF, which no index takes; the second maps each index back to
-        its symbol's character.
+        its symbol's character and every other byte to a spare byte, the
+        first that is no symbol's character, so its last byte is the
+        spare.
         """
         work = self.work_alphabet
         if len(work) > 0x80 or not all(len(s) == 1 and s <= "\xff" for s in work):
             return None
         to_code = bytearray(b"\xff" * 256)
-        to_char = bytearray(256)
         for i, s in enumerate(work):
             to_code[ord(s)] = i
-            to_char[i] = ord(s)
+        to_char = bytearray([to_code.index(0xFF)]) * 256
+        to_char[: len(work)] = "".join(work).encode("latin-1")
         return bytes(to_code), bytes(to_char)
 
     @cached_property

@@ -53,8 +53,14 @@ after each, compares every head with its block hull, the cells the head
 has visited since the block began.  A head inside the hull costs that
 one comparison: heads move one cell a step, so the hull is exactly the
 visited set, and an eviction inside the hull raises NonBlockRespecting,
-so the hull lies inside the live window.  Only a head that steps off
-its hull goes through the window discipline.
+so the hull lies inside the live window.  A head that steps off its
+hull but stays in its window only grows the hull by one cell, in the
+loop; only a head that steps off its window goes through the window
+discipline in _arrive.  The clock and state of the last completed step
+live in locals of the loop.  The clock reaches the engine before a sink
+call or an audit, both of which read it, and both reach it when the
+leaf ends, on a violation too.  So a bare step costs the kernel's
+yield, one hull test per tape and the clock's increment.
 
 The engine holds simulation state only.  An attached ScreenLedger is
 told of the run start, each leaf start and each arrival off a hull, one
@@ -226,44 +232,44 @@ class RollingState:
     # ---- tape discipline --------------------------------------------------
 
     def _arrive(self, ts: _TapeState, cell: int, block_index: int) -> None:
-        """A head stepped just off its block hull: grow the hull by the
-        cell.  Off the window, first refuse a discarded cell, then take
-        the cell into the window; the window then holds at most one cell
-        too many, evicted from the far end."""
-        if not ts.lo <= cell <= ts.hi:
-            if ts.lost_lo <= cell <= ts.lost_hi:
-                raise StaleWindowReentry(ts.index + 1, cell, block_index)
-            self.shown_spans = None
-            if cell < ts.lo:
-                ts.lo = cell
-                evict = ts.hi
-            else:
-                ts.hi = cell
-                evict = ts.lo
-            if ts.hi - ts.lo + 1 > ts.cap:
-                if ts.blk_lo <= evict <= ts.blk_hi:
-                    raise NonBlockRespecting(
-                        block_index, ts.index + 1, ts.hi - ts.lo + 1, ts.cap
-                    )
-                initial = ts.initial.get(evict, ts.blank)
-                if ts.live.get(evict, ts.blank) != initial:
-                    if ts.lost_lo > ts.lost_hi:
-                        ts.lost_lo = ts.lost_hi = evict
-                    elif evict < ts.lost_lo:
-                        ts.lost_lo = evict
-                    elif evict > ts.lost_hi:
-                        ts.lost_hi = evict
-                    if initial == ts.blank:
-                        del ts.live[evict]
-                    else:
-                        ts.live[evict] = initial
-                    self.shown_cells = None
-                    if self.ledger is not None:
-                        self.ledger.note_dirty_eviction()
-                if evict == ts.lo:
-                    ts.lo += 1
+        """A head stepped just off its window, and so off its block hull:
+        refuse a discarded cell, take the cell into the window, which
+        then holds at most one cell too many, evicted from the far end,
+        and grow the hull by the cell.  The leaf loop grows the hull
+        itself for a head that stays inside its window."""
+        if ts.lost_lo <= cell <= ts.lost_hi:
+            raise StaleWindowReentry(ts.index + 1, cell, block_index)
+        self.shown_spans = None
+        if cell < ts.lo:
+            ts.lo = cell
+            evict = ts.hi
+        else:
+            ts.hi = cell
+            evict = ts.lo
+        if ts.hi - ts.lo + 1 > ts.cap:
+            if ts.blk_lo <= evict <= ts.blk_hi:
+                raise NonBlockRespecting(
+                    block_index, ts.index + 1, ts.hi - ts.lo + 1, ts.cap
+                )
+            initial = ts.initial.get(evict, ts.blank)
+            if ts.live.get(evict, ts.blank) != initial:
+                if ts.lost_lo > ts.lost_hi:
+                    ts.lost_lo = ts.lost_hi = evict
+                elif evict < ts.lost_lo:
+                    ts.lost_lo = evict
+                elif evict > ts.lost_hi:
+                    ts.lost_hi = evict
+                if initial == ts.blank:
+                    del ts.live[evict]
                 else:
-                    ts.hi -= 1
+                    ts.live[evict] = initial
+                self.shown_cells = None
+                if self.ledger is not None:
+                    self.ledger.note_dirty_eviction()
+            if evict == ts.lo:
+                ts.lo += 1
+            else:
+                ts.hi -= 1
         if cell < ts.blk_lo:
             ts.blk_lo = cell
         else:
@@ -294,18 +300,36 @@ class RollingState:
         tapes = self.tapes
         indices = range(len(tapes))
         heads = self.heads
+        stride = self.audit_stride
+        # the clock and state of the last completed step: the clock is
+        # written to the engine before a sink or the audit reads it, and
+        # both when the leaf ends
+        tau = L - 1
+        state = q_in
         try:
             for value in islice(self.stepper, R - L + 1):
                 for ts in tapes:
                     h = heads[ts.index]
-                    # inside its block hull a head changes nothing
-                    if h < ts.blk_lo or h > ts.blk_hi:
-                        arrive(self, ts, h, k)
+                    # inside its block hull a head changes nothing, and
+                    # inside its window it only grows the hull
+                    if h < ts.blk_lo:
+                        if h >= ts.lo:
+                            ts.blk_lo = h
+                        else:
+                            arrive(self, ts, h, k)
                         if ledger is not None:
                             ledger.refresh_tape(ts)
-                self.state = value[0]
-                self.tau += 1
+                    elif h > ts.blk_hi:
+                        if h <= ts.hi:
+                            ts.blk_hi = h
+                        else:
+                            arrive(self, ts, h, k)
+                        if ledger is not None:
+                            ledger.refresh_tape(ts)
+                state = value[0]
+                tau += 1
                 if sink is not None:
+                    self.tau = tau
                     cells = self.shown_cells
                     if cells is not None:
                         # the cell each tape wrote, against the last emission
@@ -319,20 +343,23 @@ class RollingState:
                     spans = self.shown_spans
                     if spans is None:
                         spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
-                    sink(Configuration(self.machine, self.tau, self.state, tuple(heads), cells, spans))
+                    sink(Configuration(self.machine, tau, state, tuple(heads), cells, spans))
                     # no local keeps a copy alive once a revert or the leaf
                     # end releases it
                     cells = None
                 # a step the gate holds back cannot set a maximum
                 if ledger is not None and ledger.hot:
-                    ledger.step(self.tau, heads)
-                if self.tau % self.audit_stride == 0:
+                    ledger.step(tau, heads)
+                if tau % stride == 0:
+                    self.tau = tau
                     self._audit()
         finally:
+            self.tau = tau
+            self.state = state
             if ledger is not None:
-                ledger.steps_recorded += self.tau - (L - 1)
-        if self.tau != R:
-            raise RunEndedEarly(self.tau, self.t)
+                ledger.steps_recorded += tau - (L - 1)
+        if tau != R:
+            raise RunEndedEarly(tau, self.t)
         if sink is not None:
             # the next leaf's first emission copies afresh, so no copy
             # outlives its leaf

@@ -51,6 +51,29 @@ _T_WITNESS = "tests/test_witness.py::"
 _T_CODEC = "tests/test_codec.py::"
 _T_HOSTILE = "tests/test_hostile_input.py::"
 
+# the leaf loop's per-step hull tests, across which the clock and state
+# mutants move the clock's increment or the state's update
+_LEAF_ARRIVALS = """\
+                for ts in tapes:
+                    h = heads[ts.index]
+                    # inside its block hull a head changes nothing, and
+                    # inside its window it only grows the hull
+                    if h < ts.blk_lo:
+                        if h >= ts.lo:
+                            ts.blk_lo = h
+                        else:
+                            arrive(self, ts, h, k)
+                        if ledger is not None:
+                            ledger.refresh_tape(ts)
+                    elif h > ts.blk_hi:
+                        if h <= ts.hi:
+                            ts.blk_hi = h
+                        else:
+                            arrive(self, ts, h, k)
+                        if ledger is not None:
+                            ledger.refresh_tape(ts)
+"""
+
 MUTANTS = (
     # the ledger's gate and bands
     Mutant(
@@ -132,12 +155,66 @@ MUTANTS = (
     Mutant(
         "steps-recorded-whole-leaf",
         _STREAMING,
-        "ledger.steps_recorded += self.tau - (L - 1)",
+        "ledger.steps_recorded += tau - (L - 1)",
         "ledger.steps_recorded += R - L + 1",
         (
             _T_LEDGER + "test_steps_recorded_on_violations[RunEndedEarly]",
             _T_LEDGER + "test_steps_recorded_on_violations[StaleWindowReentry]",
             _T_LEDGER + "test_steps_recorded_on_violations[NonBlockRespecting]",
+        ),
+    ),
+    # the leaf loop: hull growth inside the window, the local clock and
+    # the audit
+    Mutant(
+        "inline-hull-skips-window-check",
+        _STREAMING,
+        "if h >= ts.lo:",
+        "if h >= ts.lo - 1:",
+        (
+            _T_LEDGER + "test_meter_matches_reference_random_machines",
+            _T_STREAMING + "test_counter_stream_exact",
+            _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "clock-counts-violating-step",
+        _STREAMING,
+        _LEAF_ARRIVALS + "                state = value[0]\n                tau += 1\n",
+        "                tau += 1\n" + _LEAF_ARRIVALS + "                state = value[0]\n",
+        (
+            _T_LEDGER + "test_steps_recorded_on_violations[StaleWindowReentry]",
+            _T_LEDGER + "test_steps_recorded_on_violations[NonBlockRespecting]",
+            _T_STREAMING + "test_clock_and_state_after_a_violation[StaleWindowReentry-bare]",
+            _T_STREAMING + "test_clock_and_state_after_a_violation[NonBlockRespecting-sink]",
+        ),
+    ),
+    Mutant(
+        "state-of-violating-step",
+        _STREAMING,
+        _LEAF_ARRIVALS + "                state = value[0]\n",
+        "                state = value[0]\n" + _LEAF_ARRIVALS,
+        (
+            _T_STREAMING + "test_clock_and_state_after_a_violation[StaleWindowReentry-sink]",
+            _T_STREAMING + "test_clock_and_state_after_a_violation[NonBlockRespecting-bare]",
+        ),
+    ),
+    Mutant(
+        "audit-off-stride",
+        _STREAMING,
+        "if tau % stride == 0:",
+        "if tau % stride == 1:",
+        (
+            _T_STREAMING + "test_audit_fires_without_a_sink",
+        ),
+    ),
+    Mutant(
+        "audit-reads-stale-clock",
+        _STREAMING,
+        "self.tau = tau\n                    self._audit()",
+        "self._audit()",
+        (
+            _T_STREAMING + "test_audit_fires_without_a_sink",
         ),
     ),
     Mutant(
@@ -319,10 +396,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "code-table-takes-empty-symbols",
+        _CODEC,
+        "if table is not None and all(symbols):",
+        "if table is not None:",
+        (
+            _T_CODEC + "test_runs_with_an_empty_symbol_raise_the_per_symbol_key_error[01+empty]",
+            _T_CODEC + "test_runs_with_an_empty_symbol_raise_the_per_symbol_key_error[0+empty+1_]",
+        ),
+    ),
+    Mutant(
         "code-table-decode-range-unchecked",
         _CODEC,
-        "if run and max(run) >= len(alphabet):",
-        "if machine.code_table is None and run and max(run) >= len(alphabet):",
+        "if table[1][-1] not in chars:",
+        "if True:",
         (
             _T_CODEC + "test_out_of_range_symbol_index_rejected",
             _T_CODEC + "test_short_symbol_runs_decode[False]",
@@ -610,8 +697,8 @@ MUTANTS = (
     Mutant(
         "revert-keeps-shown-cells",
         _STREAMING,
-        "ts.live[evict] = initial\n                    self.shown_cells = None",
-        "ts.live[evict] = initial\n                    pass",
+        "ts.live[evict] = initial\n                self.shown_cells = None",
+        "ts.live[evict] = initial\n                pass",
         (
             _T_STREAMING + "test_emissions_share_what_did_not_change_random_machines",
             _T_STREAMING + "test_stream_matches_oracle_random_machines",

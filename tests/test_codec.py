@@ -18,6 +18,7 @@ from holosim.codec import (
     VERSION,
     HistoryWriter,
     _decode_symbols,
+    _symbol_run,
 )
 from support import (
     NO_TABLE_ALPHABETS,
@@ -363,6 +364,11 @@ def test_code_table_only_for_one_byte_latin_1_alphabets(machines):
         assert run.translate(to_code) == bytes(range(len(m.work_alphabet)))
         assert bytes(range(len(m.work_alphabet))).translate(to_char) == run
         assert to_code.count(0xFF) == 256 - len(m.work_alphabet)
+        # every index past the alphabet decodes to the spare byte, the
+        # table's last, which is no symbol's character
+        spare = to_char[-1]
+        assert chr(spare) not in m.work_alphabet
+        assert to_char[len(m.work_alphabet) :] == bytes([spare]) * (256 - len(m.work_alphabet))
     assert all(m.code_table is None for m in without)
 
 
@@ -433,6 +439,43 @@ def test_symbol_outside_the_alphabet_raises_key_error(machines, name, bad):
     c = hs.Configuration(machine=m, state=m.start, heads=(0,) * m.k, cells=(tape,) * m.k)
     with pytest.raises(KeyError):
         hs.encode_configuration(c)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [("01", ""), ("", "1_"), ("0", "", "1_"), ("_", "01", "")],
+    ids=lambda run: "+".join(sym or "empty" for sym in run),
+)
+def test_runs_with_an_empty_symbol_raise_the_per_symbol_key_error(machines, run):
+    """Symbols outside the alphabet whose lengths add up to one
+    character each, since one of them is empty, raise the KeyError of
+    the per-symbol join on a machine with a code table, in a run, a
+    window and a tape, rather than encode as their characters' indices."""
+    m = machines["palin"]
+    assert m.code_table is not None
+    with pytest.raises(KeyError) as want:
+        b"".join(map(m.symbol_codes.__getitem__, run))
+    with pytest.raises(KeyError) as got:
+        _symbol_run(m, run)
+    assert got.value.args == want.value.args
+    w = hs.TapeWindow(0, len(run) - 1, run)
+    s = hs.IntervalSummary(
+        machine=m,
+        q_in=m.start,
+        q_out=m.start,
+        heads_in=(0,) * m.k,
+        heads_out=(0,) * m.k,
+        entry=(w,) * m.k,
+        exit=(w,) * m.k,
+    )
+    with pytest.raises(KeyError) as got:
+        hs.encode_summary(s)
+    assert got.value.args == want.value.args
+    tape = dict(enumerate(run))
+    c = hs.Configuration(machine=m, state=m.start, heads=(0,) * m.k, cells=(tape,) * m.k)
+    with pytest.raises(KeyError) as got:
+        hs.encode_configuration(c)
+    assert got.value.args == want.value.args
 
 
 @pytest.mark.parametrize("name", [*NO_TABLE_ALPHABETS])

@@ -874,6 +874,120 @@ def test_audit_checks_block_hull(corrupt):
         engine._audit()
 
 
+@pytest.mark.parametrize("with_sink", [False, True], ids=["bare", "sink"])
+@pytest.mark.parametrize(
+    "error",
+    [hs.StaleWindowReentry, hs.NonBlockRespecting, hs.RunEndedEarly],
+    ids=["StaleWindowReentry", "NonBlockRespecting", "RunEndedEarly"],
+)
+def test_clock_and_state_after_a_violation(error, with_sink):
+    """A run that raises leaves engine.tau and engine.state at its last
+    completed step, as the reference interpreter has it: a step whose
+    arrival raised is not completed.  The runs are random machines'; a
+    violation past the first leaf and one at a step that changes the
+    state each occur."""
+    rng = random.Random(2702)
+    runs = later = changing = 0
+    for _ in range(400):
+        m = random_machine(rng)
+        n = rng.randint(0, 12) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 120), rng.randint(1, 6), rng.randint(1, 2)
+        emitted: list[int] = []
+        sink = (lambda c: emitted.append(c.time)) if with_sink else None
+        engine = hs.RollingState(m, word, t, b, c_int, sink)
+        try:
+            engine.run()
+        except error:
+            pass
+        except hs.ModelViolation:
+            continue
+        else:
+            continue
+        trace = list(reference_trace(m, word, engine.tau + 1))
+        done = trace[engine.tau]
+        assert (engine.tau, engine.state) == done[:2]
+        if with_sink:
+            assert emitted == list(range(1, engine.tau + 1))
+        runs += 1
+        later += engine.tau > b
+        changing += len(trace) > engine.tau + 1 and trace[engine.tau + 1][1] != done[1]
+    assert runs > 10 and later > 3
+    # RunEndedEarly comes at a halt, where there is no further step
+    assert changing > 3 or error is hs.RunEndedEarly, (runs, later, changing)
+
+
+def test_audit_fires_without_a_sink():
+    """A hull corrupted mid-leaf in a bare run is caught by the audit at
+    the next multiple of audit_stride, so the audit reads the leaf's
+    clock with no sink attached."""
+    t = 2**13
+    engine = hs.RollingState(load_sample("palin"), palin_input(t), t, 91)
+    stride, corrupt_at = engine.audit_stride, 100
+    due = -(-corrupt_at // stride) * stride
+    L, R = engine.decomp.block(2)
+    assert L < corrupt_at < due <= R and due % 91 != 1
+    stepper = engine.stepper
+
+    def corrupted():
+        for tau, value in enumerate(stepper, 1):
+            if tau == corrupt_at:
+                ts = engine.tapes[1]
+                ts.blk_lo = ts.lo - 1
+            yield value
+
+    engine.stepper = corrupted()
+    with pytest.raises(hs.InternalInvariantError) as exc:
+        engine.run()
+    assert "block hull" in str(exc.value)
+    assert str(exc.value).endswith(f"at step {due}")
+    assert engine.tau == due
+
+
+def test_arrive_only_when_a_window_moves(monkeypatch):
+    """On palin at the benchmark's size most steps take a head off its
+    block hull, but only a step that moves a window calls _arrive; the
+    loop grows the hull itself for the rest.  Counted bare and with a
+    sink, whose emissions' spans change exactly that often."""
+    calls = 0
+    arrive = hs.RollingState._arrive
+
+    def counted(self, ts, cell, block_index):
+        nonlocal calls
+        calls += 1
+        arrive(self, ts, cell, block_index)
+
+    monkeypatch.setattr(hs.RollingState, "_arrive", counted)
+    m = load_sample("palin")
+    t = 2**13
+    b = hs.default_block_length(t)
+    assert b == 91
+    hs.holo_run(m, palin_input(t), t, b)
+    bare, calls = calls, 0
+    spans = [((0, 0),) * m.k]
+    heads = [(0,) * m.k]
+    hulls: list[list[int]] = []
+    off_hull = 0
+
+    def sink(c):
+        nonlocal off_hull
+        if c.time % b == 1:
+            hulls[:] = [[h, h] for h in heads[-1]]
+        off = False
+        for hull, h in zip(hulls, c.heads):
+            if not hull[0] <= h <= hull[1]:
+                hull[0], hull[1] = min(hull[0], h), max(hull[1], h)
+                off = True
+        off_hull += off
+        if c.spans != spans[-1]:
+            spans.append(c.spans)
+        heads.append(c.heads)
+
+    hs.holo_run(m, palin_input(t), t, b, sink=sink)
+    assert bare == calls == len(spans) - 1 == 130
+    assert off_hull == 6020
+
+
 def _walk_engine(corrupt=None, leaf=None):
     """A counter run of t = 100 in ten leaves, whose walk (node ids in
     preorder: leaf 1 is node 4, the pair [9, 10] node 16) hands the
