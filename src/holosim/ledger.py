@@ -48,24 +48,36 @@ the engine's simulation state; the engine counts nothing for it.  At
 run start it takes T and the arena size and builds its bit-length
 table.  At each leaf start it counts the cells fixed through the leaf:
 arena, stack, retained and forming summaries, tree position, counters
-and run parameters.  After a tape's block begins and after each head
-arrival off its block hull it recharges that tape's entry snapshot at
-the hull's length.  It recounts the tape's administrative integers
-(live bounds, block-window bounds, evicted-dirty hull) only when one of
-them leaves its band, the range over which its cell count is constant;
-a band holds at least every integer of one bit length, so that happens
-about once per doubling.  A metered step adds the clock and each head
-to the cached cells.
+and run parameters.  Per tape it keeps two fences, `fence_lo` and
+`fence_hi`, around the block hull, and a head's step off its hull is an
+event only when it crosses one of them.  After a tape's block begins
+and at each such event it recharges the entry snapshots at the hulls'
+lengths.  It recounts each of the tape's administrative integers (live
+bounds, block-window bounds, evicted-dirty hull) only when it has left
+its band, the range over which its cell count is constant; a band holds
+at least every integer of one bit length, so that happens about once
+per doubling.  A metered step adds the clock and each head to the
+cached cells.
 
-Between two of these events the row of every step is bounded: each
-head stays inside its block hull and the clock inside the leaf, so
-book <= cached + cells(R) + sum over tapes of max(cells(blk_lo),
+Between two events the book of every step is bounded: a fence ends
+short of the first cell at which an arrival would take an
+administrative integer out of its band (the hull end, the window ends
+and the lost hull's near end), so every head stays inside a hull whose
+ends cost what they did at the event, and the clock stays inside the
+leaf: book <= cached + cells(R) + sum over tapes of max(cells(blk_lo),
 cells(blk_hi)), with R the leaf's last step.  A maximum and its argmax
 change only on a strict >, so after each event and each metered step
 the ledger sets `hot` to whether that bound can beat max_screen,
 max_book or max_total, and the engine meters a step only while `hot`
-holds.  keep_series keeps every step hot.  The engine adds each leaf's
-completed steps to steps_recorded, however the leaf ends.
+holds.  While `hot` holds every fence is its hull, so every growth is
+an event.  Otherwise the slack, the cells of hull growth over all tapes
+that can beat neither max_screen nor max_total, goes to the end of the
+hull at which the event's head stands, what that end's band edges leave
+of it to the hull's other end, and every other tape's fences are its
+hull.  So while every head stays inside its fences no row can beat a
+maximum, and no integer leaves its band.  keep_series keeps every step
+hot and every fence at its hull.  The engine adds each leaf's completed
+steps to steps_recorded, however the leaf ends.
 """
 
 from __future__ import annotations
@@ -150,25 +162,37 @@ class ScreenLedger:
     dirty_evictions: int = 0
     steps_recorded: int = 0
     series: list[LedgerRow] = field(default_factory=list)
+    # The attributes below are few on purpose: CPython 3.11 keeps at most
+    # 29 of an instance's attributes in its compact shared-key layout,
+    # and with a 30th every attribute load of the ledger timed about 1 ns
+    # slower (4.0 against 4.9 ns), so related caches share one.
+    #
     # the gate: whether the next step's row can beat a maximum
     hot: bool = field(default=True, init=False, repr=False, compare=False)
     # this run's bit-length table, built at run start for its t, and per
-    # table index the bands of the integers it holds: nonnegative ones
-    # and negative ones
+    # table index the bands of the integers it holds: a list for the
+    # nonnegative ones and one for the negative ones
     cell_table: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    _nonneg_bands: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
-    _neg_bands: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
-    # cached cells: per tape, its administrative integers, the bands
-    # they were counted in, its entry snapshot and the most a head
-    # inside its hull costs; over the run, the cells that stay fixed
+    _bands: tuple[list[tuple[int, int]], list[tuple[int, int]]] = field(
+        default=((), ()), init=False, repr=False, compare=False
+    )
+    # cached cells: per tape, each of its administrative integers (lo,
+    # hi, blk_lo, blk_hi, lost_lo, lost_hi) and the band it was counted
+    # in, and its entry snapshot; over the run, the cells that stay fixed
     # through a step and the most the clock and heads add to the book
-    _tape_book: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tape_cells: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _tape_bands: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _tape_screen: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    _tape_heads: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
     _screen: int = field(default=0, init=False, repr=False, compare=False)
     _book: int = field(default=0, init=False, repr=False, compare=False)
     _bound: int = field(default=0, init=False, repr=False, compare=False)
+    # per tape, the cells its head may reach without an event (the
+    # engine holds these two lists through a leaf, so they are only ever
+    # written in place), and the one tape whose fences may lie outside
+    # its hull, which may have grown since it was charged
+    fence_lo: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    fence_hi: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _open: object = field(default=None, init=False, repr=False, compare=False)
 
     # ---- engine events ----------------------------------------------------
 
@@ -192,8 +216,9 @@ class ScreenLedger:
         # n - 1 bits.  A band is a maximal run first..n of indices with
         # equal cells, as a range of v: one across zero if the run holds
         # folding 0, else one on each side of zero
-        nonneg = self._nonneg_bands = [(0, -1)] * size
-        neg = self._neg_bands = [(0, -1)] * size
+        nonneg = [(0, -1)] * size
+        neg = [(0, -1)] * size
+        self._bands = nonneg, neg
         first = 1
         for n in range(1, size):
             if n + 1 < size and cells[n + 1] == cells[n]:
@@ -208,15 +233,19 @@ class ScreenLedger:
                 nonneg[j], neg[j] = bands
             first = n + 1
         k = len(run.tapes)
-        self._tape_book = [0] * k
+        self._tape_cells = [[0] * 6 for _ in range(k)]
         self._tape_bands = [[0, -1] * 6 for _ in range(k)]
         self._tape_screen = [0] * k
-        self._tape_heads = [0] * k
+        self.fence_lo = [0] * k
+        self.fence_hi = [0] * k
 
     def _cells(self, values) -> int:
         """Cells of the given integers, one table lookup each."""
         cells = self.cell_table
-        return sum([cells[(v if v >= 0 else ~v).bit_length() + 1] for v in values])
+        total = 0
+        for v in values:
+            total += cells[(v if v >= 0 else ~v).bit_length() + 1]
+        return total
 
     def start_leaf(self, run) -> None:
         """Leaf start, after every tape's block has begun: count the
@@ -235,13 +264,12 @@ class ScreenLedger:
         values = [run.tau + 1, idx[run.state], *run.heads]
         for d in run.pending:
             values.append(idx[d.q_in])
-            values.extend(d.heads_in)
-            for lo, hi in d.entry_spans:
-                values.append(lo)
-                values.append(hi)
+            values += d.heads_in
+            for span in d.entry_spans:
+                values += span
         screen = self.arena_cells + self._cells(values)
         if run.retained_entry is not None:
-            screen += sum(len(w) for w in run.retained_entry)
+            screen += sum(map(len, run.retained_entry))
         book = self._cells(
             (run.leaf_id, self.t, self.b, self.T, pending, run.next_id)
         )
@@ -249,60 +277,132 @@ class ScreenLedger:
             book += self.cell_table[run.depth_now]  # path direction bits
         book += 1  # phase flag
         self._screen = screen + sum(self._tape_screen)
-        self._book = book + sum(self._tape_book)
+        self._book = book + sum([sum(counts) for counts in self._tape_cells])
         R = run.decomp.block(run.leaf_id)[1]
-        self._bound = self.cell_table[R.bit_length() + 1] + sum(self._tape_heads)
+        # a head inside its hull costs at most the dearer hull end
+        heads = sum([max(c[2], c[3]) for c in self._tape_cells])
+        self._bound = self.cell_table[R.bit_length() + 1] + heads
         for ts in run.tapes:
             self.refresh_tape(ts)
 
-    def _recount(self, ts) -> None:
-        """Recount a tape's administrative integers, note the band each
-        was counted in, and bound a head inside the hull by the dearer
-        hull end."""
-        cells = self.cell_table
-        nonneg, neg = self._nonneg_bands, self._neg_bands
-        counts: list[int] = []
-        band: list[int] = []
-        for v in (ts.lo, ts.hi, ts.blk_lo, ts.blk_hi, ts.lost_lo, ts.lost_hi):
-            if v >= 0:
-                n = v.bit_length() + 1
-                band += nonneg[n]
-            else:
-                n = (~v).bit_length() + 1
-                band += neg[n]
-            counts.append(cells[n])
+    def _recount(self, ts, j: int, v: int) -> None:
+        """Recount a tape's j-th administrative integer, now v, which has
+        left the band it was counted in: note its new band and cells, and
+        update the book and, for a hull end, the head bound, which is the
+        dearer hull end's cells."""
+        if v >= 0:
+            n = v.bit_length() + 1
+            band = self._bands[0][n]
+        else:
+            n = (~v).bit_length() + 1
+            band = self._bands[1][n]
         i = ts.index
-        self._tape_bands[i] = band
-        book = sum(counts)
-        self._book += book - self._tape_book[i]
-        self._tape_book[i] = book
-        head = max(counts[2], counts[3])  # the hull ends
-        self._bound += head - self._tape_heads[i]
-        self._tape_heads[i] = head
+        self._tape_bands[i][2 * j : 2 * j + 2] = band
+        counts = self._tape_cells[i]
+        cells = self.cell_table[n]
+        self._book += cells - counts[j]
+        if j == 2 or j == 3:
+            head = max(counts[2], counts[3])
+            counts[j] = cells
+            self._bound += max(counts[2], counts[3]) - head
+        else:
+            counts[j] = cells
 
     def refresh_tape(self, ts) -> None:
-        """A tape's block began or its head arrived off the hull: charge
-        the entry snapshot at the hull's length, recount the
-        administrative integers if one has left its band, and reset the
-        gate."""
+        """A tape's block began or its head crossed a fence: recount each
+        administrative integer that has left its band, charge the entry
+        snapshot at the hull's length, and that of the tape whose head may
+        have grown its hull inside its fence since; reset the gate and the
+        fences."""
         i = ts.index
         band = self._tape_bands[i]
-        if not (
-            band[0] <= ts.lo <= band[1]
-            and band[2] <= ts.hi <= band[3]
-            and band[4] <= ts.blk_lo <= band[5]
-            and band[6] <= ts.blk_hi <= band[7]
-            and band[8] <= ts.lost_lo <= band[9]
-            and band[10] <= ts.lost_hi <= band[11]
-        ):
-            self._recount(ts)
-        screen = ts.blk_hi - ts.blk_lo + 1
+        blk_lo, blk_hi = ts.blk_lo, ts.blk_hi
+        if not band[4] <= blk_lo <= band[5]:
+            self._recount(ts, 2, blk_lo)
+        if not band[6] <= blk_hi <= band[7]:
+            self._recount(ts, 3, blk_hi)
+        if not band[0] <= ts.lo <= band[1]:
+            self._recount(ts, 0, ts.lo)
+        if not band[2] <= ts.hi <= band[3]:
+            self._recount(ts, 1, ts.hi)
+        if not band[8] <= ts.lost_lo <= band[9]:
+            self._recount(ts, 4, ts.lost_lo)
+        if not band[10] <= ts.lost_hi <= band[11]:
+            self._recount(ts, 5, ts.lost_hi)
+        screen = blk_hi - blk_lo + 1
         self._screen += screen - self._tape_screen[i]
         self._tape_screen[i] = screen
-        if not self.keep_series:
-            screen = self._screen
-            book = self._book + self._bound
-            self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
+        fence_lo, fence_hi = self.fence_lo, self.fence_hi
+        other = self._open
+        if other is not None and other is not ts:
+            j = other.index
+            screen = other.blk_hi - other.blk_lo + 1
+            self._screen += screen - self._tape_screen[j]
+            self._tape_screen[j] = screen
+            fence_lo[j], fence_hi[j] = other.blk_lo, other.blk_hi
+        if self.keep_series:
+            fence_lo[i], fence_hi[i] = blk_lo, blk_hi
+            return
+        # the cells of hull growth, over all tapes, that can beat neither
+        # max_screen nor max_total
+        screen = self._screen
+        book = self._book + self._bound
+        slack = self.max_screen - screen
+        total = self.max_total - screen - book
+        if total < slack:
+            slack = total
+        hot = self.hot = slack < 0 or book > self.max_book
+        if hot or not slack:
+            fence_lo[i], fence_hi[i] = blk_lo, blk_hi
+            self._open = None
+            return
+        # how far each end may grow while every administrative integer
+        # stays in its band: the hull end h and, for an arrival, the window
+        # end h; and no eviction, unless a lost hull lies on that side,
+        # whose near end a dirty eviction moves to h -+ cap while the far
+        # window end moves to h -+ (cap - 1).  (Comparisons, not min and
+        # max: a call costs more than all of them.)
+        cap = ts.cap
+        lo, hi = ts.lo, ts.hi
+        lost_lo, lost_hi = ts.lost_lo, ts.lost_hi
+        far_lo = hi - cap + 1
+        if hi < lost_lo <= lost_hi:
+            if far_lo > band[8] - cap:
+                far_lo = band[8] - cap
+            if far_lo < band[2] - cap + 1:
+                far_lo = band[2] - cap + 1
+        if far_lo < band[0]:
+            far_lo = band[0]
+        if far_lo < band[4]:
+            far_lo = band[4]
+        far_hi = lo + cap - 1
+        if lost_lo <= lost_hi < lo:
+            if far_hi < band[11] + cap:
+                far_hi = band[11] + cap
+            if far_hi > band[1] + cap - 1:
+                far_hi = band[1] + cap - 1
+        if far_hi > band[3]:
+            far_hi = band[3]
+        if far_hi > band[7]:
+            far_hi = band[7]
+        # all of the slack to the end where the head stands, the one whose
+        # fence it crossed, and what its band edges leave of it to the
+        # other end
+        if blk_lo < fence_lo[i]:
+            f = blk_lo - slack
+            if f < far_lo:
+                f = far_lo
+            fence_lo[i] = f
+            f = blk_hi + slack - (blk_lo - f)
+            fence_hi[i] = f if f < far_hi else far_hi
+        else:
+            f = blk_hi + slack
+            if f > far_hi:
+                f = far_hi
+            fence_hi[i] = f
+            f = blk_lo - slack + (f - blk_hi)
+            fence_lo[i] = f if f > far_lo else far_lo
+        self._open = ts
 
     def step(self, tau: int, heads) -> None:
         """Record step tau, which the gate let through: the cached cells
@@ -326,8 +426,8 @@ class ScreenLedger:
         if self.keep_series:
             self.series.append(LedgerRow(tau, screen, book))
         else:
-            # refresh_tape's gate, written out in both: a shared method
-            # costs a call per arrival, 5-10% of a metered palin or sweep run
+            # refresh_tape's gate without its slack, written out: a step
+            # opens no fence, and a call would cost one per metered step
             book = self._book + self._bound
             self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
 

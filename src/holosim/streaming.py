@@ -63,13 +63,16 @@ leaf ends, on a violation too.  So a bare step costs the kernel's
 yield, one hull test per tape and the clock's increment.
 
 The engine holds simulation state only.  An attached ScreenLedger is
-told of the run start, each leaf start and each arrival off a hull, one
-call each, and computes every charge itself from that state.  Between
-those events it bounds every step's row and keeps a `hot` flag that
-says whether the bound can beat a maximum, so the loop meters a step
+told of the run start, each leaf start and each hull growth that takes
+a head past one of its tape's fences, one call each, and computes every
+charge itself from that state.  The ledger sets the fences so that no
+row can beat a maximum while every head stays inside them; the loop
+reads the two fence lists once per leaf, and a growth inside its fence
+costs one comparison.  Between events the ledger keeps a `hot` flag
+that says whether a row can beat a maximum, so the loop meters a step
 only while the flag is set and otherwise pays one flag test; at each
 leaf end the loop adds the steps the leaf completed.  Bare, sink and
-replay runs pay one None test per step and per arrival.
+replay runs pay one None test per step and per hull growth.
 """
 
 from __future__ import annotations
@@ -154,6 +157,12 @@ class RollingState:
     run() completes, `root` holds the boundary-policy summary of the
     whole interval [1, t] and the attached ledger (if any) holds the
     space series.
+
+    After run() raises StaleWindowReentry or NonBlockRespecting, `tau`,
+    `state` and the ledger describe the last completed step, but `heads`
+    and the tapes' `live` dicts already hold the violating step's moves
+    and writes: the stepping kernel applies a step before it yields it.
+    The engine then holds no configuration of the run.
     """
 
     def __init__(
@@ -295,6 +304,9 @@ class RollingState:
         arrive = RollingState._arrive
         if ledger is not None:
             ledger.start_leaf(self)
+            # written in place by the ledger; a head that crosses one
+            # of its tape's fences is an event
+            flo, fhi = ledger.fence_lo, ledger.fence_hi
         sink = self.sink
         blank = self.machine.blank
         tapes = self.tapes
@@ -317,14 +329,14 @@ class RollingState:
                             ts.blk_lo = h
                         else:
                             arrive(self, ts, h, k)
-                        if ledger is not None:
+                        if ledger is not None and h < flo[ts.index]:
                             ledger.refresh_tape(ts)
                     elif h > ts.blk_hi:
                         if h <= ts.hi:
                             ts.blk_hi = h
                         else:
                             arrive(self, ts, h, k)
-                        if ledger is not None:
+                        if ledger is not None and h > fhi[ts.index]:
                             ledger.refresh_tape(ts)
                 state = value[0]
                 tau += 1

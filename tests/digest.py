@@ -24,6 +24,11 @@ its length:
 * roots, ledgers: the root summary bytes and the ledger figures of each
   bundled machine's streamed run at t = 2^13 (writer2 at its halt), at
   b = 91 and at the default b;
+* ledgers-random: every figure of a gated ledger and of a keep_series
+  one, its series included, and the outcome of the run, over the random
+  and wide alphabet machines of
+  test_gate_matches_forced_metering_random_machines, violations
+  included;
 * reference, reference-mismatch: the codec's encodings of every label
   of each bundled machine's summary tree at t = 2^13 and b = 16, of
   every 64th configuration of those runs and of the history of a
@@ -197,6 +202,43 @@ def streamed_runs() -> tuple[Section, Section]:
     return roots, ledgers
 
 
+_LEDGER_FIGURES = (
+    "T",
+    "max_screen",
+    "max_book",
+    "max_total",
+    "argmax_screen",
+    "argmax_book",
+    "argmax_total",
+    "max_pending",
+    "dirty_evictions",
+    "steps_recorded",
+)
+
+
+def random_ledgers() -> Section:
+    """The runs of test_gate_matches_forced_metering_random_machines,
+    drawn in the same order from the same seed."""
+    section = Section("ledgers-random")
+    rng = random.Random(1613)
+    for i in range(200):
+        m = wide_alphabet_machine(rng) if i % 8 == 0 else random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = [rng.choice(m.input_alphabet) for _ in range(n)]
+        t, b, c_int = rng.randint(1, 300), rng.randint(1, 5), rng.randint(1, 3)
+        for keep_series in (False, True):
+            ledger = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=keep_series)
+            try:
+                hs.holo_run(m, word, t, b=b, c_int=c_int, ledger=ledger)
+                outcome = "ok"
+            except hs.ModelViolation as exc:
+                outcome = _error(exc)
+            figures = tuple(getattr(ledger, name) for name in _LEDGER_FIGURES)
+            series = [(row.tau, row.screen, row.book) for row in ledger.series]
+            section.add(repr((i, keep_series, outcome, figures, series)))
+    return section
+
+
 def reference_encoders() -> tuple[Section, Section]:
     checked, mismatched = Section("reference"), Section("reference-mismatch")
 
@@ -235,6 +277,7 @@ def main() -> int:
         *random_witnesses(),
         error_parity(),
         *streamed_runs(),
+        random_ledgers(),
         *reference_encoders(),
     ):
         print(section.line(), flush=True)

@@ -63,14 +63,14 @@ _LEAF_ARRIVALS = """\
                             ts.blk_lo = h
                         else:
                             arrive(self, ts, h, k)
-                        if ledger is not None:
+                        if ledger is not None and h < flo[ts.index]:
                             ledger.refresh_tape(ts)
                     elif h > ts.blk_hi:
                         if h <= ts.hi:
                             ts.blk_hi = h
                         else:
                             arrive(self, ts, h, k)
-                        if ledger is not None:
+                        if ledger is not None and h > fhi[ts.index]:
                             ledger.refresh_tape(ts)
 """
 
@@ -113,11 +113,11 @@ MUTANTS = (
     Mutant(
         "step-gate-not-strict",
         _LEDGER,
-        "sweep run\n"
+        "per metered step\n"
         "            book = self._book + self._bound\n"
         "            self.hot = screen > self.max_screen or book > self.max_book"
         " or screen + book > self.max_total",
-        "sweep run\n"
+        "per metered step\n"
         "            book = self._book + self._bound\n"
         "            self.hot = screen >= self.max_screen or book >= self.max_book"
         " or screen + book >= self.max_total",
@@ -129,14 +129,8 @@ MUTANTS = (
     Mutant(
         "refresh-gate-not-strict",
         _LEDGER,
-        "screen = self._screen\n"
-        "            book = self._book + self._bound\n"
-        "            self.hot = screen > self.max_screen or book > self.max_book"
-        " or screen + book > self.max_total",
-        "screen = self._screen\n"
-        "            book = self._book + self._bound\n"
-        "            self.hot = screen >= self.max_screen or book >= self.max_book"
-        " or screen + book >= self.max_total",
+        "hot = self.hot = slack < 0 or book > self.max_book",
+        "hot = self.hot = slack <= 0 or book >= self.max_book",
         (
             _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
             _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
@@ -145,11 +139,68 @@ MUTANTS = (
     Mutant(
         "head-bound-from-blk-lo",
         _LEDGER,
-        "head = max(counts[2], counts[3])",
-        "head = counts[2]",
+        "sum([max(c[2], c[3]) for c in self._tape_cells])",
+        "sum([c[2] for c in self._tape_cells])",
         (
             _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
             _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+        ),
+    ),
+    # the fences: every tape's hull charged, the slack shared, the band
+    # edges an arrival reaches, and no room while the gate is hot
+    Mutant(
+        "fence-charges-only-refreshed-tape",
+        _LEDGER,
+        "if other is not None and other is not ts:",
+        "if False:",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_fence_work_at_benchmark_size[palin]",
+        ),
+    ),
+    Mutant(
+        "fence-slack-one-high",
+        _LEDGER,
+        "f = blk_hi + slack\n",
+        "f = blk_hi + slack + 1\n",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[sweep]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
+            _T_LEDGER + "test_fence_work_at_benchmark_size[sweep]",
+        ),
+    ),
+    Mutant(
+        "fence-ignores-lost-hull-band",
+        _LEDGER,
+        "if far_hi < band[11] + cap:\n"
+        "                far_hi = band[11] + cap\n",
+        "if True:\n"
+        "                far_hi = band[1] + cap - 1\n",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+        ),
+    ),
+    Mutant(
+        "fences-left-open-while-hot",
+        _LEDGER,
+        "        if hot or not slack:\n            fence_lo[i], fence_hi[i] = blk_lo, blk_hi\n",
+        "        if hot or not slack:\n",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+            _T_LEDGER + "test_fence_work_at_benchmark_size[sweep]",
+        ),
+    ),
+    Mutant(
+        "recount-head-ignores-blk-hi",
+        _LEDGER,
+        "if j == 2 or j == 3:",
+        "if j == 2:",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[counter]",
+            _T_LEDGER + "test_gate_work_at_benchmark_size[sweep]",
         ),
     ),
     Mutant(
@@ -641,8 +692,8 @@ MUTANTS = (
     Mutant(
         "snapshot-charge-one-short",
         _LEDGER,
-        "screen = ts.blk_hi - ts.blk_lo + 1",
-        "screen = ts.blk_hi - ts.blk_lo",
+        "screen = blk_hi - blk_lo + 1",
+        "screen = blk_hi - blk_lo",
         (
             "tests/test_cli.py::test_scaling_writer2_fits_nothing",
             _T_LEDGER + "test_ledger_figures_at_benchmark_size[counter]",

@@ -76,7 +76,7 @@ def test_bands_are_maximal_runs_of_equal_cells(gamma):
     hs.RollingState(m, counter_input(20), t, 256, 2, ledger=ledger)
     for v in range(-(2**12), 2**12):
         n = (v if v >= 0 else ~v).bit_length() + 1
-        lo, hi = (ledger._nonneg_bands if v >= 0 else ledger._neg_bands)[n]
+        lo, hi = ledger._bands[v < 0][n]
         assert lo <= v <= hi
         assert int_cells(lo, gamma) == int_cells(v, gamma) == int_cells(hi, gamma)
         assert (lo < 0 <= hi) == (int_cells(0, gamma) == int_cells(v, gamma))
@@ -353,6 +353,45 @@ def _counting_steps(ledger: hs.ScreenLedger) -> list[int]:
     return metered
 
 
+def _logging_refreshes(ledger: hs.ScreenLedger) -> list[tuple]:
+    """Wrap ledger.start_leaf and ledger.refresh_tape so that the
+    returned list receives, at every refresh, the leaf's ordinal, the
+    tape's index, its hull and its window (lo, hi, lost_lo, lost_hi)."""
+    log: list[tuple] = []
+    leaves = [0]
+    start_leaf, refresh_tape = ledger.start_leaf, ledger.refresh_tape
+
+    def leaf(run):
+        leaves[0] += 1
+        start_leaf(run)
+
+    def refresh(ts):
+        log.append((leaves[0], ts.index, ts.blk_lo, ts.blk_hi, (ts.lo, ts.hi, ts.lost_lo, ts.lost_hi)))
+        refresh_tape(ts)
+
+    ledger.start_leaf, ledger.refresh_tape = leaf, refresh
+    return log
+
+
+def _growth_inside_fences(gated: list[tuple], forced: list[tuple]) -> tuple[int, set[str]]:
+    """From the refresh logs of one run's gated and forced ledgers: the
+    leaves in which two tapes grew their hulls inside their fences, and
+    the window events among those growths.  The forced ledger keeps every
+    fence at its hull, so it is refreshed at every growth; a growth the
+    gated one was not refreshed at was inside its fence."""
+    called = {entry[:4] for entry in gated}
+    window: dict[int, tuple] = {}
+    silent: dict[int, set[int]] = {}
+    events: set[str] = set()
+    for entry in forced:
+        leaf, i, _, _, now = entry
+        if entry[:4] not in called:
+            silent.setdefault(leaf, set()).add(i)
+            events |= _window_events(window[i], now)
+        window[i] = now
+    return sum(len(tapes) >= 2 for tapes in silent.values()), events
+
+
 _FIGURES = (
     "T",
     "max_screen",
@@ -374,7 +413,9 @@ def test_gate_matches_forced_metering_random_machines():
     the series sets a new maximum was one the gate let through."""
     rng = random.Random(1613)
     outcomes: set[type] = set()
-    steps = held_back = 0
+    steps = held_back = two_tapes = 0
+    calls = [0, 0]
+    events: set[str] = set()
     for i in range(200):
         m = wide_alphabet_machine(rng) if i % 8 == 0 else random_machine(rng)
         n = rng.randint(0, 8) if m.input_alphabet else 0
@@ -383,6 +424,7 @@ def test_gate_matches_forced_metering_random_machines():
         gated = hs.attach_ledger(m, t, b, c_int=c_int)
         forced = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=True)
         metered = _counting_steps(gated)
+        refreshed = _logging_refreshes(gated), _logging_refreshes(forced)
         kinds = []
         for ledger in (gated, forced):
             try:
@@ -403,14 +445,33 @@ def test_gate_matches_forced_metering_random_machines():
                 best = [max(f, top) for f, top in zip(figures, best)]
         steps += forced.steps_recorded
         held_back += forced.steps_recorded - len(metered)
+        # the fences only ever spare the gated ledger a refresh
+        assert len(refreshed[0]) <= len(refreshed[1]), i
+        calls[0] += len(refreshed[0])
+        calls[1] += len(refreshed[1])
+        leaves, moved = _growth_inside_fences(*refreshed)
+        two_tapes += leaves > 0
+        events |= moved
     assert outcomes == {
         type(None),
         hs.NonBlockRespecting,
         hs.StaleWindowReentry,
         hs.RunEndedEarly,
     }, outcomes
-    # the gate holds most steps back even at these sizes
+    # the gate holds most steps back even at these sizes, and the fences
+    # spare some refreshes
     assert held_back > steps // 2
+    assert calls[0] < calls[1], calls
+    # runs in which two tapes grew inside their fences in one leaf, and
+    # windows that slid both ways inside them, with dirty evictions on
+    # each side
+    assert two_tapes >= 2, two_tapes
+    assert events == {
+        "slide down",
+        "slide up",
+        "lost hull widens down",
+        "lost hull widens up",
+    }, events
 
 
 # one tape; each input cell takes three steps (mark, step back, step on),
@@ -543,3 +604,27 @@ def test_gate_work_at_benchmark_size(name, word, metered):
     hs.holo_run(m, word, 2**13, b=91, ledger=ledger)
     assert len(taus) == metered
     assert ledger.steps_recorded == 2**13
+
+
+@pytest.mark.parametrize(
+    "name, word, refreshed, grown",
+    [
+        ("counter", counter_input(20), 324, 673),
+        ("palin", palin_input(2**13), 706, 6202),
+        ("sweep", "", 686, 8283),
+    ],
+    ids=["counter", "palin", "sweep"],
+)
+def test_fence_work_at_benchmark_size(name, word, refreshed, grown):
+    """How often refresh_tape runs over the 8192 steps: once per tape at
+    each leaf start, and whenever a head crosses a fence.  A keep_series
+    ledger keeps every fence at its hull, so it runs at every hull
+    growth."""
+    m = load_sample(name)
+    counts = []
+    for keep_series in (False, True):
+        ledger = hs.attach_ledger(m, 2**13, 91, keep_series=keep_series)
+        log = _logging_refreshes(ledger)
+        hs.holo_run(m, word, 2**13, b=91, ledger=ledger)
+        counts.append(len(log))
+    assert counts == [refreshed, grown]

@@ -883,9 +883,11 @@ def test_audit_checks_block_hull(corrupt):
 def test_clock_and_state_after_a_violation(error, with_sink):
     """A run that raises leaves engine.tau and engine.state at its last
     completed step, as the reference interpreter has it: a step whose
-    arrival raised is not completed.  The runs are random machines'; a
-    violation past the first leaf and one at a step that changes the
-    state each occur."""
+    arrival raised is not completed.  engine.heads hold the violating
+    step's moves, which the kernel applied before it yielded; a halt
+    has no further step.  The runs are random machines'; a violation
+    past the first leaf and one at a step that changes the state each
+    occur."""
     rng = random.Random(2702)
     runs = later = changing = 0
     for _ in range(400):
@@ -907,6 +909,8 @@ def test_clock_and_state_after_a_violation(error, with_sink):
         trace = list(reference_trace(m, word, engine.tau + 1))
         done = trace[engine.tau]
         assert (engine.tau, engine.state) == done[:2]
+        moved = done if error is hs.RunEndedEarly else trace[engine.tau + 1]
+        assert tuple(engine.heads) == moved[2]
         if with_sink:
             assert emitted == list(range(1, engine.tau + 1))
         runs += 1
