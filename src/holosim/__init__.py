@@ -13,7 +13,6 @@ from .blocks import (
     check_block_respecting,
     decompose,
     direct_summary,
-    fold_left_deep,
     interval_summary,
     leaf_summary,
     merge,
@@ -36,12 +35,9 @@ from .codec import (
 )
 from .ctree import (
     build_tree,
-    dfs_order,
     label_tree,
-    leaf_to_time,
     split_left_count,
     time_to_leaf,
-    tree_depth_for,
     tree_to_json,
 )
 from .errors import (
@@ -57,7 +53,7 @@ from .errors import (
     StepFromHaltError,
     WindowEscape,
 )
-from .ledger import LedgerRow, ScreenLedger, attach_ledger, int_cells
+from .ledger import LedgerRow, ScreenLedger, attach_ledger
 from .machine import (
     Configuration,
     HistoryCursor,
@@ -85,7 +81,6 @@ from .scaling import (
 )
 from .streaming import (
     CaptureSink,
-    CountingSink,
     RollingState,
     default_block_length,
     holo_run,

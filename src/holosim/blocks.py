@@ -437,13 +437,3 @@ def merge(left: IntervalSummary, right: IntervalSummary) -> IntervalSummary:
         exit=tuple(exit_windows),
         policy=POLICY_FULL,
     )
-
-
-def fold_left_deep(summaries: Sequence[IntervalSummary]) -> IntervalSummary:
-    """Merge a block-ordered summary sequence strictly left to right."""
-    if not summaries:
-        raise ValueError("cannot fold an empty summary sequence")
-    acc = summaries[0]
-    for s in summaries[1:]:
-        acc = merge(acc, s)
-    return acc

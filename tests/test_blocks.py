@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holosim as hs
-from support import random_machine, reference_block_spans
+from support import fold_left_deep, random_machine, reference_block_spans
 
 
 @given(t=st.integers(0, 5000), b=st.integers(1, 200))
@@ -286,7 +286,7 @@ def test_merge_boundary_policy_keeps_outer_sides(counter_run):
         hs.direct_summary(counter_run, d, k, k, 4, hs.POLICY_BOUNDARY)
         for k in range(1, 5)
     ]
-    merged = hs.fold_left_deep(summaries)
+    merged = fold_left_deep(summaries)
     assert merged.policy == hs.POLICY_BOUNDARY
     assert merged.entry == summaries[0].entry
     assert merged.exit == summaries[-1].exit
@@ -295,9 +295,9 @@ def test_merge_boundary_policy_keeps_outer_sides(counter_run):
 def test_fold_left_deep_equals_whole(counter_run):
     d = hs.decompose(counter_run.t, 16)
     leaves = [hs.leaf_summary(counter_run, d.block(k), 4, 16) for k in range(1, d.T + 1)]
-    assert hs.fold_left_deep(leaves) == hs.interval_summary(counter_run, 1, counter_run.t)
+    assert fold_left_deep(leaves) == hs.interval_summary(counter_run, 1, counter_run.t)
     with pytest.raises(ValueError, match="cannot fold an empty summary sequence"):
-        hs.fold_left_deep([])
+        fold_left_deep([])
 
 
 def test_check_block_respecting_against_reference(machines):
@@ -347,7 +347,7 @@ def test_direct_summary_consistency(data):
     c_int = rec.t + 2  # generous, random machines are not block-respecting
     got = hs.direct_summary(rec, d, k_lo, k_hi, c_int, hs.POLICY_FULL)
     leaves = [hs.leaf_summary(rec, d.block(k), c_int, b) for k in range(k_lo, k_hi + 1)]
-    assert got == hs.fold_left_deep(leaves)
+    assert got == fold_left_deep(leaves)
 
 
 # ---------------------------------------------------------------------------

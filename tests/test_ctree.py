@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 import holosim as hs
 from holosim.blocks import leaf_summaries
-from holosim.ctree import ENTER, EXIT, LEAF_EMIT
 from holosim.streaming import VerifySink
+from support import (
+    ENTER,
+    EXIT,
+    LEAF_EMIT,
+    dfs_order,
+    fold_left_deep,
+    leaf_to_time,
+    tree_depth_for,
+)
 
 
 def test_split_left_count():
@@ -52,19 +60,19 @@ def test_empty_decomposition_rejected():
 
 @given(T=st.integers(1, 3000))
 def test_depth_formula(T):
-    assert hs.tree_depth_for(T) == (0 if T == 1 else math.ceil(math.log2(T)))
+    assert tree_depth_for(T) == (0 if T == 1 else math.ceil(math.log2(T)))
 
 
 @given(t=st.integers(1, 400), b=st.integers(1, 40))
 def test_built_tree_depth_matches_recurrence(t, b):
     d = hs.decompose(t, b)
     tree = hs.build_tree(d)
-    assert tree.depth == hs.tree_depth_for(d.T)
+    assert tree.depth == tree_depth_for(d.T)
 
 
 def test_dfs_order_writer2(machines):
     tree = hs.build_tree(hs.decompose(2, 1))
-    steps = hs.dfs_order(tree)
+    steps = dfs_order(tree)
     phases = [(s.phase, s.node) for s in steps]
     assert phases == [
         (ENTER, 0),
@@ -81,10 +89,10 @@ def test_dfs_order_writer2(machines):
 @given(t=st.integers(1, 300), b=st.integers(1, 30))
 def test_dfs_order_properties(t, b):
     tree = hs.build_tree(hs.decompose(t, b))
-    steps = hs.dfs_order(tree)
+    steps = dfs_order(tree)
     emits = [s for s in steps if s.phase == LEAF_EMIT]
     # one emission per simulated step, in time order
-    times = [hs.leaf_to_time(s.leaf, s.offset, b, t) for s in emits]
+    times = [leaf_to_time(s.leaf, s.offset, b, t) for s in emits]
     assert times == list(range(1, t + 1))
     # enter/exit nest properly; max open nodes = depth + 1
     open_now = 0
@@ -107,7 +115,7 @@ def test_duality_bijection(t, b):
     seen = set()
     for tau in range(1, t + 1):
         k, delta = hs.time_to_leaf(tau, b, t)
-        assert hs.leaf_to_time(k, delta, b, t) == tau
+        assert leaf_to_time(k, delta, b, t) == tau
         seen.add((k, delta))
     assert len(seen) == t
     # every (leaf, offset) pair of the decomposition is hit
@@ -126,18 +134,18 @@ def test_duality_rejects_out_of_range():
     with pytest.raises(ValueError):
         hs.time_to_leaf(11, 3, 10)
     with pytest.raises(ValueError):
-        hs.leaf_to_time(4, 1, 3, 10)  # block 4 is [10,10]; offset 1 past end
+        leaf_to_time(4, 1, 3, 10)  # block 4 is [10,10]; offset 1 past end
     with pytest.raises(ValueError):
-        hs.leaf_to_time(5, 0, 3, 10)
+        leaf_to_time(5, 0, 3, 10)
 
 
 def test_tree_helpers_reject_bad_args(counter_run):
     with pytest.raises(ValueError):
-        hs.tree_depth_for(0)
+        tree_depth_for(0)
     with pytest.raises(ValueError):
         hs.time_to_leaf(1, 0, 10)
     with pytest.raises(ValueError):
-        hs.leaf_to_time(1, 0, 0, 10)
+        leaf_to_time(1, 0, 0, 10)
     tree = hs.build_tree(hs.decompose(counter_run.t - 1, 32))
     with pytest.raises(ValueError, match="tree is over"):
         hs.label_tree(tree, counter_run, 4)
@@ -175,7 +183,7 @@ def test_tree_json_round_shape(counter_run):
     assert data["T"] == 8 and data["depth"] == 3
     assert len(data["nodes"]) == 15
     assert all("summary_hex" not in n for n in data["nodes"])
-    labeled = hs.label_tree(tree, hs.run(counter_run.machine, counter_run.input, 64), 4)
+    labeled = hs.label_tree(tree, hs.run(counter_run.machine, hs.counter_input(10), 64), 4)
     data = hs.tree_to_json(labeled)
     blob = bytes.fromhex(data["nodes"][0]["summary_hex"])
     assert hs.decode_summary_exact(blob, counter_run.machine) == labeled.labels[0]
@@ -204,7 +212,7 @@ def test_random_fold_against_label_root():
         labeled = hs.label_tree(tree, rec, c_int)
         d = hs.decompose(rec.t, b)
         leaves = [hs.leaf_summary(rec, d.block(k), c_int, b) for k in range(1, d.T + 1)]
-        assert labeled.labels[0] == hs.fold_left_deep(leaves)
+        assert labeled.labels[0] == fold_left_deep(leaves)
         done += 1
 
 

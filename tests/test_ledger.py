@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import holosim as hs
 from holosim.codec import zigzag
-from holosim.ledger import cells_for_bits, cells_table, int_cells
+from holosim.ledger import cells_for_bits, cells_table
 from holosim.samples import counter_input, load_sample, palin_input
-from support import random_machine, wide_alphabet_machine
+from support import int_cells, random_machine, wide_alphabet_machine
 
 
 def bits_of(value: int) -> int:

@@ -314,7 +314,7 @@ def test_history_random_access(counter_run):
 def test_history_cursor_matches_random_access(counter_run):
     """The cursor, advanced in strides, against the test-side
     interpreter, which shares no code with it."""
-    want = _reference_walk(counter_run)
+    want = _reference_walk(counter_run, hs.counter_input(10))
     cursor = counter_run.history.cursor()
     for tau in range(0, counter_run.t + 1, 7):
         cursor.advance_to(tau)
@@ -325,7 +325,7 @@ def test_cursor_advance_to_past_the_end_stops_at_t(counter_run):
     """advance_to past the end applies every step up to t, then raises;
     advance at the end and a rewind raise and move nothing."""
     t = counter_run.t
-    final = _reference_walk(counter_run)[t]
+    final = _reference_walk(counter_run, hs.counter_input(10))[t]
     cursor = counter_run.history.cursor()
     cursor.advance_to(t // 2)
     with pytest.raises(IndexError, match="cursor already at end of history"):
@@ -387,23 +387,24 @@ def _full(cfg):
     return (cfg.time, cfg.state, cfg.heads, cfg.cells, cfg.spans)
 
 
-def _reference_walk(rec) -> list[tuple]:
-    """_full of every configuration of rec's run, spans included, from
-    the test-side interpreter, which shares no code with the history."""
+def _reference_walk(rec, word) -> list[tuple]:
+    """_full of every configuration of rec's run on word, spans
+    included, from the test-side interpreter, which shares no code with
+    the history."""
     walk = []
     lo = hi = (0,) * rec.machine.k
-    for time, state, heads, cells in reference_trace(rec.machine, rec.input, rec.t):
+    for time, state, heads, cells in reference_trace(rec.machine, word, rec.t):
         lo, hi = tuple(map(min, lo, heads)), tuple(map(max, hi, heads))
         walk.append((time, state, heads, cells, tuple(zip(lo, hi))))
     return walk
 
 
-def _check_random_order_access(rec, rng):
+def _check_random_order_access(rec, word, rng):
     """history[tau], asked with t first, then 0, the middle, random
     times and then descending, and final equal the test-side
     interpreter's configuration; times outside [0, t] raise."""
     history = rec.history
-    walk = _reference_walk(rec)
+    walk = _reference_walk(rec, word)
     t = rec.t
     order = [t, 0, t // 2] + [rng.randint(0, t) for _ in range(8)] + list(range(t, -1, -max(1, t // 9)))
     for tau in order:
@@ -427,7 +428,7 @@ def test_history_random_order_access_bundled(machines):
         ("palin", "0110", 100),
     ]
     for name, word, budget in cases:
-        _check_random_order_access(hs.run(machines[name], word, max_steps=budget), rng)
+        _check_random_order_access(hs.run(machines[name], word, max_steps=budget), word, rng)
 
 
 def test_history_random_order_access_random_machines():
@@ -436,7 +437,7 @@ def test_history_random_order_access_random_machines():
         m = random_machine(rng)
         word = "".join(rng.choice(m.input_alphabet) for _ in range(rng.randint(0, 6))) if m.input_alphabet else ""
         budget = (0, 1, 2, 5)[i] if i < 4 else rng.randint(0, 150)
-        _check_random_order_access(hs.run(m, word, max_steps=budget), rng)
+        _check_random_order_access(hs.run(m, word, max_steps=budget), word, rng)
 
 
 def test_run_peak_heap_holds_no_checkpoints(machines):

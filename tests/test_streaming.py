@@ -19,10 +19,13 @@ from holosim.blocks import leaf_summaries
 from holosim.samples import counter_input, load_sample, palin_input
 from holosim.streaming import VerifySink
 from support import (
+    CountingSink,
     ReferenceVerifier,
+    fold_left_deep,
     oracle_walk,
     random_machine,
     reference_trace,
+    tree_depth_for,
     wide_alphabet_machine,
 )
 
@@ -111,7 +114,7 @@ def test_root_matches_fold():
         replace(hs.leaf_summary(rec, d.block(k), 2, b), policy=hs.POLICY_BOUNDARY)
         for k in range(1, d.T + 1)
     ]
-    folded = hs.fold_left_deep(leaves)
+    folded = fold_left_deep(leaves)
     assert hs.encode_summary(root) == hs.encode_summary(folded)
 
 
@@ -153,7 +156,7 @@ def test_capture_sink_exactly_once():
 def test_counting_sink_all_once():
     m = load_sample("counter")
     t = 200
-    sink = hs.CountingSink()
+    sink = CountingSink()
     hs.holo_run(m, counter_input(8), t, b=14, sink=sink)
     assert sink.all_once(t)
 
@@ -163,7 +166,7 @@ def test_counting_sink_refuses_wrong_times():
     t = 10
 
     def fed(times):
-        sink = hs.CountingSink()
+        sink = CountingSink()
         for time in times:
             sink(SimpleNamespace(time=time))
         return sink
@@ -546,7 +549,7 @@ def test_pending_stack_bounded_by_depth():
         ledger = hs.attach_ledger(m, t, b)
         hs.holo_run(m, word, t, b=b, ledger=ledger)
         T = hs.decompose(t, b).T
-        depth = hs.tree_depth_for(T)
+        depth = tree_depth_for(T)
         assert ledger.max_pending <= depth
 
 
@@ -1169,7 +1172,7 @@ def test_prefix_of_longer_run():
     t = 300
     rec = hs.run(m, word, max_steps=t)
     assert rec.halt_reason == "budget"
-    sink = hs.CountingSink()
+    sink = CountingSink()
     root = hs.holo_run(m, word, t, b=20, sink=sink)
     assert sink.all_once(t)
     assert root.R == t
