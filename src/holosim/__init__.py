@@ -66,7 +66,6 @@ from .machine import (
     probe_run_length,
     run,
     serialize_machine,
-    step,
 )
 from .replay import replay_all, replay_from_summary
 from .samples import SAMPLE_NAMES, counter_input, load_sample, palin_input, sample_text

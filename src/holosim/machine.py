@@ -11,8 +11,8 @@ MachineSpec.step_table, the transition map compiled into a trie keyed
 by the symbol read on each tape in turn, built on the first step and
 kept per machine; a step builds and hashes no key tuple and touches
 only the tapes that change or move.  That skip relies on every tape
-dict holding non-blank cells only, the form all callers keep.  step()
-is a deliberately naive, pure reference for it.
+dict holding non-blank cells only, the form all callers keep.  The
+tests check it against a deliberately naive, pure reference step.
 
 run() is the reference oracle: it executes the machine forwards once
 and records a compact per-step trace.  Its history is read forward
@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
-from .errors import MachineFormatError, StepFromHaltError
+from .errors import MachineFormatError
 
 MOVE_TOKENS = {"L": -1, "S": 0, "R": 1}
 MOVE_NAMES = {-1: "L", 0: "S", 1: "R"}
@@ -421,37 +421,6 @@ def initial_configuration(machine: MachineSpec, input_word: str | Sequence[str])
         heads=(0,) * machine.k,
         cells=cells,
         spans=((0, 0),) * machine.k,
-    )
-
-
-def step(machine: MachineSpec, config: Configuration) -> Configuration:
-    """One deterministic step.  Pure: the input configuration is kept
-    intact.  Raises StepFromHaltError on accepting or rejecting states."""
-    if machine.is_halting(config.state):
-        raise StepFromHaltError(f"cannot step from halting state {config.state!r}")
-    reads = tuple(config.cells[i].get(config.heads[i], machine.blank) for i in range(machine.k))
-    q2, writes, moves = machine.delta[(config.state, reads)]
-    new_cells = []
-    new_heads = []
-    new_spans = []
-    for i in range(machine.k):
-        tape = dict(config.cells[i])
-        if writes[i] == machine.blank:
-            tape.pop(config.heads[i], None)
-        else:
-            tape[config.heads[i]] = writes[i]
-        head = config.heads[i] + moves[i]
-        lo, hi = config.spans[i]
-        new_cells.append(tape)
-        new_heads.append(head)
-        new_spans.append((min(lo, head), max(hi, head)))
-    return Configuration(
-        machine=machine,
-        time=config.time + 1,
-        state=q2,
-        heads=tuple(new_heads),
-        cells=tuple(new_cells),
-        spans=tuple(new_spans),
     )
 
 

@@ -39,6 +39,15 @@ as their spans.  The cells outside every span are correct whenever no
 dirty cell has been evicted; after a dirty eviction only the in-span
 cells are trustworthy.
 
+A sink with a start_run method is a step sink and takes no
+configurations: the engine calls start_run(engine) once, as it does a
+ledger's, and then step(tau, value) after each step with the kernel's
+transition value, and the sink reads heads, windows and reported tapes
+off the engine.  A step changes a reported tape only at the cell each
+head wrote and at the cells that left the window, which revert to the
+initial tape, so a step sink can follow every tape in O(k) a step plus
+the cells its windows moved by.  VerifySink is one.
+
 Emissions are read-only, and consecutive ones share objects: the next
 emission reuses the last one's cells tuple unless its step wrote a
 different symbol (checked at the one cell each tape wrote, against the
@@ -72,14 +81,15 @@ costs one comparison.  Between events the ledger keeps a `hot` flag
 that says whether a row can beat a maximum, so the loop meters a step
 only while the flag is set and otherwise pays one flag test; at each
 leaf end the loop adds the steps the leaf completed.  Bare, sink and
-replay runs pay one None test per step and per hull growth.
+replay runs pay one None test per step and per hull growth, and a run
+with a sink one more per step, for a step sink.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable
 
 from .blocks import POLICY_BOUNDARY, IntervalSummary, TapeWindow, decompose, tape_window
@@ -93,6 +103,7 @@ from .errors import (
 from .ledger import ScreenLedger
 from .machine import Configuration, MachineSpec, initial_configuration, normalize_input, steps
 
+# a configuration sink; a step sink (module docstring) is passed the same way
 Sink = Callable[[Configuration], None]
 
 
@@ -220,6 +231,12 @@ class RollingState:
                     f"{(ledger.t, ledger.b, ledger.c_int)}, run has {(t, b, c_int)}"
                 )
             ledger.start_run(self)
+        # a sink with start_run takes each step's transition value, not
+        # a configuration, and reads the rest off the engine
+        self.on_step = None
+        if hasattr(sink, "start_run"):
+            sink.start_run(self)
+            self.on_step = sink.step
 
     # ---- invariants -------------------------------------------------------
 
@@ -306,6 +323,7 @@ class RollingState:
             # of its tape's fences is an event
             flo, fhi = ledger.fence_lo, ledger.fence_hi
         sink = self.sink
+        on_step = self.on_step
         blank = self.machine.blank
         tapes = self.tapes
         indices = range(len(tapes))
@@ -340,23 +358,26 @@ class RollingState:
                 tau += 1
                 if sink is not None:
                     self.tau = tau
-                    cells = self.shown_cells
-                    if cells is not None:
-                        # the cell each tape wrote, against the last emission
-                        writes, moves = value[1], value[2]
-                        for i in indices:
-                            if cells[i].get(heads[i] - moves[i], blank) != writes[i]:
-                                cells = self.shown_cells = None
-                                break
-                    if cells is None:
-                        cells = self.shown_cells = tuple([ts.live.copy() for ts in tapes])
-                    spans = self.shown_spans
-                    if spans is None:
-                        spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
-                    sink(Configuration(self.machine, tau, state, tuple(heads), cells, spans))
-                    # no local keeps a copy alive once a revert or the leaf
-                    # end releases it
-                    cells = None
+                    if on_step is not None:
+                        on_step(tau, value)
+                    else:
+                        cells = self.shown_cells
+                        if cells is not None:
+                            # the cell each tape wrote, against the last emission
+                            writes, moves = value[1], value[2]
+                            for i in indices:
+                                if cells[i].get(heads[i] - moves[i], blank) != writes[i]:
+                                    cells = self.shown_cells = None
+                                    break
+                        if cells is None:
+                            cells = self.shown_cells = tuple([ts.live.copy() for ts in tapes])
+                        spans = self.shown_spans
+                        if spans is None:
+                            spans = self.shown_spans = tuple([(ts.lo, ts.hi) for ts in tapes])
+                        sink(Configuration(self.machine, tau, state, tuple(heads), cells, spans))
+                        # no local keeps a copy alive once a revert or the
+                        # leaf end releases it
+                        cells = None
                 # a step the gate holds back cannot set a maximum
                 if ledger is not None and ledger.hot:
                     ledger.step(tau, heads)
@@ -491,9 +512,11 @@ def holo_run(
     t must be the exact run length (or less, for a prefix of a longer
     run); if the machine halts before t the walk raises RunEndedEarly.
     Use probe_run_length to discover the length first.  sink, when
-    given, receives one emitted configuration per step in time order.
-    Emissions are read-only: consecutive ones may share their cells and
-    spans objects, so a sink that changes one must copy it first.
+    given, receives one emitted configuration per step in time order,
+    or, for a step sink (module docstring), each step's time and
+    transition value.  Emissions are read-only: consecutive ones may
+    share their cells and spans objects, so a sink that changes one must
+    copy it first.
     """
     if b is None:
         b = default_block_length(t)
@@ -521,168 +544,138 @@ class CaptureSink:
 
 
 class VerifySink:
-    """Sink that checks each emission against direct simulation, run in
-    lockstep: the sink owns full oracle tapes and one stepping kernel
-    and takes one step per emission.  An emission must come at the
-    next time, with the kernel's state and heads; a mismatch inside its
-    spans raises, a wrong cell outside every span only keeps it out of
-    `strict`, the count of emissions equal to the oracle outright.
+    """Sink that checks each step of a run against direct simulation, run
+    in lockstep: the sink owns full oracle tapes and one stepping kernel
+    and takes one step per step of the run.  A step must come at the
+    next time, with the kernel's state and heads; a cell that disagrees
+    with the oracle inside its tape's window raises, and one outside
+    every window only keeps the step out of `strict`, the count of steps
+    whose tapes equal the oracle outright.
 
-    Per tape the sink keeps the expected report, what a correct engine
-    reports (module docstring): the oracle's cells inside the last
-    emission's span and the initial tape's outside it.  `stale` counts
-    the cells outside the span where that report differs from the
-    oracle; a cell outside is one of them exactly when the oracle and
-    the initial tape differ there, so no set of them is kept.  While
-    the count is 0 the expected report is the oracle tape itself, so a
-    run without dirty evictions builds no second dict.  A step updates
-    both at the cell each tape wrote and at the cells its span gained
-    or lost.
+    The sink does not take configurations.  Its start_run hands it the
+    engine, and each step hands it the step's time and transition value;
+    it reads the heads, the windows and the reported tapes (module
+    docstring) off the engine.  A step changes a reported tape only at
+    the cell its head wrote and at the cells that left the window, which
+    show their revert, so those are the cells the sink reads, with the
+    cells that entered the window.  Each costs O(1), so a step costs
+    O(k) plus the cells its windows moved by, not a copy of every tape.
 
-    An emission that reuses both the cells and the spans objects of a
-    last emission equal to its expected report can differ from the new
-    report only where the step wrote, so only those k cells are
-    checked; any other emission is compared tape by tape at C speed.
-    Only an emission that differs from its expected report gets the
-    in-span cell walk, and a correct engine never sends one."""
+    Per tape the sink keeps the window of the last step and `stale`, the
+    count of cells outside it where the reported tape differs from the
+    oracle.  Inside the window the two agree, or the sink would have
+    raised, so a cell that leaves adds to the count when its revert
+    differs from the oracle, and a cell that enters must show the
+    oracle's symbol.  A written cell outside the last window, which a
+    correct engine never has, has the tape counted afresh."""
 
     def __init__(self, machine: MachineSpec, input_word):
         c0 = initial_configuration(machine, input_word)
-        self.initial = c0.cells
         self.oracle = tuple([dict(tape) for tape in c0.cells])
         self.heads = list(c0.heads)
         self.stepper = steps(machine, c0.state, self.heads, self.oracle)
         self.time = 0
-        # the expected reports, `oracle` itself while every stale count is 0
-        self.reports = self.oracle
+        self.run_heads: list[int] = []
+        # (engine tape, oracle tape) per tape, set by start_run
+        self.pairs: tuple = ()
+        self.spans: list[tuple[int, int]] = []
         self.stale = [0] * machine.k
-        # at time 0 the oracle is the initial tape, whatever the span
-        self.spans = c0.spans
-        # the last emission's cells while they equal its expected report
-        self.matched: tuple[dict[int, str], ...] | None = None
+        # no tape has a stale cell
+        self.exact = True
         self.compared = 0
         self.strict = 0
 
-    def __call__(self, config: Configuration) -> None:
-        if config.time != self.time + 1:
-            raise InternalInvariantError(
-                f"emission at t={config.time} does not follow t={self.time}"
-            )
-        value = next(self.stepper, None)
-        if value is None:
-            raise InternalInvariantError(
-                f"emission at t={config.time} comes after direct simulation "
-                f"halted at t={self.time}"
-            )
-        self.time = config.time
-        heads = self.heads
-        if config.state != value[0] or config.heads != tuple(heads):
-            raise self._disagrees(config)
-        cells, spans, last_spans = config.cells, config.spans, self.spans
-        oracle, reports = self.oracle, self.reports
-        shared = cells is self.matched and spans is last_spans
-        matched = True
-        for i, move in enumerate(value[2]):
-            w = heads[i] - move
-            lo, hi = last_spans[i]
-            if w < lo or w > hi:
-                # the last emission's head was outside its own span
-                self._rebuild(i, lo, hi)
-                reports = self.reports
-            elif reports is not oracle and reports[i] is not oracle[i]:
-                _show(reports[i], w, oracle[i].get(w))
-            if shared and cells[i].get(w) != reports[i].get(w):
-                matched = False
-        if spans is not last_spans:
-            for i, (old, new) in enumerate(zip(last_spans, spans)):
-                if old != new:
-                    self._move_span(i, old, new)
-            self.spans = spans
-        if not shared:
-            matched = cells == self.reports
-        if matched:
-            self.matched = cells
-            exact = self.reports is oracle
-        else:
-            self.matched = None
-            exact = True
-            for got, want, (lo, hi) in zip(cells, oracle, spans):
-                if got != want:
-                    exact = False
-                    if not all(got.get(c) == want.get(c) for c in range(lo, hi + 1)):
-                        raise self._disagrees(config)
-        self.compared += 1
-        self.strict += exact
+    def start_run(self, run) -> None:
+        """Take the engine's heads and tapes, and count its initial tapes
+        against the oracle's."""
+        self.run_heads = run.heads
+        self.pairs = tuple(zip(run.tapes, self.oracle))
+        self.spans = [(ts.lo, ts.hi) for ts in run.tapes]
+        for i in range(len(self.pairs)):
+            self._recount(i)
 
-    def _disagrees(self, config: Configuration) -> InternalInvariantError:
+    def step(self, tau: int, value) -> None:
+        if tau != self.time + 1:
+            raise InternalInvariantError(f"emission at t={tau} does not follow t={self.time}")
+        expected = next(self.stepper, None)
+        if expected is None:
+            raise InternalInvariantError(
+                f"emission at t={tau} comes after direct simulation halted at t={self.time}"
+            )
+        self.time = tau
+        heads = self.heads
+        # the kernel yields the delta entry itself, so equal values are
+        # one object
+        if value is not expected and value[0] != expected[0] or self.run_heads != heads:
+            raise self._disagrees()
+        spans, moves = self.spans, expected[2]
+        i = 0
+        for ts, tape in self.pairs:
+            lo, hi = spans[i]
+            # the cell the step wrote, where the oracle's head was
+            w = heads[i] - moves[i]
+            if ts.lo == lo and ts.hi == hi and lo <= w <= hi:
+                if ts.live.get(w) != tape.get(w):
+                    raise self._disagrees()
+            else:
+                self._move_span(i, w)
+            i += 1
+        self.compared += 1
+        self.strict += self.exact
+
+    def _disagrees(self) -> InternalInvariantError:
         return InternalInvariantError(
-            f"emission at t={config.time} disagrees with direct simulation "
+            f"emission at t={self.time} disagrees with direct simulation "
             f"inside its window"
         )
 
-    def _set_report(self, i: int, report: dict[int, str]) -> None:
-        reports = list(self.reports)
-        reports[i] = report
-        own = any(r is not o for r, o in zip(reports, self.oracle))
-        self.reports = tuple(reports) if own else self.oracle
-
-    def _rebuild(self, i: int, lo: int, hi: int) -> None:
-        """Recount tape i's stale cells and rebuild its expected report
-        for span [lo, hi] from the oracle and initial tapes."""
-        tape, initial = self.oracle[i], self.initial[i]
-        stale = sum(
-            not lo <= c <= hi and tape.get(c) != initial.get(c) for c in tape.keys() | initial.keys()
-        )
+    def _recount(self, i: int) -> None:
+        """Compare tape i with the oracle's cell by cell: raise at a
+        difference inside the window, count those outside it."""
+        ts, tape = self.pairs[i]
+        lo, hi, live = ts.lo, ts.hi, ts.live
+        stale = 0
+        for cell in live.keys() | tape.keys():
+            if live.get(cell) != tape.get(cell):
+                if lo <= cell <= hi:
+                    raise self._disagrees()
+                stale += 1
         self.stale[i] = stale
-        if stale:
-            report = {c: s for c, s in initial.items() if not lo <= c <= hi}
-            report.update((c, s) for c, s in tape.items() if lo <= c <= hi)
-            self._set_report(i, report)
+        self.exact = not any(self.stale)
+        self.spans[i] = (lo, hi)
+
+    def _move_span(self, i: int, w: int) -> None:
+        """Tape i's window moved, or the cell w it wrote lies outside it.
+        The cells that left the window are stale where their revert
+        differs from the oracle; the cells that entered it, and w if it
+        is still inside, must show the oracle's symbol."""
+        ts, tape = self.pairs[i]
+        (lo0, hi0), lo1, hi1 = self.spans[i], ts.lo, ts.hi
+        if not lo0 <= w <= hi0:
+            self._recount(i)
+            return
+        if lo1 == lo0 + 1 and hi1 == hi0 + 1:
+            # a full window slid by one cell, as it does on every step
+            # of a head that keeps going
+            gone, came = (lo0,), (hi1,)
+        elif lo1 == lo0 - 1 and hi1 == hi0 - 1:
+            gone, came = (hi0,), (lo1,)
         else:
-            self._set_report(i, tape)
-
-    def _move_span(self, i: int, old: tuple[int, int], new: tuple[int, int]) -> None:
-        (lo0, hi0), (lo1, hi1) = old, new
-        tape, initial = self.oracle[i], self.initial[i]
-        stale = self.stale[i]
-        # a cell that left the span shows the initial tape, and is stale
-        # where the oracle differs
-        for gone in (
-            range(lo0, lo1 if lo1 <= hi0 else hi0 + 1),
-            range(hi1 + 1 if hi1 >= lo0 else lo0, hi0 + 1),
-        ):
-            for cell in gone:
-                sym = initial.get(cell)
-                if tape.get(cell) != sym:
-                    if not stale:
-                        self._set_report(i, tape.copy())
-                    stale += 1
-                    _show(self.reports[i], cell, sym)
+            gone = chain(range(lo0, min(lo1, hi0 + 1)), range(max(hi1 + 1, lo0), hi0 + 1))
+            came = chain(range(lo1, min(lo0, hi1 + 1)), range(max(hi0 + 1, lo1), hi1 + 1))
+        live = ts.live
+        stale = 0
+        for cell in gone:
+            stale += live.get(cell) != tape.get(cell)
+        for cell in came:
+            if live.get(cell) != tape.get(cell):
+                raise self._disagrees()
+        if lo1 <= w <= hi1 and live.get(w) != tape.get(w):
+            raise self._disagrees()
         if stale:
-            # a cell that entered it shows the oracle again, and was stale
-            # where the two differ
-            report = self.reports[i]
-            for came in (
-                range(lo1, lo0 if lo0 <= hi1 else hi1 + 1),
-                range(hi0 + 1 if hi0 >= lo1 else lo1, hi1 + 1),
-            ):
-                for cell in came:
-                    sym = tape.get(cell)
-                    if sym != initial.get(cell):
-                        stale -= 1
-                        _show(report, cell, sym)
-            if not stale:
-                self._set_report(i, tape)
-        self.stale[i] = stale
-
-
-def _show(report: dict[int, str], cell: int, sym: str | None) -> None:
-    """Set a cell of an expected report; sym None is a blank cell.  The
-    symbols come from the oracle or the initial tape, never a blank."""
-    if sym is None:
-        report.pop(cell, None)
-    else:
-        report[cell] = sym
+            self.stale[i] += stale
+            self.exact = False
+        self.spans[i] = (lo1, hi1)
 
 
 def reconstruct_at(

@@ -29,6 +29,10 @@ its length:
   and wide alphabet machines of
   test_gate_matches_forced_metering_random_machines, violations
   included;
+* verify: the exit code and output of `simulate --verify`, run through
+  cli.main, for each bundled machine at t = 2^13 (writer2 at its halt)
+  and for the runs of ledgers-random, the wide alphabet machines on the
+  empty word;
 * reference, reference-mismatch: the codec's encodings of every label
   of each bundled machine's summary tree at t = 2^13 and b = 16, of
   every 64th configuration of those runs and of the history of a
@@ -45,9 +49,12 @@ cores.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,7 +62,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import holosim as hs  # noqa: E402
-from holosim import replay  # noqa: E402
+from holosim import cli, replay  # noqa: E402
 from holosim.samples import counter_input, load_sample, palin_input  # noqa: E402
 from support import (  # noqa: E402
     NO_TABLE_ALPHABETS,
@@ -216,16 +223,23 @@ _LEDGER_FIGURES = (
 )
 
 
-def random_ledgers() -> Section:
-    """The runs of test_gate_matches_forced_metering_random_machines,
-    drawn in the same order from the same seed."""
-    section = Section("ledgers-random")
+def _ledger_cases():
+    """(i, machine, word, t, b, c_int) of each run of
+    test_gate_matches_forced_metering_random_machines, drawn in the same
+    order from the same seed."""
     rng = random.Random(1613)
     for i in range(200):
         m = wide_alphabet_machine(rng) if i % 8 == 0 else random_machine(rng)
         n = rng.randint(0, 8) if m.input_alphabet else 0
         word = [rng.choice(m.input_alphabet) for _ in range(n)]
         t, b, c_int = rng.randint(1, 300), rng.randint(1, 5), rng.randint(1, 3)
+        yield i, m, word, t, b, c_int
+
+
+def random_ledgers() -> Section:
+    """The runs of test_gate_matches_forced_metering_random_machines."""
+    section = Section("ledgers-random")
+    for i, m, word, t, b, c_int in _ledger_cases():
         for keep_series in (False, True):
             ledger = hs.attach_ledger(m, t, b, c_int=c_int, keep_series=keep_series)
             try:
@@ -236,6 +250,33 @@ def random_ledgers() -> Section:
             figures = tuple(getattr(ledger, name) for name in _LEDGER_FIGURES)
             series = [(row.tau, row.screen, row.book) for row in ledger.series]
             section.add(repr((i, keep_series, outcome, figures, series)))
+    return section
+
+
+def _cli(argv: list[str]) -> str:
+    """The exit code of cli.main(argv) and everything it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def verified_runs() -> Section:
+    """simulate --verify through cli.main: each bundled machine at
+    t = 2^13 (writer2 at its halt), and the runs of random_ledgers with
+    each machine read from a .tm file.  Wide-alphabet machines run on the
+    empty word, since their input symbols are not one character each."""
+    section = Section("verify")
+    for name, word in (*BUNDLED, ("writer2", "")):
+        t = min(hs.probe_run_length(load_sample(name), word, T)[0], T)
+        section.add(_cli(["simulate", name, word, "--t", str(t), "--verify"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "machine.tm"
+        for i, m, word, t, b, c_int in _ledger_cases():
+            path.write_text(hs.serialize_machine(m), encoding="utf-8")
+            spelled = "".join(word) if all(len(s) == 1 for s in word) else ""
+            argv = [str(t), "--b", str(b), "--c-int", str(c_int), "--verify"]
+            section.add(f"{i} " + _cli(["simulate", str(path), spelled, "--t", *argv]))
     return section
 
 
@@ -278,6 +319,7 @@ def main() -> int:
         error_parity(),
         *streamed_runs(),
         random_ledgers(),
+        verified_runs(),
         *reference_encoders(),
     ):
         print(section.line(), flush=True)

@@ -275,44 +275,94 @@ MUTANTS = (
         "size = (2 * self.t).bit_length() + 2",
         (
             _T_STREAMING + "test_walk_follows_static_tree_random_machines",
-            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
     ),
-    # the lockstep VerifySink
+    # the lockstep VerifySink, which checks the engine's steps
     Mutant(
         "verify-skips-written-cells",
         _STREAMING,
-        "if shared and cells[i].get(w) != reports[i].get(w):",
-        "if False and cells[i].get(w) != reports[i].get(w):",
+        "if ts.live.get(w) != tape.get(w):",
+        "if False:",
         (
-            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_checks_written_cells",
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[cell-in-span]",
+        ),
+    ),
+    Mutant(
+        "verify-state-unchecked",
+        _STREAMING,
+        "if value is not expected and value[0] != expected[0] or self.run_heads != heads:",
+        "if self.run_heads != heads:",
+        (
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[state]",
+        ),
+    ),
+    Mutant(
+        "verify-heads-unchecked",
+        _STREAMING,
+        "if value is not expected and value[0] != expected[0] or self.run_heads != heads:",
+        "if value is not expected and value[0] != expected[0]:",
+        (
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+            _T_STREAMING + "test_verify_sink_rejects_wrong_emission[head]",
         ),
     ),
     Mutant(
         "verify-trusts-deviating-emission",
         _STREAMING,
-        "self.matched = None\n            exact = True",
-        "self.matched = cells\n            exact = True",
+        "if lo <= cell <= hi:\n                    raise self._disagrees()",
+        "if False:\n                    raise self._disagrees()",
         (
-            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
     ),
     Mutant(
         "verify-left-cell-shows-oracle",
         _STREAMING,
-        "_show(self.reports[i], cell, sym)",
-        "_show(self.reports[i], cell, tape.get(cell))",
+        "stale += live.get(cell) != tape.get(cell)",
+        "stale += 0",
+        (
+            _T_STREAMING + "test_step_stream_is_faithful[sweep]",
+            _T_STREAMING + "test_verify_sink_counts_strict_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-revert-symbol-unchecked",
+        _STREAMING,
+        "stale += live.get(cell) != tape.get(cell)",
+        "stale += ts.initial.get(cell) != tape.get(cell)",
+        (
+            _T_STREAMING + "test_verify_sink_counts_strict_emissions",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-entering-cell-unchecked",
+        _STREAMING,
+        "for cell in came:\n            if live.get(cell) != tape.get(cell):",
+        "for cell in came:\n            if False:",
         (
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
     ),
     Mutant(
-        "verify-reentered-cell-stays-stale",
+        "verify-left-slide-loses-far-cell",
         _STREAMING,
-        "stale -= 1",
-        "stale -= 0",
+        "gone, came = (hi0,), (lo1,)",
+        "gone, came = (), (lo1,)",
+        (
+            _T_STREAMING + "test_step_stream_is_faithful_random_machines",
+            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
+        ),
+    ),
+    Mutant(
+        "verify-recount-keeps-stale",
+        _STREAMING,
+        "self.exact = not any(self.stale)",
+        "self.exact = self.exact and not any(self.stale)",
         (
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
@@ -320,11 +370,11 @@ MUTANTS = (
     Mutant(
         "verify-strict-from-stale-count",
         _STREAMING,
-        "self.strict += exact",
-        "self.strict += self.reports is self.oracle",
+        "self.strict += self.exact",
+        "self.strict += 1",
         (
+            _T_STREAMING + "test_step_stream_is_faithful[sweep]",
             _T_STREAMING + "test_verify_sink_counts_strict_emissions",
-            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
     ),
@@ -715,10 +765,6 @@ MUTANTS = (
         (
             "tests/test_acceptance.py::test_criterion_1_oracle_equivalence",
             "tests/test_acceptance.py::test_criterion_6_witness_constancy",
-            "tests/test_cli.py::test_simulate_auto_t",
-            "tests/test_cli.py::test_simulate_verify_records_no_history",
-            "tests/test_cli.py::test_simulate_with_verify",
-            "tests/test_ctree.py::test_audit_walks_agree",
             "tests/test_machine.py::test_kernel_in_place_bundled",
             "tests/test_machine.py::test_kernel_in_place_random_machines",
             "tests/test_replay.py::test_replay_all_spans_interval",
@@ -731,7 +777,7 @@ MUTANTS = (
             _T_STREAMING + "test_single_block_run",
             _T_STREAMING + "test_stream_matches_oracle_random_machines",
             _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
-            _T_STREAMING + "test_verify_sink_checks_written_cells_of_shared_emissions",
+            _T_STREAMING + "test_verify_sink_checks_written_cells",
             _T_STREAMING + "test_verify_sink_counts_strict_emissions",
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",
             _T_STREAMING + "test_verify_sink_refuses_skipped_and_late_times",
@@ -752,9 +798,9 @@ MUTANTS = (
         "ts.live[evict] = initial\n                pass",
         (
             _T_STREAMING + "test_emissions_share_what_did_not_change_random_machines",
+            _T_STREAMING + "test_step_stream_is_faithful_random_machines",
             _T_STREAMING + "test_stream_matches_oracle_random_machines",
             _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
-            _T_STREAMING + "test_verify_sink_matches_reference_verifier",
         ),
     ),
     Mutant(
@@ -769,6 +815,7 @@ MUTANTS = (
             _T_LEDGER + "test_steps_recorded_on_violations[StaleWindowReentry]",
             _T_STREAMING + "test_emissions_share_what_did_not_change_random_machines",
             _T_STREAMING + "test_stale_window_reentry",
+            _T_STREAMING + "test_step_stream_is_faithful_random_machines",
             _T_STREAMING + "test_stream_matches_oracle_random_machines",
             _T_STREAMING + "test_stream_matches_reference_discipline_random_machines",
             _T_STREAMING + "test_verify_sink_matches_reference_verifier",

@@ -22,6 +22,7 @@ from holosim import (
     MachineSpec,
     POLICY_BOUNDARY,
     POLICY_FULL,
+    StepFromHaltError,
     TapeWindow,
     build_machine,
     decompose,
@@ -82,6 +83,38 @@ def reference_trace(machine: MachineSpec, word, max_steps: int):
         yield steps, state, tuple(heads), tuple(t.nonblank() for t in tapes)
 
 
+def naive_step(machine: MachineSpec, config: Configuration) -> Configuration:
+    """One deterministic step, the naive reference for machine.steps.
+    Pure: the input configuration is kept intact.  Raises
+    StepFromHaltError on accepting or rejecting states."""
+    if machine.is_halting(config.state):
+        raise StepFromHaltError(f"cannot step from halting state {config.state!r}")
+    reads = tuple(config.cells[i].get(config.heads[i], machine.blank) for i in range(machine.k))
+    q2, writes, moves = machine.delta[(config.state, reads)]
+    new_cells = []
+    new_heads = []
+    new_spans = []
+    for i in range(machine.k):
+        tape = dict(config.cells[i])
+        if writes[i] == machine.blank:
+            tape.pop(config.heads[i], None)
+        else:
+            tape[config.heads[i]] = writes[i]
+        head = config.heads[i] + moves[i]
+        lo, hi = config.spans[i]
+        new_cells.append(tape)
+        new_heads.append(head)
+        new_spans.append((min(lo, head), max(hi, head)))
+    return Configuration(
+        machine=machine,
+        time=config.time + 1,
+        state=q2,
+        heads=tuple(new_heads),
+        cells=tuple(new_cells),
+        spans=tuple(new_spans),
+    )
+
+
 def oracle_walk(history, times):
     """The oracle configuration at each of times, which must not
     decrease, read off one forward cursor walk of history."""
@@ -93,10 +126,12 @@ def oracle_walk(history, times):
 
 class ReferenceVerifier:
     """The verify sink as it was before it stepped its own kernel: it
-    walks a recorded oracle history and checks each emission in place,
-    state and heads outright and cells inside the emission's spans.
-    `strict` counts the emissions whose tapes match outright too.
-    Unlike streaming.VerifySink it accepts skipped times."""
+    walks a recorded oracle history and checks each emitted
+    configuration in full, state and heads outright and cells inside the
+    emission's spans.  `strict` counts the emissions whose tapes match
+    outright too.  streaming.VerifySink checks the engine's steps instead
+    and must give the same verdicts on the configurations those steps
+    make; it also refuses a skipped time, which this sink accepts."""
 
     def __init__(self, history):
         self.cursor = HistoryCursor(history)

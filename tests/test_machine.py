@@ -13,7 +13,7 @@ import holosim as hs
 from holosim.cli import main
 from holosim.machine import MAX_TAPES, steps
 from holosim.samples import sample_path
-from support import random_machine, reference_trace
+from support import naive_step, random_machine, reference_trace
 
 WRITER2_TEXT = """
 machine writer2
@@ -147,7 +147,7 @@ def test_run_against_reference_bundled(machines):
 def test_run_against_reference_random():
     """run shares its stepping kernel with the streaming engine, so it
     is checked step by step against both the list-tape interpreter and
-    a chain of the naive step(); probe_run_length shares it too."""
+    a chain of naive_step(); probe_run_length shares it too."""
     rng = random.Random(999)
     checked = 0
     for _ in range(40):
@@ -159,7 +159,7 @@ def test_run_against_reference_random():
         chained = hs.initial_configuration(m, word)
         for cfg in rec.history.configurations():
             if cfg.time > 0:
-                chained = hs.step(m, chained)
+                chained = naive_step(m, chained)
             time, state, heads, cells = ref[cfg.time]
             assert (cfg.state, cfg.heads, cfg.cells) == (state, heads, cells)
             assert cfg == chained
@@ -170,7 +170,7 @@ def test_run_against_reference_random():
 
 def _kernel_in_place(m, word, budget):
     """Drive steps() on fresh tape dicts and check them after every
-    yield against a chain of the naive step(); return the last state."""
+    yield against a chain of naive_step(); return the last state."""
     c = hs.initial_configuration(m, word)
     heads = list(c.heads)
     tapes = [dict(tape) for tape in c.cells]
@@ -178,7 +178,7 @@ def _kernel_in_place(m, word, budget):
     for value in islice(steps(m, c.state, heads, tapes), budget):
         reads = tuple(c.symbol_at(i, c.heads[i]) for i in range(m.k))
         assert value is m.delta[c.state, reads]
-        c = hs.step(m, c)
+        c = naive_step(m, c)
         assert heads == list(c.heads)
         assert tapes == list(c.cells)
         assert not any(m.blank in tape.values() for tape in tapes)
@@ -341,11 +341,11 @@ def test_cursor_advance_to_past_the_end_stops_at_t(counter_run):
 def test_step_is_pure(machines):
     m = machines["writer2"]
     c0 = hs.initial_configuration(m, "")
-    c1 = hs.step(m, c0)
+    c1 = naive_step(m, c0)
     assert c0.time == 0 and c0.state == m.start
     assert c1.time == 1
     assert c1.cells[0] == {0: "1"}
-    again = hs.step(m, c0)
+    again = naive_step(m, c0)
     assert again == c1
 
 
@@ -353,7 +353,7 @@ def test_step_from_halt_raises(machines):
     m = machines["writer2"]
     final = hs.run(m, "", max_steps=10).history.final
     with pytest.raises(hs.StepFromHaltError):
-        hs.step(m, final)
+        naive_step(m, final)
 
 
 def test_probe_run_length(machines):

@@ -178,45 +178,100 @@ def test_counting_sink_refuses_wrong_times():
     assert not fed(range(1, t)).all_once(t)
 
 
-def _flip_cell(cfg, cell):
-    """cfg with tape 1's cell set to another non-blank symbol."""
-    m = cfg.machine
-    tape = dict(cfg.cells[0])
-    tape[cell] = next(s for s in m.work_alphabet if s not in (m.blank, tape.get(cell)))
-    return replace(cfg, cells=(tape, *cfg.cells[1:]))
+# an edit that leaves a cell that left its window without its revert
+_KEEP = object()
 
 
-def _verify_counter(mutate_at_100=lambda c: c):
-    """VerifySink over a strict counter run whose emission at time 100
-    is passed through mutate_at_100."""
-    m = load_sample("counter")
-    rec, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
-    sink = VerifySink(m, counter_input(10))
-    for cfg in emitted:
-        sink(mutate_at_100(cfg) if cfg.time == 100 else cfg)
-    return sink
+@dataclass(frozen=True)
+class _Step:
+    """One step as a step sink sees it: the time, the transition value,
+    and the engine's heads and windows after the step.  A test puts
+    faults in through `edits`, (tape, cell, symbol) shown by the
+    reported tape after the step (None a blank, _KEEP a cell that left
+    its window without its revert), and through `sent`, False for a
+    step the engine takes without telling the sink."""
+
+    tau: int
+    value: tuple
+    heads: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    edits: tuple = ()
+    sent: bool = True
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda c: _flip_cell(c, c.heads[0]),
-        lambda c: replace(c, state=c.machine.reject),
-        lambda c: replace(c, heads=(c.heads[0] + 1,)),
-    ],
-    ids=["cell-in-span", "state", "head"],
-)
-def test_verify_sink_rejects_wrong_emission(mutate):
-    with pytest.raises(hs.InternalInvariantError, match="t=100 disagrees"):
-        _verify_counter(mutate)
+class _StepLog:
+    """A step sink that records each step."""
+
+    def __init__(self):
+        self.steps: list[_Step] = []
+
+    def start_run(self, run) -> None:
+        self.run = run
+
+    def step(self, tau, value) -> None:
+        run = self.run
+        spans = tuple([(ts.lo, ts.hi) for ts in run.tapes])
+        self.steps.append(_Step(tau, value, tuple(run.heads), spans))
 
 
-def test_verify_sink_counts_strict_emissions():
-    sink = _verify_counter()
-    assert sink.compared == sink.strict == 256
-    # a wrong cell outside every span shows only in the strict count
-    sink = _verify_counter(lambda c: _flip_cell(c, c.spans[0][1] + 1))
-    assert sink.compared == 256 and sink.strict == 255
+def _record(machine, word, t, b, c_int=2):
+    """The steps of a streamed run, up to its model violation if any,
+    and the violation's class or None."""
+    log = _StepLog()
+    try:
+        hs.holo_run(machine, word, t, b=b, c_int=c_int, sink=log)
+    except hs.ModelViolation as exc:
+        return log.steps, type(exc)
+    return log.steps, None
+
+
+def _put(tape, cell, sym):
+    if sym is None:
+        tape.pop(cell, None)
+    else:
+        tape[cell] = sym
+
+
+class _StandIn:
+    """An engine rebuilt from its steps alone.  Each step writes its
+    value's symbols under the last heads, moves the heads and windows to
+    the step's, shows the initial symbol at each cell that left its
+    window, and then shows the step's edits."""
+
+    def __init__(self, machine, word):
+        c0 = hs.initial_configuration(machine, word)
+        self.machine = machine
+        self.initial = c0.cells
+        self.heads = list(c0.heads)
+        self.tapes = [
+            SimpleNamespace(lo=lo, hi=hi, live=dict(cells))
+            for cells, (lo, hi) in zip(c0.cells, c0.spans)
+        ]
+
+    def apply(self, st: _Step) -> None:
+        blank = self.machine.blank
+        keep = {(i, cell) for i, cell, sym in st.edits if sym is _KEEP}
+        per_tape = zip(self.tapes, self.initial, self.heads, st.value[1], st.spans)
+        for i, (ts, initial, head, sym, (lo, hi)) in enumerate(per_tape):
+            _put(ts.live, head, None if sym == blank else sym)
+            for cell in range(ts.lo, ts.hi + 1):
+                if not lo <= cell <= hi and (i, cell) not in keep:
+                    _put(ts.live, cell, initial.get(cell))
+            ts.lo, ts.hi = lo, hi
+        self.heads[:] = st.heads
+        for i, cell, sym in st.edits:
+            if sym is not _KEEP:
+                _put(self.tapes[i].live, cell, sym)
+
+    def configuration(self, st: _Step) -> hs.Configuration:
+        return hs.Configuration(
+            self.machine,
+            st.tau,
+            st.value[0],
+            tuple(self.heads),
+            tuple([dict(ts.live) for ts in self.tapes]),
+            tuple([(ts.lo, ts.hi) for ts in self.tapes]),
+        )
 
 
 def _feed(sink, emissions):
@@ -233,144 +288,315 @@ def _feed(sink, emissions):
     return verdicts
 
 
-def test_verify_sink_checks_written_cells_of_shared_emissions():
-    """An emission that reuses the last cells and spans objects is
-    checked at the cells its step wrote: a stale copy replayed at a step
-    that wrote a new symbol raises, and a flip carried by every emission
-    that shares one copy keeps each of them out of the strict count."""
+def _step_verdicts(machine, word, steps, after=None):
+    """A VerifySink's verdicts on steps fed through a _StandIn, as _feed
+    gives them, and the configurations the stand-in showed at the steps
+    sent, the one that stopped the sink included.  after(sink, run), if
+    given, runs after each step the sink accepts."""
+    sink, run = VerifySink(machine, word), _StandIn(machine, word)
+    sink.start_run(run)
+    verdicts, shown = [], []
+    for st in steps:
+        run.apply(st)
+        if not st.sent:
+            continue
+        shown.append(run.configuration(st))
+        try:
+            sink.step(st.tau, st.value)
+        except hs.InternalInvariantError as exc:
+            verdicts.append(str(exc))
+            break
+        verdicts.append((sink.compared, sink.strict))
+        if after is not None:
+            after(sink, run)
+    return verdicts, shown
+
+
+def _counter_steps():
     m = load_sample("counter")
-    _, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
-    replays = [
-        n
-        for n in range(1, len(emitted))
-        if emitted[n].spans is emitted[n - 1].spans and emitted[n].cells != emitted[n - 1].cells
+    steps, exc = _record(m, counter_input(10), 256, 16)
+    assert exc is None and len(steps) == 256
+    return m, steps
+
+
+def _with(steps, tau, **changes):
+    """steps with the step at time tau changed."""
+    steps = list(steps)
+    steps[tau - 1] = replace(steps[tau - 1], **changes)
+    return steps
+
+
+def _other_write(m, value):
+    q, writes, moves = value
+    sym = next(s for s in m.work_alphabet if s not in (m.blank, writes[0]))
+    return q, (sym, *writes[1:]), moves
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda m, st: {"value": _other_write(m, st.value)},
+        lambda m, st: {"value": (m.reject, *st.value[1:])},
+        lambda m, st: {"heads": (st.heads[0] + 1,)},
+    ],
+    ids=["cell-in-span", "state", "head"],
+)
+def test_verify_sink_rejects_wrong_emission(fault):
+    """A step with a wrong symbol written inside its window, a wrong
+    state or a wrong head raises at that step."""
+    m, steps = _counter_steps()
+    stream = _with(steps, 100, **fault(m, steps[99]))
+    assert _step_verdicts(m, counter_input(10), stream)[0] == [(i, i) for i in range(1, 100)] + [
+        "emission at t=100 disagrees with direct simulation inside its window"
     ]
-    assert len(replays) > 20
-    for n in replays:
-        stale = replace(emitted[n], cells=emitted[n - 1].cells)
-        verdicts = _feed(VerifySink(m, counter_input(10)), emitted[:n] + [stale])
-        assert verdicts == [(i, i) for i in range(1, n + 1)] + [
-            f"emission at t={n + 1} disagrees with direct simulation inside its window"
+
+
+def test_verify_sink_counts_strict_emissions():
+    """A correct strict run counts every step strict.  A cell that
+    leaves its window showing a symbol other than the oracle's lowers
+    only the strict count, once for each step it stays out, and a
+    windowed run whose evicted cells all keep their written symbols is
+    strict: the count is of cells that differ, not of reverts."""
+    m, steps = _counter_steps()
+    word = counter_input(10)
+    assert _step_verdicts(m, word, steps)[0][-1] == (256, 256)
+    # the window loses its top cell at step 250 and stays so
+    lo, hi = steps[249].spans[0]
+    assert all(st.spans[0] == (lo, hi) for st in steps[249:])
+    run = _StandIn(m, word)
+    for st in steps[:250]:
+        run.apply(st)
+    wrong = next(s for s in m.work_alphabet if s not in (m.blank, run.tapes[0].live.get(hi)))
+    stream = steps[:249] + [replace(st, spans=((lo, hi - 1),)) for st in steps[249:]]
+    stream = _with(stream, 250, edits=((0, hi, wrong),))
+    assert _step_verdicts(m, word, stream)[0][-1] == (256, 249)
+    sweep = load_sample("sweep")
+    steps, _ = _record(sweep, "", 300, 10)
+    assert _step_verdicts(sweep, "", steps)[0][-1] == (300, 19)
+    kept = [
+        replace(st, edits=((0, last.spans[0][0], _KEEP),)) if st.spans != last.spans else st
+        for last, st in zip(steps, steps[1:])
+    ]
+    assert _step_verdicts(sweep, "", steps[:1] + kept)[0][-1] == (300, 300)
+
+
+def test_verify_sink_checks_written_cells():
+    """A step is checked at the cell each tape wrote: at each step of a
+    counter run that wrote a new symbol, a reported tape that still
+    shows the old one raises at that step."""
+    m, steps = _counter_steps()
+    word = counter_input(10)
+    run, lost = _StandIn(m, word), []
+    for st in steps:
+        w = run.heads[0]
+        before = run.tapes[0].live.get(w)
+        run.apply(st)
+        if run.tapes[0].live.get(w) != before:
+            lost.append((st.tau, w, before))
+    assert len(lost) > 100
+    for tau, w, before in lost:
+        stream = _with(steps[:tau], tau, edits=((0, w, before),))
+        assert _step_verdicts(m, word, stream)[0] == [(i, i) for i in range(1, tau)] + [
+            f"emission at t={tau} disagrees with direct simulation inside its window"
         ]
-    cells = emitted[99].cells
-    sharing = sum(cfg.cells is cells for cfg in emitted)
-    assert sharing > 1
-    flipped = _flip_cell(emitted[99], emitted[99].spans[0][1] + 1).cells
-    stream = [replace(cfg, cells=flipped) if cfg.cells is cells else cfg for cfg in emitted]
-    assert _feed(VerifySink(m, counter_input(10)), stream)[-1] == (256, 256 - sharing)
 
 
 def test_verify_sink_refuses_skipped_and_late_times():
-    """Emissions come one per step, and none past the oracle's halt."""
-    m = load_sample("counter")
-    _, emitted, _, _ = _oracle_and_stream(m, counter_input(10), 256, 16)
+    """Steps come one per time, and none past the oracle's halt."""
+    m, steps = _counter_steps()
+    word = counter_input(10)
     for stream, error in [
-        (emitted[:99] + emitted[100:], "emission at t=101 does not follow t=99"),
-        (emitted[:99] + emitted[98:], "emission at t=99 does not follow t=99"),
+        (steps[:99] + steps[100:], "emission at t=101 does not follow t=99"),
+        (steps[:99] + steps[98:], "emission at t=99 does not follow t=99"),
     ]:
-        assert _feed(VerifySink(m, counter_input(10)), stream)[-2:] == [(99, 99), error]
+        assert _step_verdicts(m, word, stream)[0][-2:] == [(99, 99), error]
     # counter on 0000 halts after 57 steps
-    rec, emitted, _, _ = _oracle_and_stream(m, "0000", 57, 8)
-    assert rec.halt_reason != "budget"
-    late = replace(emitted[-1], time=58)
-    assert _feed(VerifySink(m, "0000"), emitted + [late])[-2:] == [
+    steps, exc = _record(m, "0000", 57, 8)
+    assert exc is None and hs.run(m, "0000", 100).t == 57
+    late = replace(steps[-1], tau=58)
+    assert _step_verdicts(m, "0000", steps + [late])[0][-2:] == [
         (57, 57),
         "emission at t=58 comes after direct simulation halted at t=57",
     ]
 
 
-def _inject_faults(rng, stream):
-    """The stream with one to three random faults: a cell set to a
-    random symbol (a stored blank included) near or inside its span, a
-    span moved, the last emission's cells and spans replayed, a wrong
-    state or a wrong head.  A fault on cells or spans goes, at random,
-    to that emission alone or to every emission sharing the object."""
-    stream = list(stream)
-    m = stream[0].machine
-    for _ in range(rng.randint(1, 3)):
-        n = rng.randrange(len(stream))
-        cfg = stream[n]
-        i = rng.randrange(m.k)
-        kind = rng.choice(("cell", "span", "replay", "state", "head"))
-        if kind == "replay" and n:
-            stream[n] = replace(cfg, cells=stream[n - 1].cells, spans=stream[n - 1].spans)
-        elif kind == "state":
-            stream[n] = replace(cfg, state=rng.choice(m.states))
-        elif kind == "head":
-            heads = list(cfg.heads)
-            heads[i] += rng.choice((-1, 1))
-            stream[n] = replace(cfg, heads=tuple(heads))
-        elif kind in ("cell", "span"):
-            lo, hi = cfg.spans[i]
-            field = kind + "s"
-            if kind == "cell":
-                tape = dict(cfg.cells[i])
-                tape[rng.randint(lo - 2, hi + 2)] = rng.choice(m.work_alphabet)
-                new = cfg.cells[:i] + (tape,) + cfg.cells[i + 1 :]
+def _assert_faithful(machine, word, t, b, c_int=2):
+    """The steps a step sink sees, with the windows it reads, rebuild
+    every configuration the engine emits in the same run, and a
+    VerifySink attached to that run gives ReferenceVerifier's last
+    verdict on those emissions.  Returns the run's violation class or
+    None."""
+    steps, exc = _record(machine, word, t, b, c_int)
+    emitted = []
+    try:
+        hs.holo_run(machine, word, t, b=b, c_int=c_int, sink=emitted.append)
+    except hs.ModelViolation as caught:
+        assert type(caught) is exc, machine.name
+    else:
+        assert exc is None, machine.name
+    assert [cfg.time for cfg in emitted] == [st.tau for st in steps]
+    run = _StandIn(machine, word)
+    for st, cfg in zip(steps, emitted):
+        run.apply(st)
+        mirror = run.configuration(st)
+        assert (cfg, cfg.spans) == (mirror, mirror.spans), (machine.name, st.tau)
+    sink = VerifySink(machine, word)
+    try:
+        hs.holo_run(machine, word, t, b=b, c_int=c_int, sink=sink)
+    except hs.ModelViolation:
+        pass
+    verdicts = _feed(ReferenceVerifier(hs.run(machine, word, max_steps=t).history), emitted)
+    assert (sink.compared, sink.strict) == (verdicts[-1] if verdicts else (0, 0))
+    return exc
+
+
+@pytest.mark.parametrize(
+    "name, word, t, b",
+    [
+        ("counter", counter_input(10), 256, 16),
+        ("palin", palin_input(256), 256, 16),
+        ("sweep", "", 300, 10),
+        ("writer2", "", 2, 1),
+    ],
+    ids=["counter", "palin", "sweep", "writer2"],
+)
+def test_step_stream_is_faithful(name, word, t, b):
+    """What makes VerifySink's per-step check sound: a reported tape
+    changes only at the cell each tape wrote and at the cells that left
+    its window, which show their initial symbol."""
+    assert _assert_faithful(load_sample(name), word, t, b) is None
+
+
+def test_step_stream_is_faithful_random_machines():
+    """The same over random machines at tight windows, every violation
+    included."""
+    rng = random.Random(3232)
+    outcomes = set()
+    for _ in range(300):
+        m = random_machine(rng)
+        n = rng.randint(0, 8) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 90), rng.randint(1, 4), rng.randint(1, 2)
+        outcomes.add(_assert_faithful(m, word, t, b, c_int))
+    assert outcomes == {
+        None,
+        hs.NonBlockRespecting,
+        hs.StaleWindowReentry,
+        hs.RunEndedEarly,
+    }, outcomes
+
+
+_FAULTS = ("value", "head", "spurious", "span", "skip", "revert", "missing", "late")
+
+
+def _inject_faults(rng, machine, initial, steps, ended, faults=_FAULTS):
+    """steps with one to three random faults of the kinds in faults: a
+    wrong transition value (state, symbol written or move), a head off
+    by one, a revert of the written cell while it is still in the
+    window, a window moved at one step or at every step that shares it,
+    a skipped step, a wrong revert symbol, a missing revert, and, when
+    the oracle halts at the last step, a step past the halt."""
+    steps = list(steps)
+    work = machine.work_alphabet
+
+    def left(n, i):
+        (lo0, hi0), (lo, hi) = steps[n - 1].spans[i] if n else (0, 0), steps[n].spans[i]
+        return [cell for cell in range(lo0, hi0 + 1) if not lo <= cell <= hi]
+
+    def moved():
+        return [(n, i) for n in range(len(steps)) for i in range(machine.k) if left(n, i)]
+
+    kinds = [k for k in faults if (k not in ("revert", "missing") or moved()) and (k != "late" or ended)]
+    # windows move first, so that an edit lands on a cell that left the
+    # window or on the written cell, the cells a step changes
+    drawn = sorted((rng.choice(kinds) for _ in range(rng.randint(1, 3))), key=lambda k: k != "span")
+    for kind in drawn:
+        if kind in ("revert", "missing"):
+            if not moved():
+                continue
+            n, i = rng.choice(moved())
+        else:
+            n, i = rng.randrange(len(steps)), rng.randrange(machine.k)
+        st = steps[n]
+        lo, hi = st.spans[i]
+        if kind == "value":
+            q, writes, moves = st.value
+            part = rng.randrange(3)
+            if part == 0:
+                q = rng.choice(machine.states)
+            elif part == 1:
+                writes = writes[:i] + (rng.choice(work),) + writes[i + 1 :]
             else:
-                lo, hi = lo + rng.randint(-2, 2), hi + rng.randint(-2, 2)
-                new = cfg.spans[:i] + ((min(lo, hi), max(lo, hi)),) + cfg.spans[i + 1 :]
-            old = getattr(cfg, field)
-            targets = range(len(stream)) if rng.random() < 0.5 else [n]
-            for j in targets:
-                if getattr(stream[j], field) is old:
-                    stream[j] = replace(stream[j], **{field: new})
-    return stream
+                moves = moves[:i] + (rng.choice((-1, 0, 1)),) + moves[i + 1 :]
+            steps[n] = replace(st, value=(q, writes, moves))
+        elif kind == "head":
+            heads = list(st.heads)
+            heads[i] += rng.choice((-1, 1))
+            steps[n] = replace(st, heads=tuple(heads))
+        elif kind in ("revert", "missing"):
+            cell = rng.choice(left(n, i))
+            revert = initial[i].get(cell, machine.blank)
+            sym = _KEEP if kind == "missing" else rng.choice([s for s in work if s != revert])
+            sym = None if sym == machine.blank else sym
+            steps[n] = replace(st, edits=st.edits + ((i, cell, sym),))
+        elif kind == "spurious":
+            w = steps[n - 1].heads[i] if n else 0
+            steps[n] = replace(st, edits=st.edits + ((i, w, initial[i].get(w)),))
+        elif kind == "span":
+            lo, hi = lo + rng.randint(-2, 2), hi + rng.randint(-2, 2)
+            new = (min(lo, hi), max(lo, hi))
+            end = n + 1
+            if rng.random() < 0.5:
+                while end < len(steps) and steps[end].spans[i] == st.spans[i]:
+                    end += 1
+            for j in range(n, end):
+                spans = steps[j].spans
+                steps[j] = replace(steps[j], spans=spans[:i] + (new,) + spans[i + 1 :])
+        elif kind == "skip":
+            steps[n] = replace(st, sent=False)
+        elif kind == "late":
+            steps.append(replace(steps[-1], tau=steps[-1].tau + 1, edits=(), sent=True))
+    return steps
 
 
-def _check_expected_report(sink, cursor, initial):
-    """The sink's expected report is the oracle inside the last span and
-    the initial tape outside it; it counts as stale the cells outside
-    where the two differ, and holds a second dict only while there are any,
-    so its reports are the oracle tapes themselves exactly when no tape
-    has a stale cell."""
-    for i, (lo, hi) in enumerate(sink.spans):
-        oracle, init = cursor.cells[i], initial[i]
-        inside = {c: s for c, s in oracle.items() if lo <= c <= hi}
-        outside = {c: s for c, s in init.items() if not lo <= c <= hi}
-        stale = {
-            c for c in oracle.keys() | init.keys() if not lo <= c <= hi and oracle.get(c) != init.get(c)
-        }
-        assert sink.stale[i] == len(stale)
-        assert (sink.reports[i] is sink.oracle[i]) == (not stale)
-        assert sink.reports[i] == inside | outside
-    assert (sink.reports is sink.oracle) == (not any(sink.stale))
+def _checked_verdicts(machine, word, rec, steps):
+    """VerifySink's verdicts on steps, after checking that they equal
+    ReferenceVerifier's on the configurations the stand-in showed, and
+    that after each accepted step the sink holds each window and counts
+    as stale exactly the cells outside it where the reported tape
+    differs from the oracle.  A skipped or late step, which only the
+    step checker refuses, is compared up to the refusal."""
+    cursor = hs.HistoryCursor(rec.history)
 
+    def counted(sink, run):
+        cursor.advance_to(sink.time)
+        assert sink.spans == [(ts.lo, ts.hi) for ts in run.tapes]
+        for i, ts in enumerate(run.tapes):
+            want = cursor.cells[i]
+            stale = [c for c in ts.live.keys() | want.keys() if ts.live.get(c) != want.get(c)]
+            assert sink.stale[i] == len(stale)
+        assert sink.exact == (not any(sink.stale))
 
-def _checked_verdicts(machine, word, rec, stream, correct):
-    """VerifySink's verdicts on stream, as _feed gives them, after
-    checking that they equal ReferenceVerifier's and that after each
-    accepted emission the expected report is right; a correct stream's
-    emissions must each equal their expected report."""
-    sink, cursor = VerifySink(machine, word), hs.HistoryCursor(rec.history)
-    initial = rec.history[0].cells
-    verdicts = []
-    for cfg in stream:
-        try:
-            sink(cfg)
-        except hs.InternalInvariantError as exc:
-            verdicts.append(str(exc))
-            break
-        verdicts.append((sink.compared, sink.strict))
-        cursor.advance()
-        _check_expected_report(sink, cursor, initial)
-        if correct:
-            assert sink.matched is cfg.cells
-    assert verdicts == _feed(ReferenceVerifier(rec.history), stream), machine.name
+    verdicts, shown = _step_verdicts(machine, word, steps, counted)
+    if verdicts and isinstance(verdicts[-1], str) and not verdicts[-1].endswith("its window"):
+        assert verdicts[:-1] == _feed(ReferenceVerifier(rec.history), shown[:-1]), machine.name
+    else:
+        assert verdicts == _feed(ReferenceVerifier(rec.history), shown), machine.name
     return verdicts
 
 
 def test_verify_sink_matches_reference_verifier():
     """VerifySink against ReferenceVerifier, the history-walking sink it
     replaced, on 1000 random and wide-alphabet machines at tight
-    windows, halts and all three violations included, each stream fed
-    clean and with random faults: both give the same verdict at every
-    emission.  After each accepted emission the sink's expected report
-    is what a correct engine reports, and a clean emission always
-    equals it, so no correct run reaches the in-span cell walk."""
-    rng = random.Random(1717)
+    windows, halts and all three violations included.  Each run's steps
+    are fed through a stand-in engine clean, with random faults of every
+    kind, and with faults in the windows and reverts alone, and
+    both give the same verdict at every step on the configurations the
+    stand-in shows; only the step checker refuses a skipped or late
+    step.  After each accepted step the sink's stale counts are exact."""
+    rng, faults = random.Random(1717), random.Random(1718)
     outcomes = {}
-    windowed = halted = raised = lowered = 0
+    windowed = halted = raised = lowered = refused = 0
     for run_no in range(1000):
         m = wide_alphabet_machine(rng) if run_no % 5 == 0 else random_machine(rng)
         n = rng.randint(0, 8) if m.input_alphabet else 0
@@ -379,30 +605,32 @@ def test_verify_sink_matches_reference_verifier():
         rec = hs.run(m, word, max_steps=budget)
         t = rec.t if rec.t and rng.random() < 0.5 else budget
         b, c_int = rng.randint(1, 4), rng.randint(1, 2)
-        emitted = []
-        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
-        try:
-            hs.holo_run(m, word, t, b=b, c_int=c_int, sink=emitted.append, ledger=ledger)
-            exc = None
-        except hs.ModelViolation as caught:
-            exc = type(caught)
+        steps, exc = _record(m, word, t, b, c_int)
         outcomes[exc] = outcomes.get(exc, 0) + 1
-        windowed += ledger.dirty_evictions > 0
-        halted += exc is None and rec.halt_reason != "budget"
-        if not emitted:
+        if not steps:
             continue
-        clean = _checked_verdicts(m, word, rec, emitted, correct=True)
-        faulty = _checked_verdicts(m, word, rec, _inject_faults(rng, emitted), correct=False)
-        raised += isinstance(faulty[-1], str)
-        lowered += not isinstance(faulty[-1], str) and faulty[-1][1] < clean[-1][1]
+        ended = rec.halt_reason != "budget" and steps[-1].tau == rec.t
+        halted += exc is None and ended
+        clean = _checked_verdicts(m, word, rec, steps)
+        assert clean == [(i, clean[i - 1][1]) for i in range(1, len(steps) + 1)], m.name
+        windowed += clean[-1][1] < clean[-1][0]
+        initial = hs.initial_configuration(m, word).cells
+        for kinds in (_FAULTS, ("span", "revert", "missing")):
+            stream = _inject_faults(faults, m, initial, steps, ended, kinds)
+            faulty = _checked_verdicts(m, word, rec, stream)
+            if faulty and isinstance(faulty[-1], str):
+                raised += 1
+                refused += not faulty[-1].endswith("its window")
+            elif faulty:
+                lowered += faulty[-1][1] < clean[-1][1]
     assert set(outcomes) == {
         None,
         hs.NonBlockRespecting,
         hs.StaleWindowReentry,
         hs.RunEndedEarly,
     }, outcomes
-    assert windowed > 100 and halted > 50 and raised > 200 and lowered > 50, (
-        windowed, halted, raised, lowered,
+    assert windowed > 100 and halted > 50 and raised > 200 and lowered > 50 and refused > 50, (
+        windowed, halted, raised, lowered, refused,
     )
 
 
