@@ -43,8 +43,9 @@ Conventions, fixed here and used by every metric downstream:
 * s_total = s_screen + s_book.  The maxima and argmaxes are over every
   simulated step, even those the gate below does not meter.
 
-The ledger consumes four engine events and computes every charge from
-the engine's simulation state; the engine counts nothing for it.  At
+The ledger consumes three engine events, `start_run`, `start_leaf` and
+`refresh_tape`, and computes every charge from the engine's simulation
+state; the engine only adds counts to two of its figures, as below.  At
 run start it takes T and the arena size and builds its bit-length
 table.  At each leaf start it counts the cells fixed through the leaf:
 arena, stack, retained and forming summaries, tree position, counters
@@ -76,8 +77,15 @@ hull at which the event's head stands, what that end's band edges leave
 of it to the hull's other end, and every other tape's fences are its
 hull.  So while every head stays inside its fences no row can beat a
 maximum, and no integer leaves its band.  keep_series keeps every step
-hot and every fence at its hull.  The engine adds each leaf's completed
-steps to steps_recorded, however the leaf ends.
+hot and every fence at its hull.
+
+The engine evicts every cell its windows owe (see streaming) before each
+event and each metered step, so the ledger always reads settled windows
+and lost hulls.  It adds each leaf's completed steps to steps_recorded,
+however the leaf ends, and the dirty cells it evicts to dirty_evictions:
+one at a time for a window that moves through its arrival discipline,
+and as one count for the cells a full window slid off while the gate
+was cold.
 """
 
 from __future__ import annotations
@@ -423,9 +431,6 @@ class ScreenLedger:
             # opens no fence, and a call would cost one per metered step
             book = self._book + self._bound
             self.hot = screen > self.max_screen or book > self.max_book or screen + book > self.max_total
-
-    def note_dirty_eviction(self) -> None:
-        self.dirty_evictions += 1
 
 
 def attach_ledger(machine, t: int, b: int, c_int: int = 2, keep_series: bool = False) -> ScreenLedger:

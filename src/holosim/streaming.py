@@ -33,7 +33,8 @@ direct simulation exactly.
 
 Each tape keeps one dict of non-blank cells, the reported tape: the
 live contents inside the window and the initial tape outside it.  An
-evicted cell reverts to its initial symbol.  Emitted configurations
+evicted cell reverts to its initial symbol (a bare step may leave that
+to a later pass, below).  Emitted configurations
 carry a copy of those dicts as their cells and the live-window bounds
 as their spans.  The cells outside every span are correct whenever no
 dirty cell has been evicted; after a dirty eviction only the in-span
@@ -64,23 +65,46 @@ one comparison: heads move one cell a step, so the hull is exactly the
 visited set, and an eviction inside the hull raises NonBlockRespecting,
 so the hull lies inside the live window.  A head that steps off its
 hull but stays in its window only grows the hull by one cell, in the
-loop; only a head that steps off its window goes through the window
-discipline in _arrive.  The clock and state of the last completed step
-live in locals of the loop.  The clock reaches the engine before a sink
-call or an audit, both of which read it, and both reach it when the
-leaf ends, on a violation too.  So a bare step costs the kernel's
-yield, one hull test per tape and the clock's increment.
+loop; a head that steps off its window goes through the window
+discipline in _arrive, but for one case the loop handles itself.
+
+That case is a full window sliding by one cell in a step no observer
+sees: no sink is attached and any ledger is cold (`hot` is false).  If
+the cell leaving is outside the block hull, so the step raises no
+NonBlockRespecting, and the lost hull is empty or on the window's far
+side, so the head's new cell is no lost cell, the loop only moves the
+window's bounds and the hull's end.  The cells that left keep their
+contents, owed, until _settle evicts them in one pass: before _arrive
+on their tape, on every tape before each ledger event, and when the
+leaf ends, on a violation too.  A ledger meters a step only while it
+is hot, when no window slides, so it always reads settled tapes; a
+violation leaves the engine as _arrive would have; and a window owes
+at most b cells.  Owed cells lie on one side
+of their window: after a slide one way the hull reaches that window
+end, so a slide back evicts a hull cell and goes through _arrive.  A
+sink step or a hot ledger step evicts at once, in _arrive: settling
+every step costs more than it saves.
+
+The clock and state of the last completed step live in locals of the
+loop.  The clock reaches the engine before a sink call or an audit,
+both of which read it, and both reach it when the leaf ends, on a
+violation too.  So a bare step costs the kernel's yield, one hull test
+per tape and the clock's increment, and a bare step that slides a full
+window a few more tests and the stores of three bounds, with its share
+of one C-level eviction pass a leaf.
 
 The engine holds simulation state only.  An attached ScreenLedger is
 told of the run start, each leaf start and each hull growth that takes
 a head past one of its tape's fences, one call each, and computes every
-charge itself from that state.  The ledger sets the fences so that no
-row can beat a maximum while every head stays inside them; the loop
-reads the two fence lists once per leaf, and a growth inside its fence
-costs one comparison.  Between events the ledger keeps a `hot` flag
-that says whether a row can beat a maximum, so the loop meters a step
-only while the flag is set and otherwise pays one flag test; at each
-leaf end the loop adds the steps the leaf completed.  Bare, sink and
+charge itself from that state; the engine adds the steps it completes
+and the dirty cells it evicts to the ledger's counts.  The ledger sets
+the fences so that no row can beat a maximum while every head stays
+inside them; the loop reads the two fence lists once per leaf, and a
+growth inside its fence costs one comparison.  Between events the
+ledger keeps a `hot` flag that says whether a row can beat a maximum,
+so the loop meters a step only while the flag is set and otherwise
+pays one flag test; at each leaf end the loop adds the steps the leaf
+completed.  Bare, sink and
 replay runs pay one None test per step and per hull growth, and a run
 with a sink one more per step, for a step sink.
 """
@@ -89,7 +113,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
+from operator import is_not
 from typing import Callable
 
 from .blocks import POLICY_BOUNDARY, IntervalSummary, TapeWindow, decompose, tape_window
@@ -107,11 +132,14 @@ from .machine import Configuration, MachineSpec, initial_configuration, normaliz
 Sink = Callable[[Configuration], None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundaryDigest:
     """Structural residue of a summarized leaf range: interface data
     only, no tape symbols.  entry_spans are the spans of the range's
-    entry windows, those of its first leaf."""
+    entry windows, those of its first leaf.
+
+    A slotted record, not a frozen one, as Configuration is: the walk
+    builds about two a leaf.  Treat it as a value all the same."""
 
     L: int
     R: int
@@ -131,7 +159,18 @@ class _TapeState:
     block began.  The hull only grows one cell at a time and never
     loses a cell to eviction, so a head inside it needs no window or
     hull update.  Every slot but `initial` and `live` holds an int or
-    a str: no per-cell state beyond the reported tape."""
+    a str: no per-cell state beyond the reported tape.
+
+    `settled_lo` marks where the owed cells begin: those a full window
+    slid off in steps no observer saw (module docstring), which keep
+    their contents and stay out of the lost hull until
+    RollingState._settle evicts them.  It is lo as it was when the
+    window last evicted every cell that left it, so the owed cells run
+    up from settled_lo to lo - 1 after slides up, and down from
+    settled_lo + cap - 1 to hi + 1 after slides down, in the order they
+    left; a window that owes cells is full and stays full.  `live` and
+    the lost hull are the reported tape and lost hull while settled_lo
+    is lo, which it is between leaves and at every ledger event."""
 
     __slots__ = (
         "index",
@@ -145,6 +184,7 @@ class _TapeState:
         "lost_hi",
         "blk_lo",
         "blk_hi",
+        "settled_lo",
     )
 
     def __init__(self, index: int, blank: str, cap: int, initial: dict[int, str]):
@@ -159,6 +199,7 @@ class _TapeState:
         self.lost_lo, self.lost_hi = 0, -1
         self.blk_lo = 0
         self.blk_hi = 0
+        self.settled_lo = 0
 
 
 class RollingState:
@@ -257,15 +298,19 @@ class RollingState:
 
     def _arrive(self, ts: _TapeState, cell: int, block_index: int) -> None:
         """A head stepped just off its window, and so off its block hull:
-        refuse a discarded cell, take the cell into the window, which
-        then holds at most one cell too many, evicted from the far end,
-        and grow the hull by the cell.  The leaf loop grows the hull
-        itself for a head that stays inside its window."""
+        evict the tape's owed cells, refuse a discarded cell, take the
+        cell into the window, which then holds at most one cell too
+        many, evicted from the far end, and grow the hull by the cell.
+        The leaf loop grows the hull itself for a head that stays inside
+        its window, and slides a full window itself in a step no
+        observer sees."""
+        if ts.settled_lo != ts.lo:
+            self._settle(ts)
         if ts.lost_lo <= cell <= ts.lost_hi:
             raise StaleWindowReentry(ts.index + 1, cell, block_index)
         self.shown_spans = None
         if cell < ts.lo:
-            ts.lo = cell
+            ts.lo = ts.settled_lo = cell
             evict = ts.hi
         else:
             ts.hi = cell
@@ -289,15 +334,64 @@ class RollingState:
                     ts.live[evict] = initial
                 self.shown_cells = None
                 if self.ledger is not None:
-                    self.ledger.note_dirty_eviction()
+                    self.ledger.dirty_evictions += 1
             if evict == ts.lo:
-                ts.lo += 1
+                ts.lo = ts.settled_lo = evict + 1
             else:
                 ts.hi -= 1
         if cell < ts.blk_lo:
             ts.blk_lo = cell
         else:
             ts.blk_hi = cell
+
+    def _settle(self, ts: _TapeState) -> None:
+        """Evict the cells a full window slid off without _arrive, in one
+        pass and in the order they left: revert each dirty one, widen the
+        lost hull by the first and last dirty cell, and add their count
+        to the ledger.  The slides tested every cell against the block
+        hull and the lost hull against the arrivals, so nothing raises
+        here.  A range without an input cell reverts a cell by deleting
+        it, so a cell is dirty exactly when `live` holds it, and C-level
+        passes find and delete those; an input cell is reverted in place,
+        one at a time, as _arrive does."""
+        live, initial, lo = ts.live, ts.initial, ts.lo
+        if ts.settled_lo < lo:
+            cells = range(ts.settled_lo, lo)
+        else:
+            cells = range(ts.settled_lo + ts.cap - 1, ts.hi, -1)
+        ts.settled_lo = lo
+        if not initial or initial.keys().isdisjoint(cells):
+            popped = map(live.pop, cells, repeat(None))
+            dirty = list(compress(cells, map(is_not, popped, repeat(None))))
+        else:
+            dirty = []
+            blank = ts.blank
+            for cell in cells:
+                sym = initial.get(cell, blank)
+                if live.get(cell, blank) != sym:
+                    dirty.append(cell)
+                    if sym == blank:
+                        del live[cell]
+                    else:
+                        live[cell] = sym
+        if dirty:
+            first, last = sorted((dirty[0], dirty[-1]))
+            if ts.lost_lo > ts.lost_hi:
+                ts.lost_lo, ts.lost_hi = first, last
+            else:
+                ts.lost_lo = min(ts.lost_lo, first)
+                ts.lost_hi = max(ts.lost_hi, last)
+            if self.ledger is not None:
+                self.ledger.dirty_evictions += len(dirty)
+
+    def _refresh(self, ts: _TapeState) -> None:
+        """A head crossed one of its tape's fences: settle every tape, so
+        that the ledger reads windows and lost hulls with nothing owed,
+        and refresh the tape."""
+        for other in self.tapes:
+            if other.settled_lo != other.lo:
+                self._settle(other)
+        self.ledger.refresh_tape(ts)
 
     # ---- tree walk --------------------------------------------------------
 
@@ -324,6 +418,10 @@ class RollingState:
             flo, fhi = ledger.fence_lo, ledger.fence_hi
         sink = self.sink
         on_step = self.on_step
+        # no sink sees a step: a full window may slide by its bounds
+        # alone while any ledger is cold
+        bare = sink is None
+        quiet = bare and ledger is None
         blank = self.machine.blank
         tapes = self.tapes
         indices = range(len(tapes))
@@ -343,17 +441,38 @@ class RollingState:
                     if h < ts.blk_lo:
                         if h >= ts.lo:
                             ts.blk_lo = h
+                        elif (
+                            # a full window slides by its bounds alone in a
+                            # step no observer sees, when the cell leaving
+                            # is outside the hull (no NonBlockRespecting)
+                            # and the lost hull is empty or above (h is no
+                            # lost cell); the mirror image below
+                            (quiet or bare and not ledger.hot)
+                            and (hi := ts.hi) - h == ts.cap
+                            and hi > ts.blk_hi
+                            and (ts.lost_lo > hi or ts.lost_lo > ts.lost_hi)
+                        ):
+                            ts.lo = ts.blk_lo = h
+                            ts.hi = hi - 1
                         else:
                             arrive(self, ts, h, k)
                         if ledger is not None and h < flo[ts.index]:
-                            ledger.refresh_tape(ts)
+                            self._refresh(ts)
                     elif h > ts.blk_hi:
                         if h <= ts.hi:
                             ts.blk_hi = h
+                        elif (
+                            (quiet or bare and not ledger.hot)
+                            and h - (lo := ts.lo) == ts.cap
+                            and lo < ts.blk_lo
+                            and (ts.lost_hi < lo or ts.lost_lo > ts.lost_hi)
+                        ):
+                            ts.lo = lo + 1
+                            ts.hi = ts.blk_hi = h
                         else:
                             arrive(self, ts, h, k)
                         if ledger is not None and h > fhi[ts.index]:
-                            ledger.refresh_tape(ts)
+                            self._refresh(ts)
                 state = value[0]
                 tau += 1
                 if sink is not None:
@@ -387,6 +506,9 @@ class RollingState:
         finally:
             self.tau = tau
             self.state = state
+            for ts in tapes:
+                if ts.settled_lo != ts.lo:
+                    self._settle(ts)
             if ledger is not None:
                 ledger.steps_recorded += tau - (L - 1)
         if tau != R:
@@ -567,7 +689,13 @@ class VerifySink:
     raised, so a cell that leaves adds to the count when its revert
     differs from the oracle, and a cell that enters must show the
     oracle's symbol.  A written cell outside the last window, which a
-    correct engine never has, has the tape counted afresh."""
+    correct engine never has, has the tape counted afresh.
+
+    The sink steps the same kernel, machine.steps, as the engine, so it
+    judges the engine's windows, evictions and emissions but not the
+    kernel: a fault there moves both sides alike.  The kernel is judged
+    by the tests that compare it with the list-tape interpreter and
+    naive_step in tests/support.py."""
 
     def __init__(self, machine: MachineSpec, input_word):
         c0 = initial_configuration(machine, input_word)

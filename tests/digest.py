@@ -29,6 +29,13 @@ its length:
   and wide alphabet machines of
   test_gate_matches_forced_metering_random_machines, violations
   included;
+* emissions: every emission of a streamed run (time, state, heads,
+  sorted cells and spans) and its outcome: the root summary bytes or the
+  error's class, fields and message, with the engine's clock, state,
+  heads, and each tape's reported cells, window and lost hull after the
+  run.  The runs are each bundled machine's at t = 2^13 (writer2 at its
+  halt) at b = 8, 46 and 91, and those of ledgers-random, each bare,
+  with a sink and with a gated ledger, whose figures are hashed too;
 * verify: the exit code and output of `simulate --verify`, run through
   cli.main, for each bundled machine at t = 2^13 (writer2 at its halt)
   and for the runs of ledgers-random, the wide alphabet machines on the
@@ -253,6 +260,56 @@ def random_ledgers() -> Section:
     return section
 
 
+def _engine_outcome(engine, run) -> str:
+    """The outcome of run(), then the engine's state after it."""
+    try:
+        outcome = hs.encode_summary(run()).hex()
+    except hs.ModelViolation as exc:
+        outcome = f"{_error(exc)} {vars(exc)} {exc}"
+    tapes = [
+        (sorted(ts.live.items()), ts.lo, ts.hi, ts.lost_lo, ts.lost_hi) for ts in engine.tapes
+    ]
+    return repr((outcome, engine.tau, engine.state, engine.heads, tapes))
+
+
+def _emission_cases():
+    """(machine, word, t, b, c_int) of every run of the emissions
+    section."""
+    for name, word in (*BUNDLED, ("writer2", "")):
+        m = load_sample(name)
+        t = min(hs.probe_run_length(m, word, T)[0], T)
+        for b in (8, 46, 91):
+            yield m, word, t, b, 2
+    for _, m, word, t, b, c_int in _ledger_cases():
+        yield m, word, t, b, c_int
+
+
+def emissions() -> Section:
+    """Every streamed run of _emission_cases bare, with a sink and with a
+    gated ledger.  Consecutive emissions may share their cells, which
+    are hashed once per object."""
+    section = Section("emissions")
+    for m, word, t, b, c_int in _emission_cases():
+        engine = hs.RollingState(m, word, t, b, c_int)
+        section.add(_engine_outcome(engine, engine.run))
+        last: list = [None, b""]
+
+        def sink(c):
+            if c.cells is not last[0]:
+                last[0] = c.cells
+                cells = repr([sorted(tape.items()) for tape in c.cells])
+                last[1] = hashlib.sha256(cells.encode()).digest()
+            section.add(repr((c.time, c.state, c.heads, c.spans)).encode() + last[1])
+
+        engine = hs.RollingState(m, word, t, b, c_int, sink)
+        section.add(_engine_outcome(engine, engine.run))
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+        engine = hs.RollingState(m, word, t, b, c_int, ledger=ledger)
+        outcome = _engine_outcome(engine, engine.run)
+        section.add(outcome + repr(tuple(getattr(ledger, name) for name in _LEDGER_FIGURES)))
+    return section
+
+
 def _cli(argv: list[str]) -> str:
     """The exit code of cli.main(argv) and everything it prints."""
     out, err = io.StringIO(), io.StringIO()
@@ -319,6 +376,7 @@ def main() -> int:
         error_parity(),
         *streamed_runs(),
         random_ledgers(),
+        emissions(),
         verified_runs(),
         *reference_encoders(),
     ):

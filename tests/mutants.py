@@ -61,17 +61,38 @@ _LEAF_ARRIVALS = """\
                     if h < ts.blk_lo:
                         if h >= ts.lo:
                             ts.blk_lo = h
+                        elif (
+                            # a full window slides by its bounds alone in a
+                            # step no observer sees, when the cell leaving
+                            # is outside the hull (no NonBlockRespecting)
+                            # and the lost hull is empty or above (h is no
+                            # lost cell); the mirror image below
+                            (quiet or bare and not ledger.hot)
+                            and (hi := ts.hi) - h == ts.cap
+                            and hi > ts.blk_hi
+                            and (ts.lost_lo > hi or ts.lost_lo > ts.lost_hi)
+                        ):
+                            ts.lo = ts.blk_lo = h
+                            ts.hi = hi - 1
                         else:
                             arrive(self, ts, h, k)
                         if ledger is not None and h < flo[ts.index]:
-                            ledger.refresh_tape(ts)
+                            self._refresh(ts)
                     elif h > ts.blk_hi:
                         if h <= ts.hi:
                             ts.blk_hi = h
+                        elif (
+                            (quiet or bare and not ledger.hot)
+                            and h - (lo := ts.lo) == ts.cap
+                            and lo < ts.blk_lo
+                            and (ts.lost_hi < lo or ts.lost_lo > ts.lost_hi)
+                        ):
+                            ts.lo = lo + 1
+                            ts.hi = ts.blk_hi = h
                         else:
                             arrive(self, ts, h, k)
                         if ledger is not None and h > fhi[ts.index]:
-                            ledger.refresh_tape(ts)
+                            self._refresh(ts)
 """
 
 MUTANTS = (
@@ -248,6 +269,59 @@ MUTANTS = (
         (
             _T_STREAMING + "test_clock_and_state_after_a_violation[StaleWindowReentry-sink]",
             _T_STREAMING + "test_clock_and_state_after_a_violation[NonBlockRespecting-bare]",
+        ),
+    ),
+    # the slides a full window makes without _arrive, and the settles
+    # that evict the cells they owe
+    Mutant(
+        "settle-range-one-short",
+        _STREAMING,
+        "cells = range(ts.settled_lo, lo)",
+        "cells = range(ts.settled_lo + 1, lo)",
+        (
+            _T_LEDGER + "test_gate_matches_forced_metering_random_machines",
+            _T_LEDGER + "test_ledger_figures_at_benchmark_size[sweep]",
+            _T_STREAMING + "test_runs_with_and_without_an_observer_agree",
+            _T_STREAMING + "test_stale_window_reentry",
+        ),
+    ),
+    Mutant(
+        "slide-ignores-block-hull",
+        _STREAMING,
+        "and lo < ts.blk_lo\n",
+        "\n",
+        (
+            _T_STREAMING + "test_runs_with_and_without_an_observer_agree",
+        ),
+    ),
+    Mutant(
+        "slide-with-lost-hull-near",
+        _STREAMING,
+        "and (ts.lost_hi < lo or ts.lost_lo > ts.lost_hi)",
+        "and (ts.lost_hi < lo or ts.lost_lo > lo)",
+        (
+            _T_STREAMING + "test_runs_with_and_without_an_observer_agree",
+        ),
+    ),
+    Mutant(
+        "no-settle-before-refresh",
+        _STREAMING,
+        "            if other.settled_lo != other.lo:\n                self._settle(other)\n",
+        "            pass\n",
+        (
+            _T_STREAMING + "test_runs_with_and_without_an_observer_agree",
+        ),
+    ),
+    Mutant(
+        "no-settle-when-leaf-ends",
+        _STREAMING,
+        "            for ts in tapes:\n"
+        "                if ts.settled_lo != ts.lo:\n"
+        "                    self._settle(ts)\n",
+        "",
+        (
+            _T_STREAMING + "test_runs_with_and_without_an_observer_agree",
+            _T_STREAMING + "test_sweep_slides_full_windows_without_arrive",
         ),
     ),
     Mutant(

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from types import SimpleNamespace
@@ -1221,6 +1222,106 @@ def test_arrive_only_when_a_window_moves(monkeypatch):
     hs.holo_run(m, palin_input(t), t, b, sink=sink)
     assert bare == calls == len(spans) - 1 == 130
     assert off_hull == 6020
+
+
+def test_sweep_slides_full_windows_without_arrive(monkeypatch):
+    """Every step of sweep moves a window, but a bare run calls _arrive
+    only while its window fills: afterwards each step slides the full
+    window by its bounds, and _settle evicts the cells that left, one
+    pass a leaf.  With a sink every window move goes through _arrive and
+    nothing is owed.  At t = 2^13 and b = 91."""
+    calls = {"arrive": 0, "settle": 0, "settled": 0}
+    arrive, settle = hs.RollingState._arrive, hs.RollingState._settle
+
+    def counted_arrive(self, ts, cell, block_index):
+        calls["arrive"] += 1
+        arrive(self, ts, cell, block_index)
+
+    def counted_settle(self, ts):
+        calls["settle"] += 1
+        calls["settled"] += abs(ts.lo - ts.settled_lo)
+        settle(self, ts)
+
+    monkeypatch.setattr(hs.RollingState, "_arrive", counted_arrive)
+    monkeypatch.setattr(hs.RollingState, "_settle", counted_settle)
+    m = load_sample("sweep")
+    t, b = 2**13, 91
+    hs.holo_run(m, "", t, b)
+    assert calls == {"arrive": 181, "settle": 90, "settled": t - 181}
+    calls.update(arrive=0, settle=0, settled=0)
+    hs.holo_run(m, "", t, b, sink=lambda c: None)
+    assert calls == {"arrive": t, "settle": 0, "settled": 0}
+
+
+def _observed_run(m, word, t, b, c_int, sink=None, ledger=None):
+    """The outcome of a streamed run, the root's bytes or the error's
+    class, fields and message, and the engine's state after it; every
+    ledger event and metered step must find no cell owed, and neither
+    may the end of the run."""
+
+    def settled(event):
+        def call(*args):
+            assert all(ts.settled_lo == ts.lo for ts in engine.tapes)
+            event(*args)
+
+        return call
+
+    if ledger is not None:
+        ledger.start_leaf = settled(ledger.start_leaf)
+        ledger.refresh_tape = settled(ledger.refresh_tape)
+        ledger.step = settled(ledger.step)
+    engine = hs.RollingState(m, word, t, b, c_int, sink, ledger)
+    try:
+        outcome = hs.encode_summary(engine.run())
+    except hs.ModelViolation as exc:
+        outcome = (type(exc), vars(exc), str(exc))
+    assert all(ts.settled_lo == ts.lo for ts in engine.tapes)
+    tapes = [
+        (ts.live, ts.lo, ts.hi, ts.lost_lo, ts.lost_hi, ts.blk_lo, ts.blk_hi)
+        for ts in engine.tapes
+    ]
+    return outcome, (engine.tau, engine.state, engine.heads, tapes)
+
+
+def test_runs_with_and_without_an_observer_agree(monkeypatch):
+    """A bare run, or a run whose ledger is cold, slides full windows by
+    their bounds and evicts the cells that left later; a run with a sink
+    evicts each at once.  Over random machines, violations included, a
+    run with a no-op sink, the same run bare and the same run with a
+    gated ledger end alike: the root or the error, and the engine's
+    clock, state, heads and tapes.  The ledger's figures equal those of
+    a gated ledger beside the sink.  Slides up and down are both left
+    owed, and settles of several cells occur."""
+    settles: list[int] = []
+    settle = hs.RollingState._settle
+
+    def counted(self, ts):
+        settles.append(ts.lo - ts.settled_lo)
+        settle(self, ts)
+
+    monkeypatch.setattr(hs.RollingState, "_settle", counted)
+    rng = random.Random(3434)
+    outcomes: Counter = Counter()
+    for _ in range(320):
+        m = random_machine(rng)
+        n = rng.randint(0, 12) if m.input_alphabet else 0
+        word = "".join(rng.choice(m.input_alphabet) for _ in range(n))
+        t, b, c_int = rng.randint(1, 400), rng.randint(1, 5), rng.randint(1, 2)
+        observed = _observed_run(m, word, t, b, c_int, sink=lambda c: None)
+        metered = hs.attach_ledger(m, t, b, c_int=c_int)
+        _observed_run(m, word, t, b, c_int, sink=lambda c: None, ledger=metered)
+        assert not settles, "a run with a sink owes no cell"
+        assert _observed_run(m, word, t, b, c_int) == observed
+        ledger = hs.attach_ledger(m, t, b, c_int=c_int)
+        assert _observed_run(m, word, t, b, c_int, ledger=ledger) == observed
+        assert ledger == metered
+        outcomes["root" if type(observed[0]) is bytes else observed[0][0].__name__] += 1
+        outcomes["up"] += sum(owed > 0 for owed in settles)
+        outcomes["down"] += sum(owed < 0 for owed in settles)
+        outcomes["several"] += sum(abs(owed) > 1 for owed in settles)
+        settles.clear()
+    assert len(outcomes) == 7, outcomes
+    assert min(outcomes.values()) > 10, outcomes
 
 
 def _walk_engine(corrupt=None, leaf=None):
